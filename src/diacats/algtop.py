@@ -7,7 +7,9 @@ degree range in which the truncated computation is trustworthy.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import fincat as fc
@@ -16,100 +18,92 @@ from .errors import InvalidSimplicial
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (dense, exact)
+# Smith normal form (sparse, exact)
 
 
 def snf(matrix):
-    """Exact integer Smith normal form.
+    """Exact integer Smith normal form of a matrix given as a list of rows.
 
+    Returns (invariant_factors, rank) as :func:`snf_sparse`, which does the
+    elimination on the matrix's columns.  The input is not modified.
+    """
+    rows = [list(map(int, row)) for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    return snf_sparse([{i: row[j] for i, row in enumerate(rows) if row[j]}
+                       for j in range(ncols)])
+
+
+def snf_sparse(columns):
+    """Exact integer Smith normal form of a sparse matrix.
+
+    `columns` is a list of {row: value} dicts; the input is not modified.
     Returns (invariant_factors, rank): the nonzero diagonal entries
-    d_1 | d_2 | ... (all positive) and their count.  The input is not
-    modified.  Pivoting picks a minimal nonzero absolute value to keep
-    entry growth in check; the procedure is deterministic.
+    d_1 | d_2 | ... (all positive) and their count.  Elimination runs in
+    two phases:
+
+    1. Unit phase.  The columns are reduced left to right by their lowest
+       row against earlier columns whose lowest entry is +-1, as in the
+       persistent-homology column reduction; a column that ends with a +-1
+       lowest entry claims that row.
+    2. Residual phase.  Every other nonzero column is cleared on all
+       claimed rows, not only below its lowest row.  What is left is the
+       Schur complement of the claimed block, which is triangular with a
+       +-1 diagonal and so unimodular; :func:`_snf_exact` eliminates it.
+
+    The result is exact: ``[1] * claimed`` followed by the residual's
+    invariant factors.  Boundary matrices of nerves have almost only unit
+    pivots, so the residual is small.
     """
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors = []
-    top = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
+    pivots = {}  # claimed row -> reduced column whose lowest entry is +-1
+    residual = []
+    for c in columns:
+        col = dict(c)
+        while col:
+            low = max(col)
+            p = pivots.get(low)
+            if p is None:
+                if abs(col[low]) == 1:
+                    pivots[low] = col
+                else:
+                    residual.append(col)
                 break
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            p = a[top][top]
-            done = True
-            for i in range(top + 1, m):
-                if a[i][top] % p != 0:
-                    q = a[i][top] // p
-                    for j in range(top, n):
-                        a[i][j] -= q * a[top][j]
-                    a[top], a[i] = a[i], a[top]
-                    done = False
-                    break
-            if not done:
-                continue
-            for j in range(top + 1, n):
-                if a[top][j] % p != 0:
-                    q = a[top][j] // p
-                    for i in range(top, m):
-                        a[i][j] -= q * a[i][top]
-                    for i in range(top, m):
-                        a[i][top], a[i][j] = a[i][j], a[i][top]
-                    done = False
-                    break
-            if done:
-                break
-        p = a[top][top]
-        for i in range(top + 1, m):
-            q = a[i][top] // p
-            if q:
-                for j in range(top, n):
-                    a[i][j] -= q * a[top][j]
-        for j in range(top + 1, n):
-            q = a[top][j] // p
-            if q:
-                for i in range(top, m):
-                    a[i][j] -= q * a[i][top]
-        factors.append(abs(p))
-        top += 1
-    # enforce the divisibility chain
-    import math
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if factors[j] % factors[i] != 0:
-                g = math.gcd(factors[i], factors[j])
-                l = factors[i] * factors[j] // g
-                factors[i], factors[j] = g, l
-    factors.sort()
-    return factors, len(factors)
+            _add_multiple(col, -col[low] * p[low], p)
+    for col in residual:
+        # a pivot column has no row above its claimed one, so clearing the
+        # claimed rows from the highest down never refills a cleared one
+        heap = [-r for r in col if r in pivots]
+        heapq.heapify(heap)
+        while heap:
+            r = -heapq.heappop(heap)
+            if col.get(r):
+                p = pivots[r]
+                _add_multiple(col, -col[r] * p[r], p)
+                for rr in p:
+                    if rr != r and rr in pivots:
+                        heapq.heappush(heap, -rr)
+    factors, rank = _snf_exact([col for col in residual if col])
+    return [1] * len(pivots) + factors, len(pivots) + rank
 
 
-def snf_sparse(columns, nrows=None):
-    """Invariant factors of a sparse integer matrix.
+def _add_multiple(col, q, other):
+    """col += q * other, in place, dropping entries that become zero."""
+    for r, v in other.items():
+        nv = col.get(r, 0) + q * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]
 
-    `columns` is a list of {row: value} dicts.  Equivalent to :func:`snf`
-    but eliminates with unit pivots first, which keeps the nerve boundary
-    matrices (entries mostly +-1) fast.  Because the pivot row is cleared
-    before the pivot column, clearing the column is a pure row operation
-    that touches the pivot column only.
+
+def _snf_exact(columns):
+    """Invariant factors of a sparse integer matrix by general pivoting.
+
+    The residual phase of :func:`snf_sparse`.  Each step picks a pivot of
+    least absolute value (ties broken by least fill-in) and eliminates with
+    integer quotients until the pivot divides its row and column.  Because
+    the pivot row is cleared before the pivot column, clearing the column
+    is a pure row operation that touches the pivot column only.
     """
-    import math
     cols = {ci: dict(c) for ci, c in enumerate(columns) if c}
     rows = {}
     for ci, c in cols.items():
@@ -278,7 +272,7 @@ def homology_of_complex(cc: ChainComplex, valid_range=None) -> HomologySummary:
             if k < 1 or k > cc.trunc:
                 snf_cache[k] = ([], 0)
             else:
-                snf_cache[k] = snf_sparse(cc.boundaries[k], cc.ranks[k - 1])
+                snf_cache[k] = snf_sparse(cc.boundaries[k])
         return snf_cache[k]
 
     betti, torsion = {}, {}
@@ -466,16 +460,6 @@ def _verify_deletion_chain(cat: fc.FinCat, chain) -> bool:
     return len(objs) == 1
 
 
-def cat_full_sub(cat: fc.FinCat, objs):
-    objs = list(objs)
-    keep = [m for m in cat.morphisms if m.dom in objs and m.cod in objs]
-    ids = {m.id for m in keep}
-    comp = {(g, f): h for (g, f), h in cat.compose_table.items()
-            if g in ids and f in ids}
-    return fc.FinCat("%s|%d" % (cat.name, len(objs)), objs, keep,
-                     {x: cat.id_of(x) for x in objs}, comp)
-
-
 def contractibility_certificate(cat: fc.FinCat, trunc: int = 4):
     """Try, in order: initial object, final object, a greedy chain of
     extremal-object deletions realizing adjunctions down to the point, and
@@ -517,7 +501,6 @@ def contractibility_certificate(cat: fc.FinCat, trunc: int = 4):
 
 def minor_gcd_invariants(matrix):
     """Invariant factors via d_k = gcd of k x k minors (brute force)."""
-    import math
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     out = []

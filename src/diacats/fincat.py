@@ -649,21 +649,6 @@ def limit_cone(D: FinFunctor):
     return None
 
 
-def cone_factorization(C: FinCat, limit, legs_from, objects):
-    """The unique morphism apex2 -> limit apex through the limit cone."""
-    apex, legs = limit
-    src = None
-    # legs_from: dict j -> morphism from apex2; recover apex2 from any leg
-    for j, leg in legs_from.items():
-        src = C.dom(leg)
-        break
-    facts = [u for u in C.hom(src, apex)
-             if all(C.comp(legs[j], u) == legs_from[j] for j in objects)]
-    if len(facts) != 1:
-        return None
-    return facts[0]
-
-
 def _two_object_diagram(C: FinCat, a: str, b: str):
     J = discrete_category("2", ["l", "r"])
     return FinFunctor("D", J, C, {"l": a, "r": b},
@@ -834,14 +819,6 @@ def _canon_colors(colors):
     vals = sorted(set(map(repr, colors.values())))
     rank = {v: i for i, v in enumerate(vals)}
     return {x: rank[repr(v)] for x, v in colors.items()}
-
-
-def _mor_profile(c: FinCat, colors):
-    prof = {}
-    for m in c.morphisms:
-        prof[m.id] = (colors[m.dom], colors[m.cod], c.is_identity(m.id),
-                      c.is_iso(m.id) is not None)
-    return prof
 
 
 def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000):

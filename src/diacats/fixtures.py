@@ -79,8 +79,3 @@ def span_shape() -> fc.FinCat:
     """The shape b <- a -> c (a pushout diagram shape)."""
     return fc.poset_category("span", ["a", "b", "c"],
                              lambda x, y: x == y or (x == "a" and y in ("b", "c")))
-
-
-def cospan_shape() -> fc.FinCat:
-    return fc.poset_category("cospan", ["l", "m", "r"],
-                             lambda x, y: x == y or y == "m")

@@ -98,28 +98,6 @@ def decode_diagram(data: dict, site: Site, name="D") -> dg.DiaObj:
         raise SchemaError("malformed diagram.v1: %s" % exc)
 
 
-def encode_diamor(m: dg.DiaMor) -> dict:
-    return {
-        "schema": "diamor.v1",
-        "src": encode_diagram(m.src),
-        "tgt": encode_diagram(m.tgt),
-        "alpha": {"obj": dict(m.shape_map.object_map),
-                  "mor": dict(m.shape_map.morphism_map)},
-        "f": dict(m.label_transf),
-    }
-
-
-def decode_diamor(data: dict, site: Site) -> dg.DiaMor:
-    try:
-        src = decode_diagram(data["src"], site, "src")
-        tgt = decode_diagram(data["tgt"], site, "tgt")
-        alpha = fc.FinFunctor("alpha", src.shape, tgt.shape,
-                              data["alpha"]["obj"], data["alpha"]["mor"])
-        return dg.DiaMor(src, tgt, alpha, data["f"]).validate()
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("malformed diamor.v1: %s" % exc)
-
-
 # ---------------------------------------------------------------------------
 # simp.v1 / ssimp.v1
 

@@ -53,10 +53,6 @@ def mt_is_epi(u):
     return set(u) == set(range(max(u) + 1)) if u else False
 
 
-def mt_is_mono(u):
-    return all(u[i] < u[i + 1] for i in range(len(u) - 1))
-
-
 def epi_mono_factor(u):
     """u = mono o epi with epi an ordered surjection, mono an injection."""
     image = sorted(set(u))

@@ -165,16 +165,6 @@ def coprod_identity(cat, a: CoprodObj) -> CoprodMor:
                      tuple(cat.id_of(c) for c in a.components), True)
 
 
-def coprod_compose(cat, g: CoprodMor, f: CoprodMor) -> CoprodMor:
-    if f.tgt != g.src:
-        raise ObjectNotInTarget("coproduct morphisms not composable")
-    idx = tuple(g.index_map[j] for j in f.index_map)
-    parts = tuple(cat.comp(g.parts[f.index_map[i]], f.parts[i])
-                  for i in range(len(f.src)))
-    return CoprodMor(f.src, g.tgt, idx, parts,
-                     f.split_injection and g.split_injection)
-
-
 def coprod_iso(cat, a: CoprodObj, b: CoprodObj):
     """Component bijection + componentwise isomorphism, or None."""
     if len(a) != len(b):

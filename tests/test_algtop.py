@@ -14,6 +14,8 @@ def test_snf_fixtures():
     assert at.snf([[2, 4], [6, 8]]) == ([2, 4], 2)
     assert at.snf([[0, 0], [0, 0]]) == ([], 0)
     assert at.snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == ([1, 1, 1], 3)
+    # the residual column must be cleared on the claimed row above its low
+    assert at.snf([[2, 0], [3, 1]]) == ([1, 2], 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -23,10 +25,20 @@ def test_snf_fixtures():
 def test_snf_matches_minor_gcd_oracle(m):
     factors, rank = at.snf(m)
     assert factors == at.minor_gcd_invariants(m)
-    cols = [dict((i, m[i][j]) for i in range(len(m)) if m[i][j])
-            for j in range(len(m[0]))]
-    sparse, _ = at.snf_sparse(cols)
-    assert sparse == factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(1, 10).flatmap(lambda nrows: hst.lists(
+    hst.lists(hst.sampled_from([0, 0, 0, 1, -1, 2, -2, 3]),
+              min_size=nrows, max_size=nrows),
+    min_size=1, max_size=14)))
+def test_snf_sparse_matches_exact_loop(dense_cols):
+    """The unit phase plus residual agrees with general pivoting alone on
+    matrices too large for the k-minor oracle."""
+    cols = [{i: v for i, v in enumerate(c) if v} for c in dense_cols]
+    before = [dict(c) for c in cols]
+    assert at.snf_sparse(cols) == at._snf_exact(cols)
+    assert cols == before
 
 
 def test_snf_divisibility_chain():
@@ -36,6 +48,21 @@ def test_snf_divisibility_chain():
         factors, _ = at.snf(m)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+def test_homology_torsion():
+    # RP^2 with one vertex v, one edge a and one triangle s:
+    # d0 s = d2 s = a and d1 s = s0 v
+    v, a = ((0,), "v"), ((0, 1), "a")
+    faces = {("a", 0): v, ("a", 1): v,
+             ("s", 0): a, ("s", 1): ((0, 0), "v"), ("s", 2): a}
+    rp2 = sp.SimpSet(3, [["v"], ["a"], ["s"]], faces, "RP2").validate()
+    h = at.homology(rp2)
+    assert h.degree(0) == (1, []) and h.degree(1) == (0, [2])
+    assert h.degree(2) == (0, [])
+    # Kuenneth: H1 = Z/2 + Z/2 and H2 = Z/2 (x) Z/2
+    h2 = at.homology(sp.simpset_product(rp2, rp2)[0])
+    assert h2.degree(1) == (0, [2, 2]) and h2.degree(2) == (0, [2])
 
 
 def test_chain_complex_fixtures():
