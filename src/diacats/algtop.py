@@ -230,8 +230,7 @@ def chain_complex(x: sp.SimpSet) -> ChainComplex:
                     col[r] = col.get(r, 0) + (-1) ** i
             cols.append({r: v for r, v in col.items() if v})
         boundaries.append(cols)
-    cc = ChainComplex(x.trunc, ranks, boundaries, [list(l) for l in x.levels])
-    return cc.validate()
+    return ChainComplex(x.trunc, ranks, boundaries, [list(l) for l in x.levels])
 
 
 @dataclass
@@ -375,7 +374,6 @@ def quasi_iso(f: sp.SimpMap) -> QuasiIsoVerdict:
             cols.append(col)
         cone_boundaries.append(cols)
     cone = ChainComplex(trunc, cone_ranks, cone_boundaries)
-    cone.validate()
     hs = homology_of_complex(cone, valid_range=trunc - 1)
     bad = [k for k in range(min(trunc - 1, hs.valid_range) + 1)
            if hs.betti.get(k, 0) != 0 or hs.torsion.get(k)]

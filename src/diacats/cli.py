@@ -21,7 +21,13 @@ from . import homotopy as ht
 from . import jsonio as io
 from . import localizer as lc
 from . import simplicial as sp
-from .errors import DiacatsError, SchemaError
+from .errors import (
+    DiacatsError,
+    InvalidFunctor,
+    InvalidNatTransf,
+    InvalidSimplicial,
+    SchemaError,
+)
 
 
 BUNDLED_SITES = {
@@ -447,7 +453,7 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except SchemaError as exc:
+    except (SchemaError, InvalidSimplicial, InvalidFunctor, InvalidNatTransf) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 2
     except DiacatsError as exc:

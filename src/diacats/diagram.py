@@ -56,7 +56,7 @@ def point_dia(scat: fc.FinCat, s: str, name=None) -> DiaObj:
     pt = fc.terminal_category()
     return DiaObj(pt, fc.FinFunctor("lbl", pt, scat, {"*": s},
                                     {"id_*": scat.id_of(s)}),
-                  name or ("pt(%s)" % s)).validate()
+                  name or ("pt(%s)" % s))
 
 
 class DiaMor:
@@ -131,13 +131,13 @@ def factor_mor(m: DiaMor):
     mid_labels = fc.FinFunctor("a*T", m.src.shape, m.src.scat,
                                {i: T.ob(a.ob(i)) for i in m.src.shape.objects},
                                {x.id: T.mo(a.mo(x.id)) for x in m.src.shape.morphisms})
-    mid = DiaObj(m.src.shape, mid_labels, "a*" + m.tgt.name).validate()
+    mid = DiaObj(m.src.shape, mid_labels, "a*" + m.tgt.name)
     fixed = DiaMor(m.src, mid, fc.FinFunctor.identity(m.src.shape),
-                   dict(m.label_transf), "fixed").validate()
+                   dict(m.label_transf), "fixed")
     scat = m.src.scat
     diag = DiaMor(mid, m.tgt, a,
                   {i: scat.id_of(mid_labels.ob(i)) for i in m.src.shape.objects},
-                  "diagramtype").validate()
+                  "diagramtype")
     return fixed, diag
 
 
@@ -266,13 +266,10 @@ def comma_fiber_product(p: DiaMor, q: DiaMor):
         if len(cands) != 1:
             raise LimitAbsent("no unique comma label map at %r" % mid)
         label_mo[mid] = cands[0]
-    labels = fc.FinFunctor("lbl", shape, scat, label_ob, label_mo).validate()
-    dia = DiaObj(shape, labels,
-                 "%s x/%s %s" % (p.src.name, p.tgt.name, q.src.name)).validate()
-    proj_p = DiaMor(dia, p.src, pr_i, {oid: leg_s[oid] for oid in label_ob},
-                    "pr1").validate()
-    proj_q = DiaMor(dia, q.src, pr_j, {oid: leg_t[oid] for oid in label_ob},
-                    "pr2").validate()
+    labels = fc.FinFunctor("lbl", shape, scat, label_ob, label_mo)
+    dia = DiaObj(shape, labels, "%s x/%s %s" % (p.src.name, p.tgt.name, q.src.name))
+    proj_p = DiaMor(dia, p.src, pr_i, {oid: leg_s[oid] for oid in label_ob}, "pr1")
+    proj_q = DiaMor(dia, q.src, pr_j, {oid: leg_t[oid] for oid in label_ob}, "pr2")
     dia.comma_okey = okey
     dia.comma_mkey = mkey
     return dia, proj_p, proj_q
@@ -304,12 +301,9 @@ def induced_comma_map(w: DiaMor, p1: DiaMor, p2: DiaMor, q: DiaMor):
             raise LimitAbsent("no unique induced comma label at %r" % oid)
         lt[oid] = cands[0]
     for (o1, o2, u, v), mid in c1.comma_mkey.items():
-        i1, e1, phi1 = next(k for k, val in c1.comma_okey.items() if val == o1)
-        i2, e2, phi2 = next(k for k, val in c1.comma_okey.items() if val == o2)
-        mid2 = c2.comma_mkey[(omap[o1], omap[o2], w.shape_map.mo(u), v)]
-        mmap[mid] = mid2
-    shape_map = fc.FinFunctor("w_k", c1.shape, c2.shape, omap, mmap).validate()
-    return DiaMor(c1, c2, shape_map, lt, "induced").validate(), (c1, c2)
+        mmap[mid] = c2.comma_mkey[(omap[o1], omap[o2], w.shape_map.mo(u), v)]
+    shape_map = fc.FinFunctor("w_k", c1.shape, c2.shape, omap, mmap)
+    return DiaMor(c1, c2, shape_map, lt, "induced"), (c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +382,11 @@ def grothendieck_construction(F: DiaFunctor):
     for (a, i, m, g), mid in mkey.items():
         a2 = A.cod(m)
         lab_mo[mid] = scat.comp(F.ob[a2].labels.mo(g), F.mo[m].label_transf[i])
-    labels = fc.FinFunctor("lbl", shape, scat, lab_ob, lab_mo).validate()
-    dia = DiaObj(shape, labels, "int(%s)" % F.name).validate()
+    labels = fc.FinFunctor("lbl", shape, scat, lab_ob, lab_mo)
+    dia = DiaObj(shape, labels, "int(%s)" % F.name)
     proj = fc.FinFunctor("proj", shape, A,
                          {okey[(a, i)]: a for (a, i) in okey},
-                         {mid: k[2] for k, mid in mkey.items()}).validate()
+                         {mid: k[2] for k, mid in mkey.items()})
     incl = {}
     for a in A.objects:
         Ia = F.ob[a].shape
@@ -403,7 +397,7 @@ def grothendieck_construction(F: DiaFunctor):
                           {m.id: mkey[(a, m.dom, A.id_of(a), m.id)]
                            for m in Ia.morphisms}),
             {i: scat.id_of(F.ob[a].labels.ob(i)) for i in Ia.objects},
-            "iota_%s" % a).validate()
+            "iota_%s" % a)
     dia.groth_okey = okey
     dia.groth_mkey = mkey
     return dia, proj, incl
@@ -421,7 +415,7 @@ def span_diafunctor(f: DiaMor, g: DiaMor, name="X"):
           sh.id_of("b"): DiaMor.identity(f.tgt),
           sh.id_of("c"): DiaMor.identity(g.tgt),
           "a<=b": f, "a<=c": g}
-    return DiaFunctor(sh, ob, mo, name).validate()
+    return DiaFunctor(sh, ob, mo, name)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +449,7 @@ def nerve_mor(m: DiaMor, trunc: int, na=None, nb=None) -> sp.SplitMor:
                 epi.append(v)
             val[sid] = (tuple(epi), sp.chain_id((a.ob(x0), stripped)))
             part[sid] = m.label_transf[x0]
-    return sp.SplitMor(na, nb, val, part, "N(%s)" % m.name).validate()
+    return sp.SplitMor(na, nb, val, part, "N(%s)" % m.name)
 
 
 def nerve_diagram(F: DiaFunctor, trunc: int):
@@ -465,7 +459,7 @@ def nerve_diagram(F: DiaFunctor, trunc: int):
     nerves = {a: nerve(F.ob[a], trunc) for a in F.base.objects}
     mors = {m.id: nerve_mor(F.mo[m.id], trunc, nerves[m.dom], nerves[m.cod])
             for m in F.base.morphisms}
-    return SplitDiagram(F.base, nerves, mors, "N(%s)" % F.name).validate()
+    return SplitDiagram(F.base, nerves, mors, "N(%s)" % F.name)
 
 
 def hom_diagram(site_or_cat, x, d: DiaObj):
@@ -513,6 +507,6 @@ def hom_diagram(site_or_cat, x, d: DiaObj):
                              comp_table, full_check=False)
     proj = fc.FinFunctor("proj", cat_el, d.shape,
                          {okey[k][0]: k[0] for k in okey},
-                         {mid: k[2] for k, mid in mkey.items()}).validate()
+                         {mid: k[2] for k, mid in mkey.items()})
     cat_el.hom_okey = okey
     return cat_el, proj

@@ -790,7 +790,7 @@ def twisted_arrow(I: FinCat, variant: str = "tw"):
                      {mid: k[2] for k, mid in mkey.items()})
     pi3 = FinFunctor("pi3", cat, I, {okey[p]: I.cod(p[1]) for p in pairs},
                      {mid: k[4] for k, mid in mkey.items()})
-    mu = NatTransf(pi1, pi3, {okey[(f, g)]: I.comp(g, f) for (f, g) in pairs}).validate()
+    mu = NatTransf(pi1, pi3, {okey[(f, g)]: I.comp(g, f) for (f, g) in pairs})
     return cat, pi1, pi3, mu
 
 

@@ -113,12 +113,12 @@ def int_amalg(x: sp.SplitSimpObj, trunc=None) -> IntAmalgResult:
     for (n, v, g), mid in mkey.items():
         _, p = x.apply_with_part(g, v)
         lab_mo[mid] = p
-    labels = fc.FinFunctor("lbl", cat, x.scat, lab_ob, lab_mo).validate()
-    dia = dg.DiaObj(cat, labels, "int(%s)" % x.name).validate()
+    labels = fc.FinFunctor("lbl", cat, x.scat, lab_ob, lab_mo)
+    dia = dg.DiaObj(cat, labels, "int(%s)" % x.name)
     proj = fc.FinFunctor("proj", cat, tshape,
                          {oid: "[%d]" % n for (n, v), oid in okey.items()},
                          {mid: tshape.op_key[(n, len(g) - 1, g)]
-                          for (n, v, g), mid in mkey.items()}).validate()
+                          for (n, v, g), mid in mkey.items()})
     return IntAmalgResult(dia, proj, {oid: k for k, oid in okey.items()},
                           okey, mkey, x, trunc)
 
@@ -192,9 +192,9 @@ def counit_to_diagram(d: dg.DiaObj, trunc: int):
             mmap[mid] = I.id_of(x0)
         else:
             mmap[mid] = I.comp_path(list(ms[:p]))
-    smap = fc.FinFunctor("counit", shape, I, omap, mmap).validate()
+    smap = fc.FinFunctor("counit", shape, I, omap, mmap)
     lt = {oid: d.scat.id_of(ia.dia.labels.ob(oid)) for oid in shape.objects}
-    return dg.DiaMor(ia.dia, d, smap, lt, "counit").validate(), ia
+    return dg.DiaMor(ia.dia, d, smap, lt, "counit"), ia
 
 
 def counit_naturality_check(m: dg.DiaMor, trunc: int) -> bool:
@@ -266,8 +266,7 @@ def counit_fiber_check(d: dg.DiaObj, trunc: int):
             n1, tv1 = translate(oid1, phi1)
             mmap[fmid] = mkey_e[(n1, tv1, op_of[g])]
         try:
-            functor = fc.FinFunctor("cmp", fib, el, omap, mmap).validate()
-            iso = fc.verify_isomorphism(functor)
+            iso = fc.verify_isomorphism(fc.FinFunctor("cmp", fib, el, omap, mmap))
         except Exception:
             iso = False
         ext = fc.detect_extremal(slice_cat)
@@ -321,8 +320,7 @@ def comparison_to_simp(x: sp.SplitSimpObj, nerve_trunc: int, int_trunc=None,
             w, p = x.apply_with_part(phi, v0)
             val[sid] = w
             part[sid] = p
-    cmp_mor = sp.SplitMor(nerve_ia, x, val, part, "firstvertex").validate()
-    return cmp_mor, ia
+    return sp.SplitMor(nerve_ia, x, val, part, "firstvertex"), ia
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,7 @@ def hocolim_bk(xd: SplitDiagram, trunc: int):
 def constant_split_diagram(shape: fc.FinCat, x: sp.SplitSimpObj) -> SplitDiagram:
     idm = sp.SplitMor.identity(x)
     return SplitDiagram(shape, {a: x for a in shape.objects},
-                        {m.id: idm for m in shape.morphisms}, "const").validate()
+                        {m.id: idm for m in shape.morphisms}, "const")
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +482,7 @@ def fiber_product_split(site: Site, f_leg: str, x: sp.SplitSimpObj, aug,
     obj = sp.SplitSimpObj(cat, x.uset, label, part,
                           name or ("%sx%s" % (f_leg, x.name)))
     obj.pb_legs = {s: pb_cache[s] for l in x.levels for s in l}
-    return obj.validate()
+    return obj
 
 
 def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
@@ -516,8 +514,8 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
                 if len(cands) != 1:
                     raise LimitAbsent("no unique transport %r along %r" % (nd, m.id))
                 part[nd] = cands[0]
-        mos[m.id] = sp.SplitMor(obs[i], obs[j], val, part, m.id).validate()
-    xd = SplitDiagram(shape, obs, mos, "FxX").validate()
+        mos[m.id] = sp.SplitMor(obs[i], obs[j], val, part, m.id)
+    xd = SplitDiagram(shape, obs, mos, "FxX")
     lhs, _ = hocolim_bk(xd, trunc)
 
     # right-hand side: N(I, F) x_s X, levelwise jointly-nondegenerate pairs
@@ -637,11 +635,8 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
         for (x, _, phi), oid in okey_i.items():
             omap[oid] = okey_j[(x, "*", shape.comp(m.id, phi))]
         for (o1, o2, u, v), mid in mkey_i.items():
-            x1, _, phi1 = next(k for k, val in okey_i.items() if val == o1)
-            x2, _, phi2 = next(k for k, val in okey_i.items() if val == o2)
             mmap[mid] = mkey_j[(omap[o1], omap[o2], u, v)]
-        slice_maps[m.id] = fc.FinFunctor("sl(%s)" % m.id, sl_i, sl_j,
-                                         omap, mmap).validate()
+        slice_maps[m.id] = fc.FinFunctor("sl(%s)" % m.id, sl_i, sl_j, omap, mmap)
 
     for i in shape.objects:
         for k in range(trunc + 1):
@@ -821,8 +816,7 @@ def gadget_comma_iso(n, m, trunc):
         for r in range(trunc + 1):
             for w in sp.all_monotone(r, k):
                 mmap[mkey2[(g, h, w)]] = mkey[(k, val, w)]
-    functor = fc.FinFunctor("cmp", fiber, el, omap, mmap).validate()
-    return fc.verify_isomorphism(functor)
+    return fc.verify_isomorphism(fc.FinFunctor("cmp", fiber, el, omap, mmap))
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def _final_collapse(d: dg.DiaObj):
                               {x: "*" for x in d.shape.objects},
                               {m.id: "id_*" for m in d.shape.morphisms})
     lt = {x: d.labels.mo(d.shape.hom(x, e)[0]) for x in d.shape.objects}
-    return dg.DiaMor(d, pt, shape_map, lt, "collapse").validate()
+    return dg.DiaMor(d, pt, shape_map, lt, "collapse")
 
 
 def ws_instances(u: DiagramUniverse):
@@ -317,7 +317,6 @@ def _resolve_comma(u, translator, w, p1, p2, k, member):
                                 {"*": k}, {"id_*": p1.tgt.shape.id_of(k)}),
                   {"*": member}, "probe")
     try:
-        q.validate()
         induced, (c1, c2) = dg.induced_comma_map(w, p1, p2, q)
     except (LimitAbsent, TargetMismatch):
         return None
@@ -611,7 +610,7 @@ def poset_universe(site: Site, max_objects: int = 3, label=None):
     dias = []
     for shape in poset_shapes(max_objects):
         d = dg.DiaObj(shape, fc.FinFunctor.constant(shape, site.cat, label),
-                      shape.name).validate()
+                      shape.name)
         u.add_object(d)
         dias.append(d)
     for d1 in dias:
@@ -619,7 +618,7 @@ def poset_universe(site: Site, max_objects: int = 3, label=None):
             for m in dg.all_dia_mors(d1, d2):
                 u.add_morphism(m)
     u.close_composition()
-    return u.validate()
+    return u
 
 
 def universe_from(site: Site, objects, morphisms=None, all_mors=False):
@@ -636,7 +635,7 @@ def universe_from(site: Site, objects, morphisms=None, all_mors=False):
     for m in morphisms or []:
         u.add_morphism(m)
     u.close_composition()
-    return u.validate()
+    return u
 
 
 def nerve_soundness_report(w: MorClass, u: DiagramUniverse, trunc: int = 4):

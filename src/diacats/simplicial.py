@@ -117,22 +117,27 @@ class SimpSet:
 
     def apply(self, op, value):
         """Apply the operator op : [k] -> [n] to a value of level n."""
+        return self.apply_steps(op, value)[0]
+
+    def apply_steps(self, op, value):
+        """Apply op to value, returning (result, steps): `steps` lists the
+        stored faces (simplex, face index) walked through, in order."""
         epi, nd = value
         if len(op) == 0:
             raise InvalidSimplicial("empty operator")
-        comp = mt_comp(epi, op)
-        e, mono = epi_mono_factor(comp)
-        w = self._resolve_mono(mono, nd)
-        return (mt_comp(w[0], e), w[1])
-
-    def _resolve_mono(self, mono, nd):
+        e, mono = epi_mono_factor(mt_comp(epi, op))
+        steps = []
         m = self.level_of[nd]
-        if mono == mt_id(m):
-            return (mt_id(m), nd)
-        missing = max(j for j in range(m + 1) if j not in mono)
-        v1 = self.faces[(nd, missing)]
-        mono2 = tuple(x if x < missing else x - 1 for x in mono)
-        return self.apply(mono2, v1)
+        while mono != mt_id(m):
+            # peel off the largest vertex the mono misses via its face
+            missing = max(j for j in range(m + 1) if j not in mono)
+            steps.append((nd, missing))
+            epi, nd = self.faces[(nd, missing)]
+            mono = tuple(x if x < missing else x - 1 for x in mono)
+            e2, mono = epi_mono_factor(mt_comp(epi, mono))
+            e = mt_comp(e2, e)
+            m = self.level_of[nd]
+        return (e, nd), steps
 
     def full_level(self, n):
         """Every simplex of level n as a value, canonically ordered."""
@@ -225,22 +230,11 @@ class SplitSimpObj:
 
     def apply_with_part(self, op, value):
         """Apply op, returning (value, part : label(value) -> label(result))."""
-        epi, nd = value
-        comp = mt_comp(epi, op)
-        e, mono = epi_mono_factor(comp)
-        w, p = self._resolve_mono_part(mono, nd)
-        return (mt_comp(w[0], e), w[1]), p
-
-    def _resolve_mono_part(self, mono, nd):
-        m = self.uset.level_of[nd]
-        if mono == mt_id(m):
-            return (mt_id(m), nd), self.scat.id_of(self.label[nd])
-        missing = max(j for j in range(m + 1) if j not in mono)
-        v1 = self.uset.faces[(nd, missing)]
-        p1 = self.part[(nd, missing)]
-        mono2 = tuple(x if x < missing else x - 1 for x in mono)
-        w, p2 = self.apply_with_part(mono2, v1)
-        return w, self.scat.comp(p2, p1)
+        w, steps = self.uset.apply_steps(op, value)
+        p = self.scat.id_of(self.label[value[1]])
+        for step in steps:
+            p = self.scat.comp(self.part[step], p)
+        return w, p
 
     def full_level(self, n):
         return self.uset.full_level(n)
@@ -456,7 +450,7 @@ def from_full_levels(trunc, levels, face_fn, degen_fn, id_fn=None, name="X"):
             if (n, e) in ids:
                 for i in range(n + 1):
                     faces[(ids[(n, e)], i)] = canon[(n - 1, face_fn(n, i, e))]
-    sset = SimpSet(trunc, nd_levels, faces, name).validate()
+    sset = SimpSet(trunc, nd_levels, faces, name)
     elem_of = {v: k for k, v in ids.items()}
     return sset, canon, ids, elem_of
 
@@ -474,7 +468,7 @@ def from_full_levels_split(scat, trunc, levels, face_fn, degen_fn,
             if n == 0:
                 break
             part[(sid, i)] = part_fn(n, i, e)
-    obj = SplitSimpObj(scat, sset, label, part, name).validate()
+    obj = SplitSimpObj(scat, sset, label, part, name)
     return obj, canon, ids, elem_of
 
 
@@ -495,7 +489,7 @@ def delta_simpset(n, trunc, name=None):
             for i in range(k + 1):
                 sub = t[:i] + t[i + 1:]
                 faces[(sid, i)] = (mt_id(k - 1), "(%s)" % ",".join(map(str, sub)))
-    return SimpSet(trunc, levels, faces, name or ("D%d" % n)).validate()
+    return SimpSet(trunc, levels, faces, name or ("D%d" % n))
 
 
 def boundary_delta(n, trunc, name=None):
@@ -524,12 +518,12 @@ def subcomplex(x: SimpSet, keep_nds, name="A"):
                     changed = True
     levels = [[s for s in l if s in keep] for l in x.levels]
     faces = {(s, i): v for (s, i), v in x.faces.items() if s in keep}
-    return SimpSet(x.trunc, levels, faces, name).validate()
+    return SimpSet(x.trunc, levels, faces, name)
 
 
 def inclusion_map(a: SimpSet, b: SimpSet) -> SimpMap:
     """Inclusion of a subcomplex whose simplex ids are shared with b."""
-    return SimpMap(a, b, {s: b.nd_value(s) for l in a.levels for s in l}, "incl").validate()
+    return SimpMap(a, b, {s: b.nd_value(s) for l in a.levels for s in l}, "incl")
 
 
 def simpset_product(a: SimpSet, b: SimpSet, name=None):
@@ -577,7 +571,7 @@ def constant_split(scat: fc.FinCat, s: str, trunc: int, name=None) -> SplitSimpO
     name = name or ("c(%s)" % s)
     sid = "%s.v" % name
     sset = SimpSet(trunc, [[sid]] + [[] for _ in range(trunc)], {}, name)
-    return SplitSimpObj(scat, sset, {sid: s}, {}, name).validate()
+    return SplitSimpObj(scat, sset, {sid: s}, {}, name)
 
 
 def coproduct_split(parts, name="U"):
@@ -599,7 +593,7 @@ def coproduct_split(parts, name="U"):
         for (s, i), q in p.part.items():
             part[(pref + s, i)] = q
     sset = SimpSet(trunc, levels, faces, name)
-    return SplitSimpObj(scat, sset, label, part, name).validate()
+    return SplitSimpObj(scat, sset, label, part, name)
 
 
 def as_split(scat: fc.FinCat, x: SimpSet, s: str, name=None) -> SplitSimpObj:
@@ -608,7 +602,7 @@ def as_split(scat: fc.FinCat, x: SimpSet, s: str, name=None) -> SplitSimpObj:
     label = {nd: s for l in x.levels for nd in l}
     part = {(nd, i): scat.id_of(s)
             for k, l in enumerate(x.levels) if k > 0 for nd in l for i in range(k + 1)}
-    return SplitSimpObj(scat, x, label, part, name or x.name).validate()
+    return SplitSimpObj(scat, x, label, part, name or x.name)
 
 
 def tensor(k: SimpSet, x: SplitSimpObj, name=None) -> SplitSimpObj:
@@ -661,7 +655,7 @@ def tensor_mor(k: SimpSet, f: SplitMor, ka=None, kb=None, name=None) -> SplitMor
             w, p = f.map_value_part(v)
             val[sid] = tensor_value(kb, u, w)
             part[sid] = p
-    return SplitMor(ka, kb, val, part, name or ("K(x)%s" % f.name)).validate()
+    return SplitMor(ka, kb, val, part, name or ("K(x)%s" % f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -820,11 +814,11 @@ def pushout_along_split(f: SplitMor, g: SplitMor, name=None):
                 (v, p) = b.uset.faces[(s, i)], b.part[(s, i)]
                 faces[(bpre + s, i)], part[(bpre + s, i)] = route_b_value(v, p)
     sset = SimpSet(trunc, levels, faces, name or "P")
-    p_obj = SplitSimpObj(scat, sset, label, part, name or "P").validate()
+    p_obj = SplitSimpObj(scat, sset, label, part, name or "P")
     in_c = SplitMor(c, p_obj, {s: (mt_id(c.uset.level_of[s]), cpre + s)
                                for l in c.levels for s in l},
                     {s: scat.id_of(c.label[s]) for l in c.levels for s in l},
-                    "in_C").validate()
+                    "in_C")
     bval, bpart = {}, {}
     for l in b.levels:
         for s in l:
@@ -835,7 +829,7 @@ def pushout_along_split(f: SplitMor, g: SplitMor, name=None):
             else:
                 bval[s] = (mt_id(b.uset.level_of[s]), bpre + s)
                 bpart[s] = scat.id_of(b.label[s])
-    in_b = SplitMor(b, p_obj, bval, bpart, "in_B").validate()
+    in_b = SplitMor(b, p_obj, bval, bpart, "in_B")
     return p_obj, in_b, in_c
 
 
@@ -855,7 +849,7 @@ def pushout_product(l: SimpSet, k: SimpSet, f: SplitMor, name=None):
             u, v = la.nd_elem[sid][1]
             val[sid] = tensor_value(ka, u, v)
             part[sid] = la.scat.id_of(la.label[sid])
-    incl = SplitMor(la, ka, val, part, "L(x)A->K(x)A").validate()
+    incl = SplitMor(la, ka, val, part, "L(x)A->K(x)A")
     p_obj, in_ka, in_lb = pushout_along_split(incl, lb_mor, name or "pp")
     kb = tensor(k, f.tgt)
     cval, cpart = {}, {}
@@ -870,8 +864,7 @@ def pushout_product(l: SimpSet, k: SimpSet, f: SplitMor, name=None):
                 w, p = f.map_value_part(v)
                 cval[sid] = tensor_value(kb, u, w)
                 cpart[sid] = p
-    cmp_mor = SplitMor(p_obj, kb, cval, cpart, "pp-cmp").validate()
-    return p_obj, cmp_mor
+    return p_obj, SplitMor(p_obj, kb, cval, cpart, "pp-cmp")
 
 
 def prism_inclusion(n, e, scat, s, trunc):
@@ -886,7 +879,7 @@ def prism_inclusion(n, e, scat, s, trunc):
             u, v = hx.nd_elem[sid][1]
             val[sid] = tensor_value(px, u, v)
             part[sid] = scat.id_of(hx.label[sid])
-    return SplitMor(hx, px, val, part, "prism%d,%d" % (n, e)).validate()
+    return SplitMor(hx, px, val, part, "prism%d,%d" % (n, e))
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +961,7 @@ def cech_cover(site, family, trunc, name=None):
                 faces[(sid, i)] = (tuple(epi), tup_id(red))
                 part[(sid, i)] = proj(t, red)
     sset = SimpSet(trunc, levels, faces, name or "Cech")
-    u = SplitSimpObj(site.cat, sset, label, part, name or "Cech").validate()
+    u = SplitSimpObj(site.cat, sset, label, part, name or "Cech")
     u.tuple_of = tup_of
     target = constant_split(cat, x, trunc, "c(%s)" % x)
     vtx = target.levels[0][0]
@@ -981,8 +974,7 @@ def cech_cover(site, family, trunc, name=None):
             apx, legmap = apex_of((t0,))
             leg = legmap[family[t0]]
             aug_part[sid] = cat.comp(family[t0], cat.comp(leg, proj(t, (t0,))))
-    aug = SplitMor(u, target, aug_val, aug_part, "aug").validate()
-    return u, aug
+    return u, SplitMor(u, target, aug_val, aug_part, "aug")
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1068,7 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> SimpSet:
             for i in range(k + 1):
                 e, nd = chain_face_value(c, ch, i)
                 faces[(chain_id(ch), i)] = (e, chain_id(nd))
-    sset = SimpSet(trunc, levels, faces, name or ("N(%s)" % c.name)).validate()
+    sset = SimpSet(trunc, levels, faces, name or ("N(%s)" % c.name))
     sset.chain_of = {chain_id(ch): ch for lev in chains for ch in lev}
     return sset
 
@@ -1099,7 +1091,7 @@ def nerve_labeled(c: fc.FinCat, labels: fc.FinFunctor, trunc: int,
                     part[(sid, i)] = labels.mo(ms[0])
                 else:
                     part[(sid, i)] = scat.id_of(labels.ob(x0))
-    obj = SplitSimpObj(scat, uset, label, part, name or ("N(%s)" % c.name)).validate()
+    obj = SplitSimpObj(scat, uset, label, part, name or ("N(%s)" % c.name))
     obj.chain_of = uset.chain_of
     return obj
 

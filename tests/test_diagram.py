@@ -31,6 +31,9 @@ def test_diamor_factorization():
         if m is None:
             continue
         fixed, diag = dg.factor_mor(m)
+        fixed.tgt.validate()
+        fixed.validate()
+        diag.validate()
         assert fixed.is_fixed_shape() and diag.is_pure_diagram_type()
         assert fixed.then(diag).key() == m.key()
 
@@ -39,6 +42,8 @@ def test_comma_fiber_identity_second_leg():
     d = labeled_fence()
     cfp, p1, p2 = dg.comma_fiber_product(dg.DiaMor.identity(d),
                                          dg.DiaMor.identity(d))
+    for obj in [cfp, p1, p2]:
+        obj.validate()
     # shape is the arrow category of the fence
     assert len(cfp.shape.objects) == len(d.shape.morphisms)
     # the nerve of the comma is weakly equivalent to the nerve of d
@@ -64,6 +69,8 @@ def test_comma_l3_test_object_label_is_meet():
                       {"*": "*"}, {"id_*": "id_*"}),
         {"*": "{a,b,d}<={a,b,c,d}"}).validate()
     cfp, p1, p2 = dg.comma_fiber_product(collapse, probe)
+    for obj in [cfp, p1, p2]:
+        obj.validate()
     labels = {cfp.labels.ob(o) for o in cfp.shape.objects}
     # each label is the meet of the fence label with {a,b,d}
     assert labels == {"{a}", "{b}", "{a,b}", "{a,b,d}"}
@@ -83,10 +90,12 @@ def test_comma_one_object_over_top_is_meet():
 
 def test_grothendieck_constant_functor():
     A = fx.fence_poset()
-    pt = dg.point_dia(TS.cat, "*")
+    pt = dg.point_dia(TS.cat, "*").validate()
     F = dg.DiaFunctor(A, {a: pt for a in A.objects},
                       {m.id: dg.DiaMor.identity(pt) for m in A.morphisms}).validate()
     gro, proj, incl = dg.grothendieck_construction(F)
+    for obj in [gro, proj, *incl.values()]:
+        obj.validate()
     iso = fc.find_isomorphism(gro.shape, A)
     assert iso is not None
     ok, _ = fc.is_opfibration(proj)
@@ -99,8 +108,10 @@ def test_grothendieck_span_and_homotopy_related():
     d1 = dg.DiaObj(c1, fc.FinFunctor.constant(c1, TS.cat, "*"), "d1").validate()
     f = dg.all_dia_mors(pt, d1)[0]
     g = dg.all_dia_mors(pt, d1)[1]
-    F = dg.span_diafunctor(f, g)
+    F = dg.span_diafunctor(f, g).validate()
     gro, proj, incl = dg.grothendieck_construction(F)
+    for obj in [gro, proj, *incl.values()]:
+        obj.validate()
     assert fc.is_opfibration(proj)[0]
     # iota_1 f and iota_3 g agree up to zig-zags of 2-morphisms through iota_2
     m1 = f.then(incl["b"])
@@ -177,6 +188,7 @@ def test_hom_diagram_examples():
     fence = fx.fence_poset()
     d = dg.DiaObj(fence, fc.FinFunctor.constant(fence, PS.cat, "{a,b,c,d}")).validate()
     el, proj = dg.hom_diagram(PS, "{a}", d)
+    proj.validate()
     assert fc.find_isomorphism(el, fence) is not None
     assert fc.is_opfibration(proj)[0]
     # empty homs give the empty category

@@ -113,7 +113,7 @@ def test_twisted_arrow_counts():
     assert len(tw1.objects) == 3
     twc, r1, r3, mu = fc.twisted_arrow(c, "twc")
     assert len(twc.objects) == 4
-    assert mu is not None
+    mu.validate()
 
 
 def test_adjunction_inclusion_collapse():

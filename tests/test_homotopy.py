@@ -19,6 +19,8 @@ def test_int_amalg_counts_and_opfibration():
     c1 = fc.chain_category(1)
     d1 = dg.DiaObj(c1, fc.FinFunctor.constant(c1, TS.cat, "*")).validate()
     ia = ht.int_amalg(dg.nerve(d1, 2))
+    ia.dia.validate()
+    ia.proj.validate()
     assert len(ia.dia.shape.objects) == 2 + 3 + 4
     assert fc.is_opfibration(ia.proj)[0]
     const = sp.constant_split(TS.cat, "*", 2)
@@ -30,6 +32,7 @@ def test_int_amalg_counts_and_opfibration():
 def test_counit_is_pure_diagram_type_and_natural_on_collapse():
     pt = dg.point_dia(PS.cat, "{a}")
     counit, ia = ht.counit_to_diagram(pt, 2)
+    counit.validate()
     assert counit.is_pure_diagram_type()
     assert set(counit.shape_map.object_map.values()) == {"*"}
 
@@ -67,8 +70,9 @@ def test_comparison_to_simp_fixtures():
 def test_comparison_to_simp_random():
     rng = random.Random(2024)
     for i in range(4):
-        x = rg.random_split_terminal(rng, 2, 6)
+        x = rg.random_split_terminal(rng, 2, 6).validate()
         cmp_mor, _ = ht.comparison_to_simp(x, 2, 2, budget=400_000)
+        cmp_mor.validate()
         assert at.quasi_iso(cmp_mor.underlying()).ok
 
 
@@ -90,7 +94,7 @@ def test_forecast_matches_construction():
 
 def test_hocolim_point_shape_returns_x():
     circle = sp.as_split(TS.cat, sp.boundary_delta(2, 3), "*")
-    xd = ht.constant_split_diagram(fc.terminal_category(), circle)
+    xd = ht.constant_split_diagram(fc.terminal_category(), circle).validate()
     diag, _ = ht.hocolim_bk(xd, 3)
     assert sp.split_isomorphic(diag, circle) is not None
 
@@ -129,7 +133,7 @@ def test_derlocalizer_consistency_random():
         F = rg.random_dia_functor(rng, PS, 2, 2)
         gro, proj, _ = dg.grothendieck_construction(F)
         h1 = at.homology(dg.nerve(gro, 3).uset)
-        diag, _ = ht.hocolim_bk(dg.nerve_diagram(F, 3), 3)
+        diag, _ = ht.hocolim_bk(dg.nerve_diagram(F, 3).validate(), 3)
         h2 = at.homology(diag.uset)
         assert h1.betti == h2.betti and h1.torsion == h2.torsion
 
@@ -149,6 +153,8 @@ def test_hocolim_nerve_check_trivial_and_pseudocircle():
     bij, lhs, rhs = ht.hocolim_nerve_check(PS, d, "{a,b,c,d}", f_parts,
                                            xconst, aug, 3)
     assert bij is not None
+    lhs.validate()
+    rhs.validate()
     nv = dg.nerve(d, 3)
     assert [len(l) for l in lhs.levels] == [len(l) for l in nv.levels]
     # X = a proper open
@@ -161,7 +167,7 @@ def test_hocolim_nerve_check_trivial_and_pseudocircle():
 def test_holim_point_shape_is_value():
     d1 = sp.delta_simpset(1, 2)
     pt = fc.terminal_category()
-    h = ht.holim_end(pt, {"*": d1}, {"id_*": sp.SimpMap.identity(d1)}, 2)
+    h = ht.holim_end(pt, {"*": d1}, {"id_*": sp.SimpMap.identity(d1)}, 2).validate()
     assert [len(l) for l in h.levels] == [len(l) for l in d1.levels]
 
 
@@ -169,7 +175,7 @@ def test_holim_constant_point():
     d0 = sp.delta_simpset(0, 2)
     c1 = fc.chain_category(1)
     h = ht.holim_end(c1, {"0": d0, "1": d0},
-                     {m.id: sp.SimpMap.identity(d0) for m in c1.morphisms}, 2)
+                     {m.id: sp.SimpMap.identity(d0) for m in c1.morphisms}, 2).validate()
     # a single family per level, degenerate above 0
     assert [len(l) for l in h.levels] == [1, 0, 0]
 

@@ -150,6 +150,29 @@ def test_cli_quasi_iso(tmp_path):
     assert run_cli(["quasi-iso", "--map", str(mfile)]) == 1
 
 
+def test_cli_homology_non_simplicial_input_exits_2(tmp_path, capsys):
+    bad = io.encode_simpset(sp.delta_simpset(2, 3))
+    # d_0 of the triangle replaced by the edge (0,1): breaks d_0 d_0 = d_0 d_1
+    bad["faces"] = [f if f[:2] != ["(0,1,2)", 0] else ["(0,1,2)", 0, [0, 1], "(0,1)"]
+                    for f in bad["faces"]]
+    sfile = tmp_path / "bad.json"
+    sfile.write_text(io.dumps(bad))
+    assert run_cli(["homology", "--simp", str(sfile)]) == 2
+    assert "input error: simplicial identity fails" in capsys.readouterr().err
+
+
+def test_cli_quasi_iso_non_simplicial_map_exits_2(tmp_path, capsys):
+    d1 = sp.delta_simpset(1, 3)
+    # both vertices to (0) but the edge to (0,1): faces do not commute
+    payload = {"src": io.encode_simpset(d1), "tgt": io.encode_simpset(d1),
+               "val": {"(0)": [[0], "(0)"], "(1)": [[0], "(0)"],
+                       "(0,1)": [[0, 1], "(0,1)"]}}
+    mfile = tmp_path / "m.json"
+    mfile.write_text(io.dumps(payload))
+    assert run_cli(["quasi-iso", "--map", str(mfile)]) == 2
+    assert "input error: map not simplicial" in capsys.readouterr().err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "diacats.cli", "compare", "hocolimnerve",

@@ -20,6 +20,8 @@ def small_universe():
 def test_universe_builder_closed_and_dedup():
     u = small_universe()
     u.validate()
+    for oid, d in u.objects.items():
+        d.validate()
     for (g, f), h in u.comp.items():
         assert h in u.morphisms
     # adding an existing diagram twice dedups
@@ -143,6 +145,7 @@ def test_l3_pseudocircle_split_cover_instance():
                                                 {"*": "*"}, {"id_*": "id_*"}),
                       {"*": member}).validate()
         induced, _ = dg.induced_comma_map(w_mor, w_mor, p2, q)
+        induced.validate()
         universe.add_object(induced.src)
         universe.add_object(induced.tgt)
         universe.add_morphism(induced)
@@ -162,7 +165,7 @@ def test_lemma_pushout_w_instance():
     g = [m for m in dg.all_dia_mors(y, w_dia)][0]
     F = dg.span_diafunctor(f, g)
     gro, proj, incl = dg.grothendieck_construction(F)
-    universe = lc.universe_from(TS, [y, z, w_dia, gro], all_mors=True)
+    universe = lc.universe_from(TS, [y, z, w_dia, gro], all_mors=True).validate()
     cls = lc.closure_fixpoint(lc.MorClass(), universe)
     assert universe.lookup(f) in cls.members
     iota3 = universe.lookup(incl["b"])

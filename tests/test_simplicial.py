@@ -37,10 +37,10 @@ def test_reconstruct_level_counts():
 
 
 def test_reconstruct_level_examples():
-    const = sp.constant_split(TS.cat, "*", 3)
+    const = sp.constant_split(TS.cat, "*", 3).validate()
     assert len(const.reconstruct_level(2)) == 1
     c1 = fc.chain_category(1)
-    nv = sp.nerve_labeled(c1, fc.FinFunctor.constant(c1, TS.cat, "*"), 3)
+    nv = sp.nerve_labeled(c1, fc.FinFunctor.constant(c1, TS.cat, "*"), 3).validate()
     assert len(nv.reconstruct_level(1)) == 3
 
 
@@ -55,6 +55,8 @@ def test_tensor_unit_and_coproduct():
     t_sep = sp.coproduct_split([sp.tensor(sp.delta_simpset(1, 2), x),
                                 sp.tensor(sp.delta_simpset(1, 2), y)])
     assert sp.split_isomorphic(t_both, t_sep) is not None
+    for obj in [tx, both, t_both, t_sep]:
+        obj.validate()
 
 
 def test_tensor_of_interval_with_constant():
@@ -66,7 +68,7 @@ def test_tensor_of_interval_with_constant():
 def test_tensor_circle_has_h1():
     from diacats import algtop as at
     c = sp.constant_split(TS.cat, "*", 3)
-    t = sp.tensor(sp.boundary_delta(2, 3), c)
+    t = sp.tensor(sp.boundary_delta(2, 3), c).validate()
     h = at.homology(t.uset)
     assert h.degree(0) == (1, []) and h.degree(1) == (1, [])
 
@@ -107,6 +109,8 @@ def test_cech_identity_cover_levelwise_iso():
 
 def test_cech_pair_cover_counts():
     u, aug = sp.cech_cover(TS, ["id_*", "id_*"], 5)
+    aug.validate()
+    u.validate()
     for n in range(6):
         assert len(u.full_level(n)) == 2 ** (n + 1)
     assert nondeg_counts(u) == [2] * 6
@@ -115,6 +119,8 @@ def test_cech_pair_cover_counts():
 def test_cech_pseudocircle_level_one_meets():
     x, u_, v_ = "{a,b,c,d}", "{a,b,c}", "{a,b,d}"
     u, aug = sp.cech_cover(PS, ["%s<=%s" % (u_, x), "%s<=%s" % (v_, x)], 3)
+    aug.validate()
+    u.validate()
     # in tuple-lex order (0,0),(0,1),(1,0),(1,1): U, U^V, V^U, V
     by_tuple = {}
     for val in u.full_level(1):
@@ -161,6 +167,8 @@ def test_pushout_identity_legs():
     ida = sp.SplitMor.identity(a)
     p, in_b, in_c = sp.pushout_along_split(ida, ida)
     assert sp.split_isomorphic(p, a) is not None
+    for obj in [p, in_b, in_c]:
+        obj.validate()
 
 
 def test_pushout_wedge_of_edges():
@@ -175,6 +183,8 @@ def test_pushout_wedge_of_edges():
     f, g = m01[0].validate(), m01[1].validate()
     # two labeled edges glued along one endpoint each: a wedge
     p, in_b, in_c = sp.pushout_along_split(f, g)
+    for obj in [edge, vertex, p, in_b, in_c]:
+        obj.validate()
     assert nondeg_counts(p) == [3, 2, 0]
     assert in_b.then(sp.SplitMor.identity(p)).val == in_b.val
     # cocone commutes: in_b o f == in_c o g
@@ -203,6 +213,8 @@ def test_pushout_product_trivial_cases():
     d1 = sp.delta_simpset(1, 2)
     bd1 = sp.boundary_delta(1, 2)
     p, cmp_mor = sp.pushout_product(bd1, d1, ida)
+    bd1.validate()
+    cmp_mor.validate()
     # f identity: comparison is an isomorphism onto K tensor A
     assert sp.split_isomorphic(p, cmp_mor.tgt) is not None
 
@@ -228,9 +240,11 @@ def test_pushout_product_split_inclusion_oracle():
 
 def test_prism_inclusion_counts_and_split():
     for n, e in [(0, 0), (0, 1), (1, 0), (2, 1)]:
-        m = sp.prism_inclusion(n, e, TS.cat, "*", 3)
+        m = sp.prism_inclusion(n, e, TS.cat, "*", 3).validate()
         assert m.is_levelwise_split()
         horn, prod, _ = sp.prism_horn(n, e, 3)
+        horn.validate()
+        prod.validate()
         # oracle: levels of the tensor match the simplicial sets themselves
         for k in range(4):
             assert len(m.src.full_level(k)) == len(horn.full_level(k))
@@ -262,7 +276,7 @@ def test_hom_into_examples():
     # Hom({a}, Cech({U,V})) is the nerve of the members containing a
     x, u_, v_ = "{a,b,c,d}", "{a,b,c}", "{a,b,d}"
     u, _ = sp.cech_cover(PS, ["%s<=%s" % (u_, x), "%s<=%s" % (v_, x)], 3)
-    h2 = sp.hom_into(PS, "{a}", u)
+    h2 = sp.hom_into(PS, "{a}", u).validate()
     assert [len(l) for l in h2.levels] == [2, 2, 2, 2]
     from diacats import algtop as at
     assert at.homology(h2).is_point()
@@ -282,3 +296,22 @@ def test_split_validation_catches_bad_part():
     bad_part[(edge, 0)] = PS.cat.id_of("{a}")
     with pytest.raises(InvalidSimplicial):
         sp.SplitSimpObj(PS.cat, nv.uset, nv.label, bad_part).validate()
+
+
+@pytest.mark.parametrize("seed", [10, 18, 38])
+def test_apply_with_part_composes(seed):
+    # (a o b)^* v = b^*(a^* v): apply a first, then b, composing the parts;
+    # these seeds give objects with non-identity face parts
+    x = rg.random_split_over(random.Random(seed), PS, trunc=3)
+    assert any(not x.scat.is_identity(p) for p in x.part.values())
+    for n in range(x.trunc + 1):
+        for v in x.full_level(n):
+            for k in range(x.trunc + 1):
+                for a in sp.all_monotone(k, n):
+                    w1, p1 = x.apply_with_part(a, v)
+                    for r in range(x.trunc + 1):
+                        for b in sp.all_monotone(r, k):
+                            w, p = x.apply_with_part(sp.mt_comp(a, b), v)
+                            w2, p2 = x.apply_with_part(b, w1)
+                            assert (w, p) == (w2, x.scat.comp(p2, p1))
+                            assert w == x.uset.apply(sp.mt_comp(a, b), v)
