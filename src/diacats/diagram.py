@@ -275,17 +275,19 @@ def comma_fiber_product(p: DiaMor, q: DiaMor):
     return dia, proj_p, proj_q
 
 
-def induced_comma_map(w: DiaMor, p1: DiaMor, p2: DiaMor, q: DiaMor):
-    """For a strict triangle p2 o w = p1 over a common target and a probe
-    q : E -> target, the induced morphism
+def induced_comma_map(w: DiaMor, p1: DiaMor, p2: DiaMor, comma1, comma2):
+    """For a strict triangle p2 o w = p1 over a common target and the comma
+    products comma1 = comma_fiber_product(p1, q) and comma2 =
+    comma_fiber_product(p2, q) with one probe q : E -> target, the induced
+    morphism
 
         p1.src x_{/target} E  ->  p2.src x_{/target} E.
     """
     check = w.then(p2)
     if check.key() != p1.key():
         raise TargetMismatch("triangle does not commute strictly")
-    c1, c1_p, c1_q = comma_fiber_product(p1, q)
-    c2, c2_p, c2_q = comma_fiber_product(p2, q)
+    c1, c1_p, c1_q = comma1
+    c2, c2_p, c2_q = comma2
     scat = w.src.scat
     omap, mmap, lt = {}, {}, {}
     for (i, e, phi), oid in c1.comma_okey.items():
@@ -303,7 +305,7 @@ def induced_comma_map(w: DiaMor, p1: DiaMor, p2: DiaMor, q: DiaMor):
     for (o1, o2, u, v), mid in c1.comma_mkey.items():
         mmap[mid] = c2.comma_mkey[(omap[o1], omap[o2], w.shape_map.mo(u), v)]
     shape_map = fc.FinFunctor("w_k", c1.shape, c2.shape, omap, mmap)
-    return DiaMor(c1, c2, shape_map, lt, "induced"), (c1, c2)
+    return DiaMor(c1, c2, shape_map, lt, "induced")
 
 
 # ---------------------------------------------------------------------------

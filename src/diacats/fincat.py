@@ -371,11 +371,11 @@ class NatTransf:
 def all_functors(source: FinCat, target: FinCat):
     """Enumerate every functor source -> target in canonical order."""
     objs = list(source.objects)
+    mors = [m for m in source.morphisms if not source.is_identity(m.id)]
     results = []
     for images in itertools.product(target.objects, repeat=len(objs)):
         omap = dict(zip(objs, images))
         # extend over morphisms by backtracking
-        mors = [m for m in source.morphisms if not source.is_identity(m.id)]
         mmap = {source.id_of(x): target.id_of(omap[x]) for x in objs}
 
         def extend(k):
@@ -942,11 +942,13 @@ def verify_isomorphism(F: FinFunctor) -> bool:
         F.validate()
     except InvalidFunctor:
         return False
-    if sorted(F.object_map.values()) != sorted(F.target.objects):
-        return False
-    if sorted(F.morphism_map.values()) != sorted(m.id for m in F.target.morphisms):
-        return False
-    return True
+    return is_bijective(F)
+
+
+def is_bijective(F: FinFunctor) -> bool:
+    """Bijectivity on objects and morphisms; functoriality is not checked."""
+    return (sorted(F.object_map.values()) == sorted(F.target.objects) and
+            sorted(F.morphism_map.values()) == sorted(m.id for m in F.target.morphisms))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import algtop as at
 from . import diagram as dg
 from . import fincat as fc
 from . import simplicial as sp
-from .errors import BudgetExceeded, LimitAbsent, TruncationExceeded
+from .errors import BudgetExceeded, InvalidFunctor, LimitAbsent, TruncationExceeded
 from .site import Site
 
 
@@ -854,11 +854,12 @@ def check_pointwise_int(site: Site, x: str, s_obj: sp.SplitSimpObj, trunc: int):
         ia_mid = ia.mkey[(n, (epi, nd_s), g)]
         mmap[mid] = "(%s):%s->%s" % (ia_mid, omap[okey_l[(n, v)]],
                                      omap[okey_l[(len(g) - 1, h.apply(g, v))]])
+    functor = fc.FinFunctor("cmp", lhs, rhs, omap, mmap)
     try:
-        functor = fc.FinFunctor("cmp", lhs, rhs, omap, mmap).validate()
-    except Exception as exc:
+        functor.validate()
+    except InvalidFunctor as exc:
         return False, str(exc)
-    return fc.verify_isomorphism(functor), None
+    return fc.is_bijective(functor), None
 
 
 def check_pointwise_nerve(site: Site, x: str, d: dg.DiaObj, trunc: int):

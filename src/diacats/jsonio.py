@@ -112,13 +112,18 @@ def encode_simpset(x: sp.SimpSet) -> dict:
     }
 
 
+def _simpset(data: dict, name) -> sp.SimpSet:
+    """The SimpSet of a simp.v1 record, not yet validated."""
+    if data.get("schema", "simp.v1") != "simp.v1":
+        raise SchemaError("expected simp.v1, got %r" % data.get("schema"))
+    faces = {(s, i): (tuple(epi), nd)
+             for s, i, epi, nd in data.get("faces", [])}
+    return sp.SimpSet(data["trunc"], data["levels"], faces, name)
+
+
 def decode_simpset(data: dict, name="X") -> sp.SimpSet:
     try:
-        if data.get("schema", "simp.v1") != "simp.v1":
-            raise SchemaError("expected simp.v1, got %r" % data.get("schema"))
-        faces = {(s, i): (tuple(epi), nd)
-                 for s, i, epi, nd in data.get("faces", [])}
-        return sp.SimpSet(data["trunc"], data["levels"], faces, name).validate()
+        return _simpset(data, name).validate()
     except (KeyError, TypeError) as exc:
         raise SchemaError("malformed simp.v1: %s" % exc)
 
@@ -136,7 +141,8 @@ def decode_split(data: dict, site: Site, name="X") -> sp.SplitSimpObj:
     try:
         if data.get("schema", "ssimp.v1") != "ssimp.v1":
             raise SchemaError("expected ssimp.v1, got %r" % data.get("schema"))
-        uset = decode_simpset(data["simp"], name)
+        # SplitSimpObj.validate validates the underlying SimpSet first
+        uset = _simpset(data["simp"], name)
         part = {(s, i): p for s, i, p in data.get("part", [])}
         return sp.SplitSimpObj(site.cat, uset, data["label"], part, name).validate()
     except (KeyError, TypeError) as exc:

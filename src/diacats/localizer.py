@@ -254,45 +254,58 @@ def cover_families(site: Site, x: str, refine_bound: int = 2):
 
 
 def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
-                 translator: ShapeTranslator = None, max_instances=None):
+                 translator: ShapeTranslator = None):
     """Triangles (w over D3) with per-(k, cover) comma morphisms resolved
     in the universe.
 
-    Returns (instances, skipped): an instance is (w, p2, k, family,
-    [comma mids]); skipped records triangles whose commas are missing.
+    Returns (instances, skipped): an instance is (w, p2, [(k, [(family,
+    [comma mids])])]); skipped records triangles whose commas are missing.
+
+    A comma product depends on one universe morphism, not on the triangle:
+    each `p x_{/D3} (k, U_member)` is built and translated once per
+    (morphism id, k, member), and the induced map w_k only when both of
+    its endpoints translate into the universe.
     """
     translator = translator or ShapeTranslator(u)
     site = u.site
-    comma_cache = {}
+    families, commas = {}, {}
+
+    def comma(mid, k, member):
+        key = (mid, k, member)
+        if key not in commas:
+            commas[key] = _translated_comma(u, translator, u.morphisms[mid].mor,
+                                            k, member)
+        return commas[key]
+
     instances, skipped = [], []
     by_src = {}
     for mid, um in u.morphisms.items():
         by_src.setdefault(um.src, []).append((mid, um))
-    count = 0
     for wid, wm in u.morphisms.items():
         for p2id, p2m in by_src.get(wm.tgt, []):
             p1id = u.comp[(p2id, wid)]
             p1m = u.morphisms[p1id]
             d3 = p2m.mor.tgt
+            resolved = {}
             all_ok = True
             per_k = []
             for k in d3.shape.objects:
-                fams = cover_families(site, d3.labels.ob(k), refine_bound)
+                label = d3.labels.ob(k)
+                if label not in families:
+                    families[label] = cover_families(site, label, refine_bound)
                 fam_entries = []
-                for fam in fams:
+                for fam in families[label]:
                     mids = []
-                    ok = True
                     for member in fam:
-                        key = (p1id, p2id, wid, k, member)
-                        if key not in comma_cache:
-                            comma_cache[key] = _resolve_comma(
-                                u, translator, wm.mor, p1m.mor, p2m.mor, k, member)
-                        mid = comma_cache[key]
+                        if (k, member) not in resolved:
+                            resolved[(k, member)] = _induced_mid(
+                                translator, wm.mor, p1m.mor, p2m.mor,
+                                comma(p1id, k, member), comma(p2id, k, member))
+                        mid = resolved[(k, member)]
                         if mid is None:
-                            ok = False
                             break
                         mids.append(mid)
-                    if ok:
+                    else:
                         fam_entries.append((fam, mids))
                 if not fam_entries:
                     all_ok = False
@@ -300,24 +313,34 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
                 per_k.append((k, fam_entries))
             if all_ok:
                 instances.append((wid, p2id, per_k))
-                count += 1
-                if max_instances is not None and count >= max_instances:
-                    return instances, skipped
             else:
                 skipped.append((wid, p2id))
     return instances, skipped
 
 
-def _resolve_comma(u, translator, w, p1, p2, k, member):
-    """The universe id of w x_{/D3} (k, U_member), or None."""
-    probe_label = u.site.cat.dom(member)
-    probe = dg.point_dia(u.site.cat, probe_label)
-    q = dg.DiaMor(probe, p1.tgt,
-                  fc.FinFunctor("k", probe.shape, p1.tgt.shape,
-                                {"*": k}, {"id_*": p1.tgt.shape.id_of(k)}),
+def _translated_comma(u, translator, p, k, member):
+    """p x_{/D3} (k, U_member) as comma_fiber_product returns it, or None
+    when it is absent or has no isomorphic copy in the universe."""
+    probe = dg.point_dia(u.site.cat, u.site.cat.dom(member))
+    q = dg.DiaMor(probe, p.tgt,
+                  fc.FinFunctor("k", probe.shape, p.tgt.shape,
+                                {"*": k}, {"id_*": p.tgt.shape.id_of(k)}),
                   {"*": member}, "probe")
     try:
-        induced, (c1, c2) = dg.induced_comma_map(w, p1, p2, q)
+        comma = dg.comma_fiber_product(p, q)
+    except (LimitAbsent, TargetMismatch):
+        return None
+    if translator.translate(comma[0]) is None:
+        return None
+    return comma
+
+
+def _induced_mid(translator, w, p1, p2, comma1, comma2):
+    """The universe id of the induced map comma1 -> comma2, or None."""
+    if comma1 is None or comma2 is None:
+        return None
+    try:
+        induced = dg.induced_comma_map(w, p1, p2, comma1, comma2)
     except (LimitAbsent, TargetMismatch):
         return None
     return translator.translate_mor(induced)
@@ -389,13 +412,18 @@ def adjunction_instances(u: DiagramUniverse):
     """Morphisms of the form (s, id) with s a right adjoint, together with
     the partner (p, unit-induced) when present in the universe."""
     out = []
+    # keyed by the shape objects themselves: composition and the adjunction
+    # check compare categories by identity
+    functors = {}
     for mid, um in u.morphisms.items():
         m = um.mor
         if not m.is_pure_diagram_type():
             continue
         s = m.shape_map
         I, J = s.source, s.target
-        for p in fc.all_functors(J, I):
+        if (J, I) not in functors:
+            functors[(J, I)] = fc.all_functors(J, I)
+        for p in functors[(J, I)]:
             for unit in fc.all_nat_transfs(fc.FinFunctor.identity(J), p.then(s)):
                 for counit in fc.all_nat_transfs(s.then(p), fc.FinFunctor.identity(I)):
                     w = fc.AdjunctionWitness(p, s, unit, counit)

@@ -1062,14 +1062,16 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> SimpSet:
     k-simplices are the chains of k composable non-identity morphisms."""
     chains = nerve_chains(c, trunc)
     levels = [[chain_id(ch) for ch in lev] for lev in chains]
+    id_of = {ch: sid for lev, ids in zip(chains, levels)
+             for ch, sid in zip(lev, ids)}
     faces = {}
     for k in range(1, trunc + 1):
-        for ch in chains[k]:
+        for ch, sid in zip(chains[k], levels[k]):
             for i in range(k + 1):
                 e, nd = chain_face_value(c, ch, i)
-                faces[(chain_id(ch), i)] = (e, chain_id(nd))
+                faces[(sid, i)] = (e, id_of[nd])
     sset = SimpSet(trunc, levels, faces, name or ("N(%s)" % c.name))
-    sset.chain_of = {chain_id(ch): ch for lev in chains for ch in lev}
+    sset.chain_of = {sid: ch for ch, sid in id_of.items()}
     return sset
 
 

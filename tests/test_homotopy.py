@@ -9,7 +9,7 @@ from diacats import fixtures as fx
 from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
-from diacats.errors import BudgetExceeded
+from diacats.errors import BudgetExceeded, InvalidFunctor
 
 PS = fx.pseudocircle_site()
 TS = fx.terminal_site()
@@ -204,6 +204,30 @@ def test_pointwise_int_random():
         probe = rng.choice(list(PS.cat.objects))
         ok, err = ht.check_pointwise_int(PS, probe, x, 2)
         assert ok, err
+
+
+def test_pointwise_int_validates_comparison_once(monkeypatch):
+    x = rg.random_split_over(random.Random(77), PS, 2)
+    real = fc.FinFunctor.validate
+    calls = []
+
+    def counting(self):
+        if self.name == "cmp":
+            calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(fc.FinFunctor, "validate", counting)
+    assert ht.check_pointwise_int(PS, "{a}", x, 2) == (True, None)
+    assert len(calls) == 1
+
+    def broken(self):
+        if self.name == "cmp":
+            raise InvalidFunctor("comparison breaks composition")
+        return real(self)
+
+    monkeypatch.setattr(fc.FinFunctor, "validate", broken)
+    assert ht.check_pointwise_int(PS, "{a}", x, 2) == (
+        False, "comparison breaks composition")
 
 
 def test_pointwise_nerve_random():

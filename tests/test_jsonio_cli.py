@@ -173,6 +173,40 @@ def test_cli_quasi_iso_non_simplicial_map_exits_2(tmp_path, capsys):
     assert "input error: map not simplicial" in capsys.readouterr().err
 
 
+def test_decode_split_validates_simpset_once(monkeypatch):
+    ts = fx.terminal_site()
+    data = json.loads(io.dumps(io.encode_split(
+        sp.as_split(ts.cat, sp.delta_simpset(2, 3), "*"))))
+    calls = []
+    real = sp.SimpSet.validate
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(sp.SimpSet, "validate", counting)
+    io.decode_split(data, ts)
+    assert len(calls) == 1
+
+
+def test_cli_homology_malformed_split_exits_2(tmp_path, capsys):
+    ts = fx.terminal_site()
+    good = io.encode_split(sp.as_split(ts.cat, sp.delta_simpset(2, 3), "*"))
+    bad = json.loads(io.dumps(good))
+    # d_0 of the triangle replaced by the edge (0,1): breaks d_0 d_0 = d_0 d_1
+    bad["simp"]["faces"] = [f if f[:2] != ["(0,1,2)", 0]
+                            else ["(0,1,2)", 0, [0, 1], "(0,1)"]
+                            for f in bad["simp"]["faces"]]
+    sfile = tmp_path / "bad.json"
+    sfile.write_text(io.dumps(bad))
+    assert run_cli(["homology", "--ssimp", str(sfile), "--site", "terminal"]) == 2
+    assert "input error: simplicial identity fails" in capsys.readouterr().err
+    del good["label"]
+    sfile.write_text(io.dumps(good))
+    assert run_cli(["homology", "--ssimp", str(sfile), "--site", "terminal"]) == 2
+    assert "input error: malformed ssimp.v1" in capsys.readouterr().err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "diacats.cli", "compare", "hocolimnerve",

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from diacats import fincat as fc
 from diacats import fixtures as fx
 from diacats import localizer as lc
 from diacats import randgen as rg
+from diacats.errors import LimitAbsent, TargetMismatch
 
 TS = fx.terminal_site()
 PS = fx.pseudocircle_site()
@@ -15,6 +17,70 @@ PS = fx.pseudocircle_site()
 
 def small_universe():
     return lc.poset_universe(TS, 2)
+
+
+def poset_subuniverse():
+    """Constant diagrams on P1, C2 and V: some comma products have no
+    isomorphic copy in it, so some triangles are skipped."""
+    shapes = {c.name: c for c in lc.poset_shapes(3)}
+    return lc.universe_from(TS, [
+        dg.DiaObj(shapes[n], fc.FinFunctor.constant(shapes[n], TS.cat, "*"), n)
+        for n in ("P1", "C2", "V")], all_mors=True)
+
+
+def span_universe():
+    """Criterion 09's first span universe: pt <- I1 -> pt, its
+    Grothendieck construction and every diagram morphism among them."""
+    pt = dg.point_dia(TS.cat, "*", "pt")
+    c1 = fc.chain_category(1)
+    i1 = dg.DiaObj(c1, fc.FinFunctor.constant(c1, TS.cat, "*"), "I1")
+    f = dg.all_dia_mors(i1, pt)[0]
+    g = dg.all_dia_mors(i1, pt)[0]
+    gro, _, _ = dg.grothendieck_construction(dg.span_diafunctor(f, g))
+    return lc.universe_from(TS, [i1, pt, pt, gro], all_mors=True)
+
+
+def reference_comma_mid(u, translator, w, p1, p2, k, member):
+    probe = dg.point_dia(u.site.cat, u.site.cat.dom(member))
+    q = dg.DiaMor(probe, p1.tgt,
+                  fc.FinFunctor("k", probe.shape, p1.tgt.shape,
+                                {"*": k}, {"id_*": p1.tgt.shape.id_of(k)}),
+                  {"*": member})
+    try:
+        induced = dg.induced_comma_map(w, p1, p2, dg.comma_fiber_product(p1, q),
+                                       dg.comma_fiber_product(p2, q))
+    except (LimitAbsent, TargetMismatch):
+        return None
+    return translator.translate_mor(induced)
+
+
+def reference_l3_instances(u, refine_bound=2):
+    """l3_instances recomputed per triangle and member: both comma
+    products, the induced map and its translation, nothing shared."""
+    translator = lc.ShapeTranslator(u)
+    instances, skipped = [], []
+    for wid, wm in u.morphisms.items():
+        for p2id, p2m in u.morphisms.items():
+            if p2m.src != wm.tgt:
+                continue
+            p1 = u.morphisms[u.comp[(p2id, wid)]].mor
+            d3 = p2m.mor.tgt
+            per_k = []
+            for k in d3.shape.objects:
+                fam_entries = []
+                for fam in lc.cover_families(u.site, d3.labels.ob(k), refine_bound):
+                    mids = [reference_comma_mid(u, translator, wm.mor, p1,
+                                                p2m.mor, k, member)
+                            for member in fam]
+                    if None not in mids:
+                        fam_entries.append((fam, mids))
+                if not fam_entries:
+                    skipped.append((wid, p2id))
+                    break
+                per_k.append((k, fam_entries))
+            else:
+                instances.append((wid, p2id, per_k))
+    return instances, skipped
 
 
 def test_universe_builder_closed_and_dedup():
@@ -144,7 +210,9 @@ def test_l3_pseudocircle_split_cover_instance():
         q = dg.DiaMor(probe, top, fc.FinFunctor("k", probe.shape, top.shape,
                                                 {"*": "*"}, {"id_*": "id_*"}),
                       {"*": member}).validate()
-        induced, _ = dg.induced_comma_map(w_mor, w_mor, p2, q)
+        induced = dg.induced_comma_map(w_mor, w_mor, p2,
+                                       dg.comma_fiber_product(w_mor, q),
+                                       dg.comma_fiber_product(p2, q))
         induced.validate()
         universe.add_object(induced.src)
         universe.add_object(induced.tgt)
@@ -177,3 +245,54 @@ def test_cover_families_refinement_bound():
     fams1 = lc.cover_families(PS, "{a,b,c,d}", 1)
     fams2 = lc.cover_families(PS, "{a,b,c,d}", 2)
     assert len(fams2) >= len(fams1)
+
+
+@pytest.mark.parametrize("make", [poset_subuniverse, span_universe])
+def test_l3_instances_match_per_triangle_reference(make):
+    u = make()
+    instances, skipped = lc.l3_instances(u)
+    assert instances and skipped
+    assert (instances, skipped) == reference_l3_instances(u)
+
+
+@pytest.mark.parametrize("make", [poset_subuniverse, span_universe])
+def test_closure_matches_reference_l3(make, monkeypatch):
+    u = make()
+    w = lc.closure_fixpoint(lc.MorClass(), u)
+    monkeypatch.setattr(lc, "l3_instances",
+                        lambda u, refine_bound, translator:
+                        reference_l3_instances(u, refine_bound))
+    ref = lc.closure_fixpoint(lc.MorClass(), u)
+    assert w.members == ref.members
+    assert w.provenance == ref.provenance
+    assert w.skipped_l3 == ref.skipped_l3
+    assert not lc.replay_provenance(w, u)
+
+
+def test_l3_builds_each_comma_once(monkeypatch):
+    u = span_universe()
+    real = dg.comma_fiber_product
+    calls = Counter()
+
+    def counting(p, q):
+        calls[(u.lookup(p), q.shape_map.ob("*"), q.label_transf["*"])] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(dg, "comma_fiber_product", counting)
+    lc.l3_instances(u)
+    assert calls and max(calls.values()) == 1
+
+
+def test_adjunction_enumerates_functors_once_per_pair(monkeypatch):
+    u = span_universe()
+    oid_of = {id(d.shape): oid for oid, d in u.objects.items()}
+    real = fc.all_functors
+    calls = Counter()
+
+    def counting(source, target):
+        calls[(oid_of[id(source)], oid_of[id(target)])] += 1
+        return real(source, target)
+
+    monkeypatch.setattr(fc, "all_functors", counting)
+    assert lc.adjunction_instances(u)
+    assert calls and max(calls.values()) == 1

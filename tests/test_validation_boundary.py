@@ -186,8 +186,10 @@ def case_induced_comma_map(rng):
     w = random_mor(rng, PS)
     p2 = collapse_to(w.tgt, TOP)
     q = probe(PS.cat, rng.choice(["{a,b,c}", "{a,b,d}"]) + "<=" + TOP, p2.tgt)
-    induced, (c1, c2) = dg.induced_comma_map(w, w.then(p2), p2, q)
-    return [induced, c1, c2]
+    p1 = w.then(p2)
+    induced = dg.induced_comma_map(w, p1, p2, dg.comma_fiber_product(p1, q),
+                                   dg.comma_fiber_product(p2, q))
+    return [induced, induced.src, induced.tgt]
 
 
 def case_factor_mor_and_point(rng):
