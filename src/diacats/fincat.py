@@ -1,10 +1,16 @@
 """Finite categories, functors, natural transformations and the exhaustive
 constructions on them: comma categories, slices, fibers, (op)fibration
-checks, brute-force limits, twisted arrows and nerves.
+checks, brute-force limits and twisted arrows.  Nerves of categories live
+in :mod:`diacats.simplicial`.
 
 Everything is a plain immutable value.  Object and morphism identifiers are
 strings; declaration order is the canonical order and every search iterates
 in canonical order, returning the first witness.
+
+The builders here (products, commas, fibers, twisted arrows, posets, the
+terminal category) return categories correct by construction and do not
+re-check their axioms; :func:`validate_category` checks raw input, and
+:meth:`FinCat.validate` checks any category assembled by hand.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ class FinCat:
     """A finite category with a total composition table.
 
     `compose[(g, f)] = g o f` for every composable pair (cod f == dom g).
-    Use :func:`validate_category` or :meth:`FinCat.build` to construct; the
-    constructor itself only stores and indexes.
+    The constructor only stores and indexes; :meth:`validate` checks the
+    axioms.
     """
 
     def __init__(self, name, objects, morphisms, identity, compose):
@@ -112,9 +118,6 @@ class FinCat:
                         return False
         return True
 
-    def nonidentity_out(self, x: str) -> list:
-        return [m for m in self.out(x) if not self.is_identity(m)]
-
     def opposite(self) -> "FinCat":
         mors = [Mor(m.id, m.cod, m.dom) for m in self.morphisms]
         comp = {(f, g): h for (g, f), h in self.compose_table.items()}
@@ -124,25 +127,17 @@ class FinCat:
         return "FinCat(%s: %d objects, %d morphisms)" % (
             self.name, len(self.objects), len(self.morphisms))
 
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def build(name, objects, morphisms, identity, compose,
-              full_check=True) -> "FinCat":
-        """Construct and validate.  `full_check=False` skips the exhaustive
-        associativity sweep (cubic in the morphism count) and is reserved
-        for internally generated categories whose composition tables are
-        associative by construction; totality, identity laws and dom/cod
-        consistency are always checked."""
-        cat = FinCat(name, objects, morphisms, identity, compose)
-        report = validate_report(cat, full=full_check)
+    def validate(self) -> "FinCat":
+        """Check every axiom, associativity included; raise the first
+        violation :func:`validate_report` finds."""
+        report = validate_report(self)
         if report:
             exc, msg = report[0]
             raise exc(msg)
-        return cat
+        return self
 
 
-def validate_report(cat: FinCat, full=True) -> list:
+def validate_report(cat: FinCat) -> list:
     """Collect category-axiom violations as (exception class, message)."""
     problems = []
     ids = set()
@@ -187,8 +182,6 @@ def validate_report(cat: FinCat, full=True) -> list:
         i, j = cat.identity[m.dom], cat.identity[m.cod]
         if cat.compose_table[(m.id, i)] != m.id or cat.compose_table[(j, m.id)] != m.id:
             problems.append((MissingIdentity, "identity law fails at %r" % m.id))
-    if not full:
-        return problems
     for f in cat.morphisms:
         for g in cat.morphisms:
             if g.dom != f.cod:
@@ -213,7 +206,7 @@ def validate_category(raw: dict, name: str = "C") -> FinCat:
     """
     mors = [Mor(m["id"], m["dom"], m["cod"]) for m in raw["morphisms"]]
     comp = {(g, f): h for g, f, h in raw.get("compose", [])}
-    return FinCat.build(name, raw["objects"], mors, raw["identities"], comp)
+    return FinCat(name, raw["objects"], mors, raw["identities"], comp).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +215,7 @@ def validate_category(raw: dict, name: str = "C") -> FinCat:
 
 def terminal_category(obj: str = "*") -> FinCat:
     i = "id_" + obj
-    return FinCat.build("1", [obj], [Mor(i, obj, obj)], {obj: i}, {(i, i): i})
+    return FinCat("1", [obj], [Mor(i, obj, obj)], {obj: i}, {(i, i): i})
 
 
 def poset_category(name, elements, leq) -> FinCat:
@@ -242,7 +235,7 @@ def poset_category(name, elements, leq) -> FinCat:
         for (b2, c), g in hom.items():
             if b2 == b:
                 comp[(g, f)] = hom[(a, c)]
-    return FinCat.build(name, elements, mors, identity, comp)
+    return FinCat(name, elements, mors, identity, comp)
 
 
 def chain_category(n: int) -> FinCat:
@@ -271,8 +264,7 @@ def product_category(c: FinCat, d: FinCat) -> FinCat:
         for (f2, g2), m2 in mid.items():
             if c.cod(f2) == c.dom(f1) and d.cod(g2) == d.dom(g1):
                 comp[(m1, m2)] = mid[(c.comp(f1, f2), d.comp(g1, g2))]
-    return FinCat.build("%sx%s" % (c.name, d.name), objs, mors, identity, comp,
-                        full_check=False)
+    return FinCat("%sx%s" % (c.name, d.name), objs, mors, identity, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +485,7 @@ def comma_category(F: FinFunctor, G: FinFunctor):
     for (o1, o2, u, v), mid in mkey.items():
         for (p1, p2, u2, v2, mid2) in by_src.get(o2, []):
             comp[(mkey[(o2, p2, u2, v2)], mid)] = mkey[(o1, p2, A.comp(u2, u), B.comp(v2, v))]
-    cat = FinCat.build("(%s/%s)" % (F.name, G.name), objs, mors, identity, comp,
-                       full_check=False)
+    cat = FinCat("(%s/%s)" % (F.name, G.name), objs, mors, identity, comp)
     proj_a = FinFunctor("pr1", cat, A,
                         {okey[k]: k[0] for k in okey},
                         {mid: u for (o1, o2, u, v), mid in mkey.items()})
@@ -542,7 +533,7 @@ def fiber(alpha: FinFunctor, j: str):
     comp = {(g, f): h for (g, f), h in I.compose_table.items()
             if g in ids and f in ids and h in ids}
     identity = {x: I.id_of(x) for x in objs}
-    cat = FinCat.build("%s_%s" % (I.name, j), objs, keep, identity, comp)
+    cat = FinCat("%s_%s" % (I.name, j), objs, keep, identity, comp)
     incl = FinFunctor("incl", cat, I, {x: x for x in objs}, {m.id: m.id for m in keep})
     return cat, incl
 
@@ -750,8 +741,7 @@ def twisted_arrow(I: FinCat, variant: str = "tw"):
             for (p1, p2, a2, b2), m2 in mkey.items():
                 if p1 == o2:
                     comp[(m2, m1)] = mkey[(o1, p2, I.comp(a2, a), I.comp(b, b2))]
-        cat = FinCat.build("tw(%s)" % I.name, objs, mors, identity, comp,
-                           full_check=False)
+        cat = FinCat("tw(%s)" % I.name, objs, mors, identity, comp)
         pi1 = FinFunctor("pi1", cat, I, {m.id: I.dom(m.id) for m in I.morphisms},
                          {mid: a for (o1, o2, a, b), mid in mkey.items()})
         iop = I.opposite()
@@ -784,8 +774,7 @@ def twisted_arrow(I: FinCat, variant: str = "tw"):
         for (p1, p2, a2, b2, c2), m2 in mkey.items():
             if p1 == o2:
                 comp[(m2, m1)] = mkey[(o1, p2, I.comp(a2, a), I.comp(b, b2), I.comp(c2, c))]
-    cat = FinCat.build("twc(%s)" % I.name, objs, mors, identity, comp,
-                       full_check=False)
+    cat = FinCat("twc(%s)" % I.name, objs, mors, identity, comp)
     pi1 = FinFunctor("pi1", cat, I, {okey[p]: I.dom(p[0]) for p in pairs},
                      {mid: k[2] for k, mid in mkey.items()})
     pi3 = FinFunctor("pi3", cat, I, {okey[p]: I.cod(p[1]) for p in pairs},
@@ -949,16 +938,6 @@ def is_bijective(F: FinFunctor) -> bool:
     """Bijectivity on objects and morphisms; functoriality is not checked."""
     return (sorted(F.object_map.values()) == sorted(F.target.objects) and
             sorted(F.morphism_map.values()) == sorted(m.id for m in F.target.morphisms))
-
-
-# ---------------------------------------------------------------------------
-# nerve
-
-
-def nerve_simpset(c: FinCat, trunc: int):
-    """Truncated nerve of a finite category; see simplicial.nerve_of_category."""
-    from . import simplicial
-    return simplicial.nerve_of_category(c, trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -312,4 +312,4 @@ def localized_as_fincat(lc_: LocalizedCat) -> fc.FinCat:
                 for r2 in reps2:
                     comp[(mid[(y, t, r2)], mid[(x, y, r1)])] = \
                         mid[(x, t, lc_.comp_table[(r2, r1)])]
-    return fc.FinCat.build("%s[W^-1]" % c.name, c.objects, mors, identity, comp)
+    return fc.FinCat("%s[W^-1]" % c.name, c.objects, mors, identity, comp).validate()

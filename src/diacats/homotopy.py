@@ -43,8 +43,7 @@ def t_delta_op(trunc: int) -> fc.FinCat:
         for (m2, r, h), i2 in mid.items():
             if m2 == m:
                 comp[(i2, i1)] = mid[(n, r, sp.mt_comp(g, h))]
-    cat = fc.FinCat.build("DeltaOp<=%d" % trunc, objs, mors, identity, comp,
-                          full_check=False)
+    cat = fc.FinCat("DeltaOp<=%d" % trunc, objs, mors, identity, comp)
     cat.op_key = mid
     return cat
 
@@ -86,8 +85,7 @@ def int_simpset(k: sp.SimpSet, trunc=None, name=None):
         for r in range(trunc + 1):
             for h in sp.all_monotone(r, m):
                 comp[(mkey[(m, w, h)], mid)] = mkey[(n, v, sp.mt_comp(g, h))]
-    cat = fc.FinCat.build(name or ("int(%s)" % k.name), objs, mors, identity, comp,
-                          full_check=False)
+    cat = fc.FinCat(name or ("int(%s)" % k.name), objs, mors, identity, comp)
     return cat, okey, mkey
 
 
@@ -176,10 +174,6 @@ def counit_to_diagram(d: dg.DiaObj, trunc: int):
     def chain_at(v):
         epi, nd = v
         return nv.chain_of[nd], epi
-
-    def obj_at(chain, p):
-        x0, ms = chain
-        return x0 if p == 0 else I.cod(ms[p - 1])
 
     omap, mmap = {}, {}
     for oid, (n, v) in ia.index.items():
@@ -682,7 +676,6 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
         for i in shape.objects:
             prod_m, canon_m, ids_m, elem_m = prods[(i, m)]
             prod_k, canon_k, ids_k, elem_k = prods[(i, k)]
-            dk = sp.delta_simpset(k, trunc)
             val = {}
             for lev in range(trunc + 1):
                 for sid in prod_m.levels[lev]:
@@ -741,27 +734,13 @@ def _end_square(shape, ob, mo, slice_nerves, prods, slice_maps, fam, mid, k,
             # route 1: map into X(i), then along X(mid)
             r1 = mo[mid].map_value(fam[i].map_value((sp.mt_id(lev), sid)))
             # route 2: push the N-coordinate along the slice map, then fam[j]
-            u2 = _nerve_value_map(ni, slice_nerves[j], sm, u)
+            epi, nd = u
+            e2, cid = sp.chain_image(sm, ni.chain_of[nd])
+            u2 = (sp.mt_comp(e2, epi), cid)
             r2 = fam[j].map_value(canon_j[(lev, (u2, v))])
             if r1 != r2:
                 return False
     return True
-
-
-def _nerve_value_map(na: sp.SimpSet, nb: sp.SimpSet, functor: fc.FinFunctor, v):
-    """Image of a nerve value under the simplicial map induced by a functor."""
-    epi, nd = v
-    x0, ms = na.chain_of[nd]
-    cat2 = functor.target
-    mapped = [functor.mo(m) for m in ms]
-    stripped = tuple(m for m in mapped if not cat2.is_identity(m))
-    e2 = [0]
-    c = 0
-    for m in mapped:
-        if not cat2.is_identity(m):
-            c += 1
-        e2.append(c)
-    return (sp.mt_comp(tuple(e2), epi), sp.chain_id((functor.ob(x0), stripped)))
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +785,7 @@ def gadget_comma_iso(n, m, trunc):
         for r in range(trunc + 1):
             for w2 in sp.all_monotone(r, k2):
                 comp[(mkey2[(g2, h2, w2)], mid)] = mkey2[(g, h, sp.mt_comp(w, w2))]
-    fiber = fc.FinCat.build("gadget(%d,%d)" % (n, m), objs, mors, identity,
-                            comp, full_check=False)
+    fiber = fc.FinCat("gadget(%d,%d)" % (n, m), objs, mors, identity, comp)
     omap, mmap = {}, {}
     for (g, h), oid in okey2.items():
         k = len(g) - 1
@@ -827,20 +805,13 @@ def check_pointwise_int(site: Site, x: str, s_obj: sp.SplitSimpObj, trunc: int):
     """Element category of Hom(x, S_.) against the Hom-diagram of the
     element category of S_.: the canonical comparison must be an
     isomorphism of finite categories."""
-    cat = site.cat
     h = sp.hom_into(site, x, s_obj)
     lhs, okey_l, mkey_l = int_simpset(h, trunc)
     ia = int_amalg(s_obj, trunc)
     rhs, proj = dg.hom_diagram(site, x, ia.dia)
     omap, mmap = {}, {}
-    # decode: a nondegenerate element of h is (value of s_obj, morphism)
-    hdec = {}
-    for lev, ids in enumerate(h.levels):
-        for sid in ids:
-            # canonical ids are 'h(nd|mor)'
-            body = sid[2:-1]
-            nd_s, hom = body.rsplit("|", 1)
-            hdec[sid] = (nd_s, hom)
+    # a nondegenerate element of h is (value of s_obj, morphism)
+    hdec = {sid: (e[0][1], e[1]) for sid, (n, e) in h.elem_of.items()}
     for (n, v), oid in okey_l.items():
         epi, nd = v
         nd_s, hom = hdec[nd]
@@ -871,22 +842,19 @@ def check_pointwise_nerve(site: Site, x: str, d: dg.DiaObj, trunc: int):
     el, proj = dg.hom_diagram(site, x, d)
     rhs = sp.nerve_of_category(el, trunc)
     rename = {}
-    for lev, ids in enumerate(lhs.levels):
-        for sid in ids:
-            body = sid[2:-1]
-            nd_chain, hom = body.rsplit("|", 1)
-            x0, ms = nv.chain_of[nd_chain]
-            cur = hom
-            cur_x = x0
-            el_ms = []
-            el_start = el.hom_okey[(x0, hom)][0]
-            for m in ms:
-                nxt = cat.comp(d.labels.mo(m), cur)
-                el_ms.append("(%s):%s->%s" % (
-                    m, el.hom_okey[(cur_x, cur)][0],
-                    el.hom_okey[(d.shape.cod(m), nxt)][0]))
-                cur, cur_x = nxt, d.shape.cod(m)
-            rename[sid] = sp.chain_id((el_start, tuple(el_ms)))
+    for sid, (n, ((_, nd_chain), hom)) in lhs.elem_of.items():
+        x0, ms = nv.chain_of[nd_chain]
+        cur = hom
+        cur_x = x0
+        el_ms = []
+        el_start = el.hom_okey[(x0, hom)][0]
+        for m in ms:
+            nxt = cat.comp(d.labels.mo(m), cur)
+            el_ms.append("(%s):%s->%s" % (
+                m, el.hom_okey[(cur_x, cur)][0],
+                el.hom_okey[(d.shape.cod(m), nxt)][0]))
+            cur, cur_x = nxt, d.shape.cod(m)
+        rename[sid] = sp.chain_id((el_start, tuple(el_ms)))
     if any(sorted(rename[s] for s in l1) != sorted(l2)
            for l1, l2 in zip(lhs.levels, rhs.levels)):
         return False

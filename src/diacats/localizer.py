@@ -100,11 +100,17 @@ class DiagramUniverse:
         return self
 
     def validate(self):
+        """Check the composition table: each entry pairs composable ids and
+        names their composite, compared by structural key."""
         for (g, f), h in self.comp.items():
             if self.morphisms[f].tgt != self.morphisms[g].src:
                 raise TargetMismatch("composition table pairs non-composable ids")
             if h not in self.morphisms:
                 raise TargetMismatch("composite %r missing" % h)
+            composite = self.morphisms[f].mor.then(self.morphisms[g].mor)
+            if composite.key() != self.morphisms[h].mor.key():
+                raise TargetMismatch("comp[(%r, %r)] = %r is not their composite"
+                                     % (g, f, h))
         return self
 
 
@@ -341,7 +347,7 @@ def _induced_mid(translator, w, p1, p2, comma1, comma2):
         return None
     try:
         induced = dg.induced_comma_map(w, p1, p2, comma1, comma2)
-    except (LimitAbsent, TargetMismatch):
+    except LimitAbsent:
         return None
     return translator.translate_mor(induced)
 

@@ -29,7 +29,7 @@ def random_poset(rng, max_objects=4, name=None):
                     leq.add((a, c))
                     changed = True
     return fc.poset_category(name or ("P%d" % rng.randint(0, 10 ** 6)),
-                             objs, lambda a, b: (a, b) in leq)
+                             objs, lambda a, b: (a, b) in leq).validate()
 
 
 def random_diaobj(rng, site: Site, max_objects=4, name=None):

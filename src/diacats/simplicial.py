@@ -112,9 +112,6 @@ class SimpSet:
     def value_level(self, v):
         return len(v[0]) - 1
 
-    def face_value(self, s, i):
-        return self.faces[(s, i)]
-
     def apply(self, op, value):
         """Apply the operator op : [k] -> [n] to a value of level n."""
         return self.apply_steps(op, value)[0]
@@ -221,9 +218,6 @@ class SplitSimpObj:
 
     def nd_value(self, s):
         return self.uset.nd_value(s)
-
-    def value_label(self, v):
-        return self.label[v[1]]
 
     def apply(self, op, value):
         return self.uset.apply(op, value)
@@ -1008,6 +1002,7 @@ def hom_into(site, x, y: SplitSimpObj, name=None) -> SimpSet:
     sset, canon, ids, elem_of = from_full_levels(
         trunc, levels, face_fn, degen_fn, id_fn,
         name or ("Hom(%s,%s)" % (x, y.name)))
+    sset.elem_of = elem_of
     return sset
 
 
@@ -1015,63 +1010,75 @@ def hom_into(site, x, y: SplitSimpObj, name=None) -> SimpSet:
 # nerves of finite categories
 
 
-def nerve_chains(c: fc.FinCat, trunc: int):
-    """Nondegenerate chains per level: (start object, tuple of composable
-    non-identity morphism ids)."""
-    levels = [[(x, ()) for x in c.objects]]
-    for k in range(1, trunc + 1):
-        lev = []
-        for (x0, ms) in levels[k - 1]:
-            tail = c.cod(ms[-1]) if ms else x0
-            for m in c.out(tail):
-                if not c.is_identity(m):
-                    lev.append((x0, ms + (m,)))
-        levels.append(lev)
-    return levels
-
-
 def chain_id(chain):
     x0, ms = chain
     return "c(%s)" % "|".join([str(x0)] + list(ms))
 
 
-def chain_face_value(c: fc.FinCat, chain, i):
-    """The face d_i of a nondegenerate chain, as (epi, nondeg chain)."""
+def chain_image(functor: fc.FinFunctor, chain):
+    """The value of a nerve chain's image under the simplicial map a functor
+    induces, as (epi, chain id): arrows sent to identities are dropped and
+    the epi repeats the vertex before each."""
     x0, ms = chain
-    k = len(ms)
-    if i == 0:
-        new = (c.cod(ms[0]), ms[1:])
-    elif i == k:
-        new = (x0, ms[:-1])
-    else:
-        comp = c.comp(ms[i], ms[i - 1])
-        new = (x0, ms[:i - 1] + (comp,) + ms[i + 1:])
-    y0, l = new
-    stripped = tuple(m for m in l if not c.is_identity(m))
-    epi = [0]
-    v = 0
-    for m in l:
-        if not c.is_identity(m):
-            v += 1
-        epi.append(v)
-    return tuple(epi), (y0, stripped)
+    target = functor.target
+    epi, kept = [0], []
+    for m in ms:
+        fm = functor.mo(m)
+        if not target.is_identity(fm):
+            kept.append(fm)
+        epi.append(len(kept))
+    return tuple(epi), chain_id((functor.ob(x0), tuple(kept)))
 
 
 def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> SimpSet:
     """The nerve of a finite category, truncated.  Nondegenerate
-    k-simplices are the chains of k composable non-identity morphisms."""
-    chains = nerve_chains(c, trunc)
-    levels = [[chain_id(ch) for ch in lev] for lev in chains]
-    id_of = {ch: sid for lev, ids in zip(chains, levels)
-             for ch, sid in zip(lev, ids)}
+    k-simplices are the chains of k composable non-identity morphisms.
+
+    Chains are listed as integer tuples (start object, arrow numbers), each
+    extended along the non-identity out-arrows of its last object.  d_0
+    drops the first arrow, d_k the last, and an inner d_i composes arrows
+    i and i+1; that face is degenerate exactly when the composite is an
+    identity, and its epi then repeats vertex i-1.  String ids are made
+    once, for the returned SimpSet and its `chain_of`."""
+    onum = {x: n for n, x in enumerate(c.objects)}
+    mids = [m.id for m in c.morphisms]
+    num = {mid: n for n, mid in enumerate(mids)}
+    cod = [onum[m.cod] for m in c.morphisms]
+    ident = {num[i] for i in c.identity.values()}
+    steps = [[] for _ in c.objects]
+    for n, m in enumerate(c.morphisms):
+        if n not in ident:
+            steps[onum[m.dom]].append(n)
+    table = c.compose_table
+    comp = {(f, g): num[table[(mids[g], mids[f])]]
+            for f in range(len(mids)) if f not in ident
+            for g in steps[cod[f]]} if trunc > 1 else {}
+    chains = [[(n,) for n in range(len(c.objects))]]
+    for k in range(1, trunc + 1):
+        chains.append([ch + (m,) for ch in chains[k - 1]
+                       for m in steps[cod[ch[-1]] if k > 1 else ch[0]]])
+    chain_of, id_of = {}, {}
+    for lev in chains:
+        for ch in lev:
+            chain = (c.objects[ch[0]], tuple(mids[m] for m in ch[1:]))
+            id_of[ch] = sid = chain_id(chain)
+            chain_of[sid] = chain
+    levels = [[id_of[ch] for ch in lev] for lev in chains]
     faces = {}
     for k in range(1, trunc + 1):
+        flat = tuple(range(k))
+        degenerate = {i: flat[:i] + flat[i - 1:k - 1] for i in range(1, k)}
         for ch, sid in zip(chains[k], levels[k]):
-            for i in range(k + 1):
-                e, nd = chain_face_value(c, ch, i)
-                faces[(sid, i)] = (e, id_of[nd])
+            faces[(sid, 0)] = (flat, id_of[(cod[ch[1]],) + ch[2:]])
+            for i in range(1, k):
+                g = comp[(ch[i], ch[i + 1])]
+                if g in ident:
+                    faces[(sid, i)] = (degenerate[i], id_of[ch[:i] + ch[i + 2:]])
+                else:
+                    faces[(sid, i)] = (flat, id_of[ch[:i] + (g,) + ch[i + 2:]])
+            faces[(sid, k)] = (flat, id_of[ch[:-1]])
     sset = SimpSet(trunc, levels, faces, name or ("N(%s)" % c.name))
-    sset.chain_of = {sid: ch for ch, sid in id_of.items()}
+    sset.chain_of = chain_of
     return sset
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from diacats import fincat as fc
 from diacats import fixtures as fx
+from diacats import simplicial as sp
 from diacats.errors import NonAssociative, ObjectNotInTarget
 
 
@@ -197,11 +198,11 @@ def test_preorder_diagnostic():
 
 
 def test_nerve_counts():
-    n = fc.nerve_simpset(fc.terminal_category(), 3)
+    n = sp.nerve_of_category(fc.terminal_category(), 3)
     assert [len(l) for l in n.levels] == [1, 0, 0, 0]
-    n1 = fc.nerve_simpset(fc.chain_category(1), 3)
+    n1 = sp.nerve_of_category(fc.chain_category(1), 3)
     assert [len(l) for l in n1.levels] == [2, 1, 0, 0]
-    nf = fc.nerve_simpset(fence(), 4)
+    nf = sp.nerve_of_category(fence(), 4)
     assert [len(l) for l in nf.levels] == [4, 4, 0, 0, 0]
 
 

@@ -35,7 +35,7 @@ def test_localize_identities_gives_back_c():
 
 def test_localize_at_isos_is_canonically_c():
     # a category with a non-identity iso: the walking isomorphism
-    c = fc.FinCat.build(
+    c = fc.FinCat(
         "wiso", ["x", "y"],
         [fc.Mor("ix", "x", "x"), fc.Mor("iy", "y", "y"),
          fc.Mor("u", "x", "y"), fc.Mor("v", "y", "x")],
@@ -43,7 +43,7 @@ def test_localize_at_isos_is_canonically_c():
         {("ix", "ix"): "ix", ("iy", "iy"): "iy",
          ("u", "ix"): "u", ("iy", "u"): "u",
          ("v", "iy"): "v", ("ix", "v"): "v",
-         ("v", "u"): "ix", ("u", "v"): "iy"})
+         ("v", "u"): "ix", ("u", "v"): "iy"}).validate()
     isos = {m.id for m in c.morphisms}
     lc_ = fr.localize_fractions(c, isos)
     assert fc.find_isomorphism(fr.localized_as_fincat(lc_), c) is not None
@@ -78,7 +78,7 @@ def test_two_out_of_six_violation_witness():
 
 def test_retract_closure_violation_witness():
     # the walking retract: r o i = id on x, with e = i o r idempotent on y
-    c = fc.FinCat.build(
+    c = fc.FinCat(
         "retract", ["x", "y"],
         [fc.Mor("ix", "x", "x"), fc.Mor("iy", "y", "y"),
          fc.Mor("i", "x", "y"), fc.Mor("r", "y", "x"), fc.Mor("e", "y", "y")],
@@ -88,7 +88,7 @@ def test_retract_closure_violation_witness():
          ("r", "iy"): "r", ("ix", "r"): "r",
          ("r", "i"): "ix", ("i", "r"): "e",
          ("e", "iy"): "e", ("iy", "e"): "e",
-         ("e", "e"): "e", ("e", "i"): "i", ("r", "e"): "r"})
+         ("e", "e"): "e", ("e", "i"): "i", ("r", "e"): "r"}).validate()
     # ix is a retract of e; with e in W but ix... ix is an identity, so
     # exercise the reverse: e is in W when the class is closed; make a class
     # where iy is in W but e (a retract of iy? no) -- use f=ix retract of g=e

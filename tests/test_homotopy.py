@@ -10,6 +10,7 @@ from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats.errors import BudgetExceeded, InvalidFunctor
+from diacats.site import trivial_site
 
 PS = fx.pseudocircle_site()
 TS = fx.terminal_site()
@@ -236,6 +237,19 @@ def test_pointwise_nerve_random():
         d = rg.random_diaobj(rng, PS, 4)
         probe = rng.choice(list(PS.cat.objects))
         assert ht.check_pointwise_nerve(PS, probe, d, 3)
+
+
+def test_pointwise_checks_accept_bars_in_site_ids():
+    """Site objects named `a|1 < b|2`: the checks must not parse simplex ids."""
+    cat = fc.poset_category("bars", ["a|1", "b|2"], lambda a, b: a <= b)
+    site = trivial_site(cat)
+    c1 = fc.chain_category(1)
+    d = dg.DiaObj(c1, fc.FinFunctor("S", c1, cat, {"0": "a|1", "1": "b|2"},
+                                    {"0<=0": "a|1<=a|1", "1<=1": "b|2<=b|2",
+                                     "0<=1": "a|1<=b|2"})).validate()
+    for x in cat.objects:
+        assert ht.check_pointwise_int(site, x, dg.nerve(d, 2), 2) == (True, None)
+        assert ht.check_pointwise_nerve(site, x, d, 3)
 
 
 def test_lemma_pointwise_int_via_hom_invariant():

@@ -95,6 +95,23 @@ def test_universe_builder_closed_and_dedup():
     assert u.add_object(d) == "D1"
 
 
+def test_universe_validate_rejects_tampered_composite():
+    """The triangles of `l3_instances` come from `u.comp` unchecked, so
+    `validate` must catch a comp entry that names the wrong morphism."""
+    u = small_universe()
+    for (g, f), h in u.comp.items():
+        ends = (u.morphisms[h].src, u.morphisms[h].tgt)
+        parallel = [k for k, m in u.morphisms.items()
+                    if k != h and (m.src, m.tgt) == ends]
+        if parallel:
+            break
+    assert parallel
+    u.validate()
+    u.comp[(g, f)] = parallel[0]
+    with pytest.raises(TargetMismatch, match="is not their composite"):
+        u.validate()
+
+
 def test_check_ws_on_iso_class_and_all():
     u = small_universe()
     isos = set()

@@ -144,7 +144,7 @@ def test_cech_rejects_non_mono_leg():
         "identities": {"x": "ix", "y": "iy"},
     }
     # simpler: parallel pair then collapse makes p non-mono; build directly
-    c = fc.FinCat.build(
+    c = fc.FinCat(
         "nm", ["x", "y", "z"],
         [fc.Mor("ix", "x", "x"), fc.Mor("iy", "y", "y"), fc.Mor("iz", "z", "z"),
          fc.Mor("f", "x", "y"), fc.Mor("g", "x", "y"), fc.Mor("p", "y", "z"),
@@ -155,7 +155,7 @@ def test_cech_rejects_non_mono_leg():
          ("g", "ix"): "g", ("iy", "g"): "g",
          ("p", "iy"): "p", ("iz", "p"): "p",
          ("p", "f"): "pf", ("p", "g"): "pf",
-         ("pf", "ix"): "pf", ("iz", "pf"): "pf"})
+         ("pf", "ix"): "pf", ("iz", "pf"): "pf"}).validate()
     from diacats.site import Site
     with pytest.raises(NonSplitMorphism):
         sp.cech_cover(Site(c), ["p"], 2)

@@ -4,8 +4,8 @@ Builders return objects that are correct by construction and do not
 re-check them; `.validate()` runs where data enters (JSON decoders, CLI
 loaders, `randgen`) and where its outcome is the result.  These tests hold
 both halves: every builder's output validates on fixtures and seeded
-random inputs, and the homology and comparison pipelines never call the
-simplicial or chain-complex validators.
+random inputs, categories included, and the homology and comparison
+pipelines never call the category, simplicial or chain-complex validators.
 """
 
 import random
@@ -78,6 +78,35 @@ def summand(x, y):
     return sp.SplitMor(x, xy, {s: (sp.mt_id(k), "0:" + s)
                                for k, l in enumerate(x.levels) for s in l},
                        {s: x.scat.id_of(x.label[s]) for l in x.levels for s in l})
+
+
+# --- categories from the internal builders ----------------------------------
+
+
+def case_product_comma_fiber(rng):
+    p, q = rg.random_poset(rng, 3), rg.random_poset(rng, 3)
+    ident = fc.FinFunctor.identity(p)
+    comma, pr1, pr2, _, _ = fc.comma_category(ident, ident)
+    fib, incl = fc.fiber(pr1, rng.choice(p.objects))
+    return [fc.product_category(p, q), comma, pr1, pr2, fib, incl]
+
+
+def case_terminal_and_posets(rng):
+    return [fc.terminal_category(rng.choice(["*", "t"])),
+            fc.chain_category(rng.randint(0, 3)), fx.fence_poset(), PS.cat]
+
+
+def case_delta_op_and_elements(rng):
+    el, _, _ = ht.int_simpset(rg.random_simpset(rng, 2, 4), 2)
+    return [ht.t_delta_op(rng.randint(1, 3)), el]
+
+
+def case_gadget_fiber(rng):
+    ok, cats = built(fc.FinCat, ht.gadget_comma_iso, 0, rng.randint(0, 1), 2)
+    assert ok
+    fibers = [c for c in cats if c.name.startswith("gadget(")]
+    assert len(fibers) == 1
+    return fibers + [c for c in cats if c.name.startswith("int(")]
 
 
 # --- nerves of random categories --------------------------------------------
@@ -200,7 +229,7 @@ def case_factor_mor_and_point(rng):
 def case_grothendieck_construction(rng):
     F = rg.random_dia_functor(rng, PS, 2, 2)
     gro, proj, incl = dg.grothendieck_construction(F)
-    return [gro, proj, *incl.values(), dg.nerve_diagram(F, 2)]
+    return [gro.shape, gro, proj, *incl.values(), dg.nerve_diagram(F, 2)]
 
 
 def case_span_diafunctor(rng):
@@ -213,13 +242,15 @@ def case_span_diafunctor(rng):
 
 
 def case_hom_diagram(rng):
-    _, proj = dg.hom_diagram(PS, rng.choice(PS.cat.objects), rg.random_diaobj(rng, PS, 4))
-    return [proj]
+    el, proj = dg.hom_diagram(PS, rng.choice(PS.cat.objects), rg.random_diaobj(rng, PS, 4))
+    return [el, proj]
 
 
 def case_twisted_arrow(rng):
-    _, pi1, pi3, mu = fc.twisted_arrow(rg.random_poset(rng, 3), "twc")
-    return [pi1, pi3, mu]
+    p = rg.random_poset(rng, 3)
+    tw, tw_pi1, tw_pi3, _ = fc.twisted_arrow(p, "tw")
+    twc, pi1, pi3, mu = fc.twisted_arrow(p, "twc")
+    return [tw, tw_pi1, tw_pi3, twc, pi1, pi3, mu]
 
 
 # --- int_amalg, the counit and the homotopy (co)limits ----------------------
@@ -306,8 +337,12 @@ def test_pipelines_never_call_validators(monkeypatch):
     def refuse(self):
         raise AssertionError("%s.validate called" % type(self).__name__)
 
-    for cls in (sp.SimpSet, sp.SplitSimpObj, sp.SplitMor, at.ChainComplex):
+    def refuse_report(cat):
+        raise AssertionError("validate_report called on %s" % cat.name)
+
+    for cls in (fc.FinCat, sp.SimpSet, sp.SplitSimpObj, sp.SplitMor, at.ChainComplex):
         monkeypatch.setattr(cls, "validate", refuse)
+    monkeypatch.setattr(fc, "validate_report", refuse_report)
     # element category -> nerve -> homology
     el, _, _ = ht.int_simpset(sp.delta_simpset(1, 2), 2)
     assert at.homology(sp.nerve_of_category(el, 3)).is_point()
