@@ -810,14 +810,21 @@ def _canon_colors(colors):
     return {x: rank[repr(v)] for x, v in colors.items()}
 
 
-def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000):
+def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
+                     labels=None):
     """Backtracking isomorphism search guided by WL colour refinement.
 
+    With labels = (F, G), functors out of c and out of d into one category,
+    only isomorphisms iso with G o iso = F on objects and morphisms count.
     Returns a FinFunctor witnessing c ~= d, or None.
     """
     if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
         return None
     cc, dc = _wl_colors(c), _wl_colors(d)
+    if labels is not None:
+        F, G = labels
+        cc = {x: (col, F.ob(x)) for x, col in cc.items()}
+        dc = {y: (col, G.ob(y)) for y, col in dc.items()}
     if sorted(cc.values()) != sorted(dc.values()):
         return None
     cgroups = {}
@@ -902,7 +909,7 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000):
             if c.is_identity(f):
                 forced = d.id_of(assignment[m.dom])
             for g in ([forced] if forced else pool[f]):
-                if g in mmap.values():
+                if g in mmap.values() or (labels is not None and G.mo(g) != F.mo(f)):
                     continue
                 mmap[f] = g
                 if consistent(f) and assign(k + 1) is not None:

@@ -9,7 +9,7 @@ admitted member, and never claims completeness: it computes a sound
 under-approximation of the smallest localizer restricted to the universe.
 
 Comma fibers are resolved up to isomorphism: the auxiliary comma diagram is
-translated onto a universe object by isomorphism search when possible;
+translated onto a universe object by label-respecting isomorphism search;
 membership of the translated morphism is what the rules consult
 (membership of a localizer is isomorphism-invariant by weak saturation).
 """
@@ -34,7 +34,34 @@ class UMor:
     mor: dg.DiaMor
 
 
+def _parts(omap, mmap, lt):
+    """The structural part of a morphism key besides its endpoints."""
+    return (tuple(sorted(omap.items())), tuple(sorted(mmap.items())),
+            tuple(sorted(lt.items())))
+
+
+def _composite_maps(f: dg.DiaMor, g: dg.DiaMor):
+    """Shape-map object and morphism maps and label parts of f then g,
+    as `DiaMor.then` computes them."""
+    a, b = f.shape_map, g.shape_map
+    scat = f.src.scat
+    return ({x: b.object_map[y] for x, y in a.object_map.items()},
+            {m: b.morphism_map[n] for m, n in a.morphism_map.items()},
+            {i: scat.comp(g.label_transf[a.object_map[i]], f.label_transf[i])
+             for i in f.src.shape.objects})
+
+
 class DiagramUniverse:
+    """Diagrams and morphisms hash-consed by structure on entry.
+
+    An object is keyed by `DiaObj.key` once, in `add_object` or
+    `lookup_object`.  A morphism is indexed by its endpoint ids and the
+    sorted parts of its shape map and label transformation; endpoint ids are
+    unique per structural key, so this index is equivalent to keying the
+    whole morphism by structure, and callers that already know the endpoint
+    ids (composition, translated comma maps) key no diagram.
+    """
+
     def __init__(self, site: Site):
         self.site = site
         self.objects = {}
@@ -42,7 +69,7 @@ class DiagramUniverse:
         self.comp = {}
         self.identity = {}
         self._okey = {}
-        self._mkey = {}
+        self._index = {}
         self._next = [0, 0]
 
     def add_object(self, d: dg.DiaObj) -> str:
@@ -55,20 +82,31 @@ class DiagramUniverse:
         self._okey[k] = oid
         return oid
 
-    def add_morphism(self, m: dg.DiaMor) -> str:
-        k = m.key()
-        if k in self._mkey:
-            return self._mkey[k]
-        src = self.add_object(m.src)
-        tgt = self.add_object(m.tgt)
+    def _insert(self, key, m: dg.DiaMor) -> str:
         mid = "m%d" % self._next[1]
         self._next[1] += 1
-        self.morphisms[mid] = UMor(mid, src, tgt, m)
-        self._mkey[k] = mid
+        self.morphisms[mid] = UMor(mid, key[0], key[1], m)
+        self._index[key] = mid
         return mid
 
+    def add_morphism(self, m: dg.DiaMor) -> str:
+        key = (self.add_object(m.src), self.add_object(m.tgt)) + _parts(
+            m.shape_map.object_map, m.shape_map.morphism_map, m.label_transf)
+        mid = self._index.get(key)
+        return mid if mid is not None else self._insert(key, m)
+
     def lookup(self, m: dg.DiaMor):
-        return self._mkey.get(m.key())
+        src = self.lookup_object(m.src)
+        tgt = self.lookup_object(m.tgt)
+        if src is None or tgt is None:
+            return None
+        return self.lookup_parts(src, tgt, m.shape_map.object_map,
+                                 m.shape_map.morphism_map, m.label_transf)
+
+    def lookup_parts(self, src: str, tgt: str, omap, mmap, lt):
+        """The id of the morphism src -> tgt with these shape maps and label
+        parts, or None; no diagram is keyed."""
+        return self._index.get((src, tgt) + _parts(omap, mmap, lt))
 
     def lookup_object(self, d: dg.DiaObj):
         return self._okey.get(d.key())
@@ -91,24 +129,38 @@ class DiagramUniverse:
                 for gid, gm in by_src.get(fm.tgt, []):
                     if (gid, fid) in self.comp:
                         continue
-                    h = fm.mor.then(gm.mor)
-                    hid = self.lookup(h)
+                    omap, mmap, lt = _composite_maps(fm.mor, gm.mor)
+                    key = (fm.src, gm.tgt) + _parts(omap, mmap, lt)
+                    hid = self._index.get(key)
                     if hid is None:
-                        hid = self.add_morphism(h)
+                        f, g = fm.mor, gm.mor
+                        hid = self._insert(key, dg.DiaMor(
+                            f.src, g.tgt, f.shape_map.then(g.shape_map), lt,
+                            "%s;%s" % (f.name, g.name)))
                         changed = True
                     self.comp[(gid, fid)] = hid
         return self
 
     def validate(self):
-        """Check the composition table: each entry pairs composable ids and
-        names their composite, compared by structural key."""
+        """Check the index and the composition table.
+
+        Each morphism's endpoint ids must be the ids of its diagrams, as the
+        index relies on; each table entry must pair composable ids and name
+        their composite, compared by maps and label parts."""
+        for mid, um in self.morphisms.items():
+            if (self.lookup_object(um.mor.src), self.lookup_object(um.mor.tgt)) \
+                    != (um.src, um.tgt):
+                raise TargetMismatch("endpoint ids of %r are not its diagrams'" % mid)
         for (g, f), h in self.comp.items():
-            if self.morphisms[f].tgt != self.morphisms[g].src:
+            fm, gm = self.morphisms[f], self.morphisms[g]
+            if fm.tgt != gm.src:
                 raise TargetMismatch("composition table pairs non-composable ids")
-            if h not in self.morphisms:
+            hm = self.morphisms.get(h)
+            if hm is None:
                 raise TargetMismatch("composite %r missing" % h)
-            composite = self.morphisms[f].mor.then(self.morphisms[g].mor)
-            if composite.key() != self.morphisms[h].mor.key():
+            if (fm.src, gm.tgt) != (hm.src, hm.tgt) or _composite_maps(fm.mor, gm.mor) \
+                    != (hm.mor.shape_map.object_map, hm.mor.shape_map.morphism_map,
+                        hm.mor.label_transf):
                 raise TargetMismatch("comp[(%r, %r)] = %r is not their composite"
                                      % (g, f, h))
         return self
@@ -136,7 +188,7 @@ class MorClass:
 
 class ShapeTranslator:
     """Translate an arbitrary diagram onto a universe object via
-    isomorphism search, caching results by structural key."""
+    label-respecting isomorphism search, caching results by structural key."""
 
     def __init__(self, universe: DiagramUniverse):
         self.u = universe
@@ -145,56 +197,47 @@ class ShapeTranslator:
     def translate(self, d: dg.DiaObj):
         """Return (oid, iso FinFunctor d.shape -> universe shape) or None.
 
-        Only shape-level translation is attempted for diagrams whose
-        labels are constant (trivial-labeled universes); otherwise exact
-        key lookup is used."""
+        A diagram of the universe translates by the identity; any other
+        onto the first universe object whose shape has an isomorphism
+        carrying the labels of d onto its labels on the nose."""
         k = d.key()
         if k in self.cache:
             return self.cache[k]
-        oid = self.u.lookup_object(d)
-        if oid is not None:
-            res = (oid, fc.FinFunctor.identity(d.shape))
-            self.cache[k] = res
-            return res
+        oid = self.u._okey.get(k)
+        self.cache[k] = (self._find_copy(d) if oid is None
+                         else (oid, fc.FinFunctor.identity(d.shape)))
+        return self.cache[k]
+
+    def _find_copy(self, d: dg.DiaObj):
         for oid, cand in self.u.objects.items():
             if len(cand.shape.objects) != len(d.shape.objects):
                 continue
             if sorted(cand.labels.object_map.values()) != \
                     sorted(d.labels.object_map.values()):
                 continue
-            iso = fc.find_isomorphism(d.shape, cand.shape)
-            if iso is None:
-                continue
-            # labels must be respected on the nose
-            if all(cand.labels.ob(iso.ob(x)) == d.labels.ob(x)
-                   for x in d.shape.objects) and \
-               all(cand.labels.mo(iso.mo(m.id)) == d.labels.mo(m.id)
-                   for m in d.shape.morphisms):
-                res = (oid, iso)
-                self.cache[k] = res
-                return res
-        self.cache[k] = None
+            iso = fc.find_isomorphism(d.shape, cand.shape,
+                                      labels=(d.labels, cand.labels))
+            if iso is not None:
+                return oid, iso
         return None
 
-    def translate_mor(self, m: dg.DiaMor):
-        """Find the universe morphism matching m after translating both
-        endpoints; None when either endpoint or the conjugate is absent."""
-        rs = self.translate(m.src)
-        rt = self.translate(m.tgt)
+    def translate_mor(self, m: dg.DiaMor, rs=None, rt=None):
+        """The universe morphism conjugate to m by translations rs of m.src
+        and rt of m.tgt, found by endpoint ids and maps in universe
+        coordinates; None when either endpoint or the conjugate is absent.
+        Translations not given are computed."""
+        rs = rs or self.translate(m.src)
+        rt = rt or self.translate(m.tgt)
         if rs is None or rt is None:
             return None
         (so, siso), (to, tiso) = rs, rt
-        src_d, tgt_d = self.u.objects[so], self.u.objects[to]
-        scat = src_d.scat
-        inv = {siso.ob(x): x for x in m.src.shape.objects}
-        minv = {siso.mo(x.id): x.id for x in m.src.shape.morphisms}
-        omap = {y: tiso.ob(m.shape_map.ob(inv[y])) for y in src_d.shape.objects}
-        mmap = {y.id: tiso.mo(m.shape_map.mo(minv[y.id]))
-                for y in src_d.shape.morphisms}
-        lt = {y: m.label_transf[inv[y]] for y in src_d.shape.objects}
-        cand = dg.DiaMor(src_d, tgt_d, fc.FinFunctor("t", src_d.shape,
-                                                     tgt_d.shape, omap, mmap), lt)
-        return self.u.lookup(cand)
+        sob, tob = siso.object_map, tiso.object_map
+        smo, tmo = siso.morphism_map, tiso.morphism_map
+        a = m.shape_map
+        return self.u.lookup_parts(
+            so, to, {sob[x]: tob[y] for x, y in a.object_map.items()},
+            {smo[f]: tmo[g] for f, g in a.morphism_map.items()},
+            {sob[x]: p for x, p in m.label_transf.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +313,8 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
     A comma product depends on one universe morphism, not on the triangle:
     each `p x_{/D3} (k, U_member)` is built and translated once per
     (morphism id, k, member), and the induced map w_k only when both of
-    its endpoints translate into the universe.
+    its endpoints translate into the universe.  w_k is resolved through
+    those two translations by endpoint ids, so no diagram is keyed for it.
     """
     translator = translator or ShapeTranslator(u)
     site = u.site
@@ -325,8 +369,9 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
 
 
 def _translated_comma(u, translator, p, k, member):
-    """p x_{/D3} (k, U_member) as comma_fiber_product returns it, or None
-    when it is absent or has no isomorphic copy in the universe."""
+    """(p x_{/D3} (k, U_member) as comma_fiber_product returns it, its
+    translation onto the universe), or None when it is absent or has no
+    isomorphic copy in the universe."""
     probe = dg.point_dia(u.site.cat, u.site.cat.dom(member))
     q = dg.DiaMor(probe, p.tgt,
                   fc.FinFunctor("k", probe.shape, p.tgt.shape,
@@ -336,20 +381,23 @@ def _translated_comma(u, translator, p, k, member):
         comma = dg.comma_fiber_product(p, q)
     except (LimitAbsent, TargetMismatch):
         return None
-    if translator.translate(comma[0]) is None:
+    translation = translator.translate(comma[0])
+    if translation is None:
         return None
-    return comma
+    return comma, translation
 
 
 def _induced_mid(translator, w, p1, p2, comma1, comma2):
-    """The universe id of the induced map comma1 -> comma2, or None."""
+    """The universe id of the induced map between two translated commas,
+    as `_translated_comma` returns them, or None."""
     if comma1 is None or comma2 is None:
         return None
+    (c1, r1), (c2, r2) = comma1, comma2
     try:
-        induced = dg.induced_comma_map(w, p1, p2, comma1, comma2)
+        induced = dg.induced_comma_map(w, p1, p2, c1, c2)
     except LimitAbsent:
         return None
-    return translator.translate_mor(induced)
+    return translator.translate_mor(induced, r1, r2)
 
 
 def l4_instances(u: DiagramUniverse, trunc: int = 3):

@@ -40,6 +40,15 @@ def span_universe():
     return lc.universe_from(TS, [i1, pt, pt, gro], all_mors=True)
 
 
+def d2_labelled(a, b):
+    """The discrete shape D2 over the pseudocircle, object x labelled a and
+    object y labelled b."""
+    shape = next(s for s in lc.poset_shapes(2) if s.name == "D2")
+    return dg.DiaObj(shape, fc.FinFunctor(
+        "lbl", shape, PS.cat, {"x": a, "y": b},
+        {shape.id_of("x"): PS.cat.id_of(a), shape.id_of("y"): PS.cat.id_of(b)}))
+
+
 def reference_comma_mid(u, translator, w, p1, p2, k, member):
     probe = dg.point_dia(u.site.cat, u.site.cat.dom(member))
     q = dg.DiaMor(probe, p1.tgt,
@@ -110,6 +119,87 @@ def test_universe_validate_rejects_tampered_composite():
     u.comp[(g, f)] = parallel[0]
     with pytest.raises(TargetMismatch, match="is not their composite"):
         u.validate()
+
+
+def test_universe_validate_rejects_tampered_endpoint_id():
+    """The morphism index keys by endpoint ids, so `validate` must catch a
+    morphism whose recorded id is not its diagram's."""
+    u = small_universe()
+    mid, um = next((mid, um) for mid, um in u.morphisms.items()
+                   if um.src != um.tgt)
+    u.validate()
+    um.src = um.tgt
+    with pytest.raises(TargetMismatch, match="endpoint ids"):
+        u.validate()
+
+
+@pytest.mark.parametrize("make", [lambda: lc.poset_universe(TS, 3), span_universe],
+                         ids=["criterion_08", "span"])
+def test_morphism_index_matches_structural_keys(make):
+    """`lookup` agrees with a dict keyed by `DiaMor.key` on every morphism,
+    and misses a changed label part, a changed shape map and an endpoint
+    outside the universe."""
+    u = make()
+    by_key = {um.mor.key(): mid for mid, um in u.morphisms.items()}
+    assert len(by_key) == len(u.morphisms)
+    c4 = fc.chain_category(4)
+    outside = dg.DiaObj(c4, fc.FinFunctor.constant(c4, TS.cat, "*"), "C4")
+    assert u.lookup_object(outside) is None
+    for mid, um in u.morphisms.items():
+        m = um.mor
+        assert u.lookup(m) == by_key[m.key()] == mid
+        if not m.src.shape.objects:
+            continue
+        x = m.src.shape.objects[0]
+        omap = dict(m.shape_map.object_map, **{x: "elsewhere"})
+        perturbed = [
+            dg.DiaMor(m.src, m.tgt, m.shape_map, dict(m.label_transf, **{x: "other"})),
+            dg.DiaMor(m.src, m.tgt, fc.FinFunctor("a", m.src.shape, m.tgt.shape,
+                                                  omap, m.shape_map.morphism_map),
+                      m.label_transf),
+            dg.DiaMor(outside, m.tgt, m.shape_map, m.label_transf)]
+        for p in perturbed:
+            assert p.key() not in by_key
+            assert u.lookup(p) is None
+
+
+def test_l3_keys_no_induced_map(monkeypatch):
+    """Induced comma maps resolve through the translations of their
+    endpoints: `DiaObj.key` runs at most once per comma product built and
+    once per universe object, never per induced map."""
+    u = span_universe()
+    keys, commas = Counter(), Counter()
+    real_key, real_comma = dg.DiaObj.key, dg.comma_fiber_product
+
+    def counting_key(d):
+        keys["key"] += 1
+        return real_key(d)
+
+    def counting_comma(p, q):
+        commas["comma"] += 1
+        return real_comma(p, q)
+
+    monkeypatch.setattr(dg.DiaObj, "key", counting_key)
+    monkeypatch.setattr(dg, "comma_fiber_product", counting_comma)
+    instances, _ = lc.l3_instances(u)
+    induced = sum(len(mids) for (_, _, per_k) in instances
+                  for (_, fams) in per_k for (_, mids) in fams)
+    assert induced > commas["comma"] + len(u.objects)
+    assert keys["key"] <= commas["comma"] + len(u.objects)
+
+
+def test_translate_finds_label_respecting_isomorphism():
+    """The first shape isomorphism D2 -> D2 is the identity, which breaks
+    the labels; the swap respects them and must be found."""
+    u = lc.DiagramUniverse(PS)
+    oid = u.add_object(d2_labelled("{b}", "{a}"))
+    d = d2_labelled("{a}", "{b}")
+    assert fc.find_isomorphism(d.shape, u.objects[oid].shape).object_map \
+        == {"x": "x", "y": "y"}
+    found, iso = lc.ShapeTranslator(u).translate(d)
+    assert found == oid
+    assert iso.object_map == {"x": "y", "y": "x"}
+    assert lc.ShapeTranslator(u).translate(d2_labelled("{a}", "{a}")) is None
 
 
 def test_check_ws_on_iso_class_and_all():
