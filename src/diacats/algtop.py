@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fincat as fc
 from . import simplicial as sp
@@ -190,7 +190,6 @@ class ChainComplex:
     trunc: int
     ranks: list
     boundaries: list  # boundaries[k]: list of column dicts, degree k -> k-1
-    basis: list = field(default_factory=list)
 
     def boundary_dense(self, k):
         cols = self.boundaries[k]
@@ -216,21 +215,26 @@ class ChainComplex:
 def chain_complex(x: sp.SimpSet) -> ChainComplex:
     """Normalized complex on nondegenerate simplices; degenerate face
     values contribute zero, signs alternate."""
-    ranks = [len(l) for l in x.levels]
-    index = [dict((s, i) for i, s in enumerate(l)) for l in x.levels]
     boundaries = [[]]
     for k in range(1, x.trunc + 1):
+        row = {s: i for i, s in enumerate(x.levels[k - 1])}
+        flat = sp.mt_id(k - 1)
         cols = []
         for s in x.levels[k]:
-            col = {}
+            col, sign = {}, 1
             for i in range(k + 1):
                 epi, nd = x.faces[(s, i)]
-                if epi == sp.mt_id(k - 1):
-                    r = index[k - 1][nd]
-                    col[r] = col.get(r, 0) + (-1) ** i
-            cols.append({r: v for r, v in col.items() if v})
+                if epi == flat:
+                    r = row[nd]
+                    v = col.get(r, 0) + sign
+                    if v:
+                        col[r] = v
+                    else:
+                        del col[r]
+                sign = -sign
+            cols.append(col)
         boundaries.append(cols)
-    return ChainComplex(x.trunc, ranks, boundaries, [list(l) for l in x.levels])
+    return ChainComplex(x.trunc, [len(l) for l in x.levels], boundaries)
 
 
 @dataclass
@@ -263,22 +267,21 @@ class HomologySummary:
 
 
 def homology_of_complex(cc: ChainComplex, valid_range=None) -> HomologySummary:
-    vr = cc.trunc - 1 if valid_range is None else valid_range
-    snf_cache = {}
-
-    def factors(k):
-        if k not in snf_cache:
-            if k < 1 or k > cc.trunc:
-                snf_cache[k] = ([], 0)
-            else:
-                snf_cache[k] = snf_sparse(cc.boundaries[k])
-        return snf_cache[k]
-
+    """Betti numbers and torsion from the SNF of each boundary matrix.  The
+    SNF runs on the coboundary d_k^T, which has the same invariant factors
+    and rank; a nerve's d_k has far more columns than rows."""
+    maxdeg = min(cc.trunc - 1 if valid_range is None else valid_range, cc.trunc)
+    snfs = {}
+    for k in range(1, min(maxdeg + 1, cc.trunc) + 1):
+        rows = [{} for _ in range(cc.ranks[k - 1])]
+        for j, c in enumerate(cc.boundaries[k]):
+            for r, v in c.items():
+                rows[r][j] = v
+        snfs[k] = snf_sparse(rows)
     betti, torsion = {}, {}
-    maxdeg = min(vr, cc.trunc)
     for k in range(maxdeg + 1):
-        fk, rk = factors(k)
-        fk1, rk1 = factors(k + 1)
+        _, rk = snfs.get(k, ([], 0))
+        fk1, rk1 = snfs.get(k + 1, ([], 0))
         betti[k] = cc.ranks[k] - rk - rk1
         torsion[k] = [d for d in fk1 if d > 1]
     return HomologySummary(maxdeg, betti, torsion)
@@ -318,9 +321,10 @@ def chain_map(f: sp.SimpMap):
     cols = []
     for k in range(min(src.trunc, tgt.trunc) + 1):
         level = []
+        flat = sp.mt_id(k)
         for s in src.levels[k]:
             epi, nd = f.val[s]
-            if epi == sp.mt_id(k):
+            if epi == flat:
                 level.append({tindex[k][nd]: 1})
             else:
                 level.append({})

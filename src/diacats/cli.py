@@ -167,9 +167,9 @@ def cmd_homology(args):
         x = io.decode_split(_load_json(args.ssimp), site).uset
     else:
         x = io.decode_simpset(_load_json(args.simp))
-    h = at.homology(x)
+    cc = at.chain_complex(x)
+    h = at.homology_of_complex(cc)
     if args.csv:
-        cc = at.chain_complex(x)
         with open(args.csv, "w") as f:
             for k in range(1, cc.trunc + 1):
                 f.write("# boundary %d\n" % k)

@@ -61,30 +61,34 @@ def int_simpset(k: sp.SimpSet, trunc=None, name=None):
     map); the projection to :func:`t_delta_op` is an opfibration.
     """
     trunc = k.trunc if trunc is None else min(trunc, k.trunc)
+    levels = range(trunc + 1)
+    ops = [[sp.all_monotone(m, n) for m in levels] for n in levels]
+    text = {g: ",".join(map(str, g)) for row in ops for gs in row for g in gs}
+    after = {(g, h): sp.mt_comp(g, h) for n in levels for m in levels
+             for g in ops[n][m] for r in levels for h in ops[m][r]}
     objs, okey = [], {}
-    for n in range(trunc + 1):
+    for n in levels:
         for v in k.full_level(n):
-            oid = "e(%d|%s|%s)" % (n, ",".join(map(str, v[0])), v[1])
+            oid = "e(%d|%s|%s)" % (n, text[v[0]], v[1])
             okey[(n, v)] = oid
             objs.append(oid)
-    mors, mkey, identity = [], {}, {}
+    mors, mkey, identity, targets = [], {}, {}, []
     for (n, v), oid in okey.items():
-        for m in range(trunc + 1):
-            for g in sp.all_monotone(m, n):
+        for m in levels:
+            for g in ops[n][m]:
                 w = k.apply(g, v)
                 oid2 = okey[(m, w)]
-                mid = "g(%s|%s->%s)" % (",".join(map(str, g)), oid, oid2)
+                mid = "g(%s|%s->%s)" % (text[g], oid, oid2)
                 mkey[(n, v, g)] = mid
                 mors.append(fc.Mor(mid, oid, oid2))
-                if m == n and g == sp.mt_id(n):
-                    identity[oid] = mid
+                targets.append(w)
+        identity[oid] = mkey[(n, v, sp.mt_id(n))]
     comp = {}
-    for (n, v, g), mid in mkey.items():
+    for ((n, v, g), mid), w in zip(mkey.items(), targets):
         m = len(g) - 1
-        w = k.apply(g, v)
-        for r in range(trunc + 1):
-            for h in sp.all_monotone(r, m):
-                comp[(mkey[(m, w, h)], mid)] = mkey[(n, v, sp.mt_comp(g, h))]
+        for r in levels:
+            for h in ops[m][r]:
+                comp[(mkey[(m, w, h)], mid)] = mkey[(n, v, after[(g, h)])]
     cat = fc.FinCat(name or ("int(%s)" % k.name), objs, mors, identity, comp)
     return cat, okey, mkey
 

@@ -453,6 +453,8 @@ def homotopy_classes(u: DiagramUniverse):
         groups.setdefault((um.src, um.tgt), []).append(mid)
     for (s, t), mids in groups.items():
         for a, b in itertools.combinations(mids, 2):
+            if find(a) == find(b):
+                continue  # already one class: merging would change nothing
             ma, mb = u.morphisms[a].mor, u.morphisms[b].mor
             if dg.two_morphisms(ma, mb) or dg.two_morphisms(mb, ma):
                 parent[find(a)] = find(b)

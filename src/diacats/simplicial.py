@@ -1038,8 +1038,8 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> SimpSet:
     extended along the non-identity out-arrows of its last object.  d_0
     drops the first arrow, d_k the last, and an inner d_i composes arrows
     i and i+1; that face is degenerate exactly when the composite is an
-    identity, and its epi then repeats vertex i-1.  String ids are made
-    once, for the returned SimpSet and its `chain_of`."""
+    identity, and its epi then repeats vertex i-1.  A chain's string id and
+    its `chain_of` value extend its parent's by one arrow."""
     onum = {x: n for n, x in enumerate(c.objects)}
     mids = [m.id for m in c.morphisms]
     num = {mid: n for n, mid in enumerate(mids)}
@@ -1054,16 +1054,20 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> SimpSet:
             for f in range(len(mids)) if f not in ident
             for g in steps[cod[f]]} if trunc > 1 else {}
     chains = [[(n,) for n in range(len(c.objects))]]
+    levels = [[chain_id((x, ())) for x in c.objects]]
+    chain_of = {sid: (x, ()) for sid, x in zip(levels[0], c.objects)}
     for k in range(1, trunc + 1):
-        chains.append([ch + (m,) for ch in chains[k - 1]
-                       for m in steps[cod[ch[-1]] if k > 1 else ch[0]]])
-    chain_of, id_of = {}, {}
-    for lev in chains:
-        for ch in lev:
-            chain = (c.objects[ch[0]], tuple(mids[m] for m in ch[1:]))
-            id_of[ch] = sid = chain_id(chain)
-            chain_of[sid] = chain
-    levels = [[id_of[ch] for ch in lev] for lev in chains]
+        lev, ids = [], []
+        for ch, sid in zip(chains[k - 1], levels[k - 1]):
+            x0, ms = chain_of[sid]
+            for m in steps[cod[ch[-1]] if k > 1 else ch[0]]:
+                lev.append(ch + (m,))
+                ids.append(sid[:-1] + "|" + mids[m] + ")")
+                chain_of[ids[-1]] = (x0, ms + (mids[m],))
+        chains.append(lev)
+        levels.append(ids)
+    id_of = {ch: sid for lev, ids in zip(chains, levels)
+             for ch, sid in zip(lev, ids)}
     faces = {}
     for k in range(1, trunc + 1):
         flat = tuple(range(k))

@@ -1,0 +1,258 @@
+"""The homology pipeline (element category -> nerve -> chain complex -> SNF)
+against the code it replaced.
+
+`reference_chain_complex` keeps the earlier two-pass loop (a fresh identity
+epi per face, a second dict to drop zeros), `reference_homology` the
+elimination of each boundary matrix by its columns, and
+`reference_int_simpset` the earlier element-category builder that applied
+every operator twice.  The pipeline must give equal boundaries, equal
+summaries and the same element category, insertion order included.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from diacats import algtop as at
+from diacats import diagram as dg
+from diacats import fincat as fc
+from diacats import fixtures as fx
+from diacats import homotopy as ht
+from diacats import randgen as rg
+from diacats import simplicial as sp
+
+TRUNC = 2
+PS = fx.pseudocircle_site()
+
+
+def reference_chain_complex(x):
+    index = [dict((s, i) for i, s in enumerate(l)) for l in x.levels]
+    boundaries = [[]]
+    for k in range(1, x.trunc + 1):
+        cols = []
+        for s in x.levels[k]:
+            col = {}
+            for i in range(k + 1):
+                epi, nd = x.faces[(s, i)]
+                if epi == sp.mt_id(k - 1):
+                    r = index[k - 1][nd]
+                    col[r] = col.get(r, 0) + (-1) ** i
+            cols.append({r: v for r, v in col.items() if v})
+        boundaries.append(cols)
+    return boundaries
+
+
+def reference_homology(cc, valid_range=None):
+    """Betti numbers and torsion from the SNF of each boundary matrix's
+    columns (the boundary side)."""
+    vr = cc.trunc - 1 if valid_range is None else valid_range
+    snfs = [([], 0)] + [at.snf_sparse(cc.boundaries[k])
+                        for k in range(1, cc.trunc + 1)] + [([], 0)]
+    betti, torsion = {}, {}
+    maxdeg = min(vr, cc.trunc)
+    for k in range(maxdeg + 1):
+        betti[k] = cc.ranks[k] - snfs[k][1] - snfs[k + 1][1]
+        torsion[k] = [d for d in snfs[k + 1][0] if d > 1]
+    return at.HomologySummary(maxdeg, betti, torsion)
+
+
+def reference_int_simpset(k, trunc=None, name=None):
+    trunc = k.trunc if trunc is None else min(trunc, k.trunc)
+    objs, okey = [], {}
+    for n in range(trunc + 1):
+        for v in k.full_level(n):
+            oid = "e(%d|%s|%s)" % (n, ",".join(map(str, v[0])), v[1])
+            okey[(n, v)] = oid
+            objs.append(oid)
+    mors, mkey, identity = [], {}, {}
+    for (n, v), oid in okey.items():
+        for m in range(trunc + 1):
+            for g in sp.all_monotone(m, n):
+                w = k.apply(g, v)
+                oid2 = okey[(m, w)]
+                mid = "g(%s|%s->%s)" % (",".join(map(str, g)), oid, oid2)
+                mkey[(n, v, g)] = mid
+                mors.append(fc.Mor(mid, oid, oid2))
+                if m == n and g == sp.mt_id(n):
+                    identity[oid] = mid
+    comp = {}
+    for (n, v, g), mid in mkey.items():
+        m = len(g) - 1
+        w = k.apply(g, v)
+        for r in range(trunc + 1):
+            for h in sp.all_monotone(r, m):
+                comp[(mkey[(m, w, h)], mid)] = mkey[(n, v, sp.mt_comp(g, h))]
+    cat = fc.FinCat(name or ("int(%s)" % k.name), objs, mors, identity, comp)
+    return cat, okey, mkey
+
+
+def rp2():
+    """RP^2 with one vertex v, one edge a and one triangle s:
+    d0 s = d2 s = a and d1 s = s0 v."""
+    v, a = ((0,), "v"), ((0, 1), "a")
+    faces = {("a", 0): v, ("a", 1): v,
+             ("s", 0): a, ("s", 1): ((0, 0), "v"), ("s", 2): a}
+    return sp.SimpSet(TRUNC, [["v"], ["a"], ["s"]], faces, "RP2").validate()
+
+
+def torsion_bases():
+    p = rp2()
+    return {"RP2": p,
+            "RP2xD1": sp.simpset_product(p, sp.delta_simpset(1, TRUNC))[0],
+            "RP2xRP2": sp.simpset_product(p, p)[0]}
+
+
+def gadget_bases():
+    return {"D%dxD%d" % (n, m): sp.simpset_product(sp.delta_simpset(n, TRUNC),
+                                                   sp.delta_simpset(m, TRUNC))[0]
+            for n, m in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]}
+
+
+# --- chain_complex ----------------------------------------------------------
+
+
+def assert_same_boundaries(x):
+    assert at.chain_complex(x).boundaries == reference_chain_complex(x)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chain_complex_matches_reference_on_random_simpsets(seed):
+    rng = random.Random(seed)
+    assert_same_boundaries(rg.random_simpset(rng, rng.randint(1, 3), 8))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chain_complex_matches_reference_on_poset_nerves(seed):
+    assert_same_boundaries(sp.nerve_of_category(rg.random_poset(random.Random(seed), 5), 4))
+
+
+def test_chain_complex_rp2_entry_is_two():
+    x = rp2()
+    assert_same_boundaries(x)
+    assert at.chain_complex(x).boundaries[2] == [{0: 2}]
+
+
+def test_chain_complex_drops_cancelling_faces():
+    """A 2-simplex s with d0 s = d1 s = e and d2 s = f, a loop at x: the
+    entries of e cancel and must be absent, not stored as 0."""
+    faces = {("e", 0): ((0,), "y"), ("e", 1): ((0,), "x"),
+             ("f", 0): ((0,), "x"), ("f", 1): ((0,), "x"),
+             ("s", 0): ((0, 1), "e"), ("s", 1): ((0, 1), "e"),
+             ("s", 2): ((0, 1), "f")}
+    x = sp.SimpSet(2, [["x", "y"], ["e", "f"], ["s"]], faces, "cancel").validate()
+    assert_same_boundaries(x)
+    assert at.chain_complex(x).boundaries[2] == [{1: 1}]
+
+
+# --- the coboundary ---------------------------------------------------------
+
+
+def transpose(cols, nrows):
+    rows = [{} for _ in range(nrows)]
+    for j, c in enumerate(cols):
+        for r, v in c.items():
+            rows[r][j] = v
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(1, 6).flatmap(lambda nrows: hst.lists(
+    hst.lists(hst.sampled_from([0, 0, 1, -1, 2, -2, 3]),
+              min_size=nrows, max_size=nrows),
+    min_size=1, max_size=8)))
+def test_snf_of_transpose_matches_minor_oracle(dense_cols):
+    nrows = len(dense_cols[0])
+    cols = [{i: v for i, v in enumerate(c) if v} for c in dense_cols]
+    dense_rows = [[c[i] for c in dense_cols] for i in range(nrows)]
+    factors, rank = at.snf_sparse(cols)
+    assert at.snf_sparse(transpose(cols, nrows)) == (factors, rank)
+    assert factors == at.minor_gcd_invariants(dense_rows)
+    assert rank == len(factors)
+
+
+@pytest.mark.parametrize("label", ["RP2", "RP2xD1", "RP2xRP2"])
+def test_homology_matches_boundary_side_on_torsion_bases(label):
+    base = torsion_bases()[label]
+    for x in (base, sp.nerve_of_category(ht.int_simpset(base, TRUNC)[0], TRUNC)):
+        cc = at.chain_complex(x)
+        assert repr(at.homology_of_complex(cc)) == repr(reference_homology(cc))
+
+
+def test_homology_matches_boundary_side_on_quasi_iso_cones(monkeypatch):
+    rng = random.Random(3)
+    d = sp.delta_simpset(3, 3)
+    maps = [sp.inclusion_map(sp.boundary_delta(2, 4), sp.delta_simpset(2, 4)),
+            sp.inclusion_map(sp.subcomplex(d, [d.levels[2][0]]), d)]
+    maps += [sp.SimpMap.identity(rp2()), sp.SimpMap.identity(torsion_bases()["RP2xRP2"])]
+    for _ in range(3):
+        maps.append(sp.SimpMap.identity(rg.random_simpset(rng, 3, 8)))
+    while len(maps) < 10:
+        m = rg.random_diamor(rng, rg.random_diaobj(rng, PS, 3), rg.random_diaobj(rng, PS, 3))
+        if m is not None:
+            maps.append(dg.nerve_mor(m, 3).underlying())
+    cones, real = [], at.homology_of_complex
+
+    def record(cc, valid_range=None):
+        cones.append((cc, valid_range))
+        return real(cc, valid_range)
+
+    monkeypatch.setattr(at, "homology_of_complex", record)
+    for f in maps:
+        at.quasi_iso(f)
+    assert len(cones) == len(maps)
+    for cc, vr in cones:
+        assert repr(real(cc, vr)) == repr(reference_homology(cc, vr))
+
+
+# --- int_simpset ------------------------------------------------------------
+
+
+def assert_same_elements(base):
+    cat, okey, mkey = ht.int_simpset(base, TRUNC)
+    ref, rokey, rmkey = reference_int_simpset(base, TRUNC)
+    assert cat.objects == ref.objects
+    assert cat.morphisms == ref.morphisms
+    assert list(cat.identity.items()) == list(ref.identity.items())
+    assert list(cat.compose_table.items()) == list(ref.compose_table.items())
+    assert list(okey.items()) == list(rokey.items())
+    assert list(mkey.items()) == list(rmkey.items())
+
+
+@pytest.mark.parametrize("label", ["D0xD0", "D0xD1", "D0xD2", "D1xD1", "D1xD2"])
+def test_int_simpset_matches_reference_on_gadget_bases(label):
+    assert_same_elements(gadget_bases()[label])
+
+
+@pytest.mark.parametrize("label", ["RP2", "RP2xD1", "RP2xRP2"])
+def test_int_simpset_matches_reference_on_torsion_bases(label):
+    assert_same_elements(torsion_bases()[label])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_int_simpset_matches_reference_on_random_carriers(seed):
+    assert_same_elements(rg.random_split_terminal(random.Random(seed), 3, 8).uset)
+
+
+# --- the benchmark's homology instances -------------------------------------
+
+GOLDEN = {
+    "D0xD0": ([3, 28, 334], "Homology(<=1: H0=Z^1, H1=Z^0)"),
+    "D0xD1": ([9, 100, 1192], "Homology(<=1: H0=Z^1, H1=Z^0)"),
+    "D0xD2": ([19, 234, 2790], "Homology(<=1: H0=Z^1, H1=Z^0)"),
+    "D1xD1": ([29, 368, 4388], "Homology(<=1: H0=Z^1, H1=Z^0)"),
+    "D1xD2": ([64, 876, 10452], "Homology(<=1: H0=Z^1, H1=Z^0)"),
+    "RP2": ([7, 90, 1074], "Homology(<=1: H0=Z^1, H1=Z^0+Z/2)"),
+    "RP2xD1": ([24, 340, 4060], "Homology(<=1: H0=Z^1, H1=Z^0+Z/2)"),
+    "RP2xRP2": ([21, 322, 3850], "Homology(<=1: H0=Z^1, H1=Z^0+Z/2+Z/2)"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_element_nerve_homology_golden(label):
+    """Delta_n x Delta_m (n <= m <= 2, not (2, 2)) and the RP^2 bases at
+    truncation 2: element category, its nerve and the nerve's homology."""
+    base = {**gadget_bases(), **torsion_bases()}[label]
+    nerve = sp.nerve_of_category(ht.int_simpset(base, TRUNC)[0], TRUNC)
+    assert ([len(l) for l in nerve.levels], repr(at.homology(nerve))) == GOLDEN[label]

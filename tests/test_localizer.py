@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -161,6 +162,39 @@ def test_morphism_index_matches_structural_keys(make):
         for p in perturbed:
             assert p.key() not in by_key
             assert u.lookup(p) is None
+
+
+def reference_homotopy_classes(u):
+    """The earlier `homotopy_classes`: it searches for 2-morphisms between
+    every parallel pair, even one already in a single class."""
+    parent = {mid: mid for mid in u.morphisms}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    groups = {}
+    for mid, um in u.morphisms.items():
+        groups.setdefault((um.src, um.tgt), []).append(mid)
+    for (s, t), mids in groups.items():
+        for a, b in itertools.combinations(mids, 2):
+            ma, mb = u.morphisms[a].mor, u.morphisms[b].mor
+            if dg.two_morphisms(ma, mb) or dg.two_morphisms(mb, ma):
+                parent[find(a)] = find(b)
+    classes = {}
+    for mid in u.morphisms:
+        classes.setdefault(find(mid), []).append(mid)
+    return classes
+
+
+@pytest.mark.parametrize("make", [lambda: lc.poset_universe(TS, 3), span_universe],
+                         ids=["criterion_08", "span"])
+def test_homotopy_classes_match_reference(make):
+    u = make()
+    assert (list(lc.homotopy_classes(u).items())
+            == list(reference_homotopy_classes(u).items()))
 
 
 def test_l3_keys_no_induced_map(monkeypatch):
