@@ -397,7 +397,7 @@ class ContractCert:
     payload: object
     necessary_only: bool = False
 
-    def recheck(self, cat: fc.FinCat, trunc: int = 4) -> bool:
+    def recheck(self, cat: fc.FinCat) -> bool:
         if self.kind == "InitialObject":
             return fc.detect_extremal(cat)["initial"] == self.payload
         if self.kind == "FinalObject":
@@ -405,7 +405,7 @@ class ContractCert:
         if self.kind == "AdjunctionChain":
             return _verify_deletion_chain(cat, self.payload)
         if self.kind == "HomologyPoint":
-            return homology(sp.nerve_of_category(cat, trunc)).is_point()
+            return homology(sp.nerve_of_category(cat, 4)).is_point()
         return False
 
 

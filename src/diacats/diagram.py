@@ -107,12 +107,7 @@ class DiaMor:
     def then(self, other: "DiaMor") -> "DiaMor":
         if other.src is not self.tgt and other.src.key() != self.tgt.key():
             raise EndpointMismatch("diagram morphisms not composable")
-        scat = self.src.scat
-        lt = {i: scat.comp(other.label_transf[self.shape_map.ob(i)],
-                           self.label_transf[i])
-              for i in self.src.shape.objects}
-        return DiaMor(self.src, other.tgt, self.shape_map.then(other.shape_map),
-                      lt, "%s;%s" % (self.name, other.name))
+        return composite(self, other, *composite_maps(self, other))
 
     @staticmethod
     def identity(d: DiaObj) -> "DiaMor":
@@ -122,6 +117,25 @@ class DiaMor:
 
     def __repr__(self):
         return "DiaMor(%s: %s -> %s)" % (self.name, self.src.name, self.tgt.name)
+
+
+def composite_maps(f: DiaMor, g: DiaMor):
+    """Shape-map object and morphism maps and label parts of f then g."""
+    a, b = f.shape_map, g.shape_map
+    scat = f.src.scat
+    return ({x: b.object_map[y] for x, y in a.object_map.items()},
+            {m: b.morphism_map[n] for m, n in a.morphism_map.items()},
+            {i: scat.comp(g.label_transf[a.object_map[i]], f.label_transf[i])
+             for i in f.src.shape.objects})
+
+
+def composite(f: DiaMor, g: DiaMor, omap, mmap, lt) -> DiaMor:
+    """f then g from its :func:`composite_maps`; composability is the
+    caller's to check."""
+    a, b = f.shape_map, g.shape_map
+    return DiaMor(f.src, g.tgt,
+                  fc.FinFunctor("%s;%s" % (a.name, b.name), a.source, b.target, omap, mmap),
+                  lt, "%s;%s" % (f.name, g.name))
 
 
 def factor_mor(m: DiaMor):
@@ -458,45 +472,38 @@ def hom_diagram(site_or_cat, x, d: DiaObj):
     to the shape of d (a discrete-fiber opfibration).
 
     `x` is a site object or a CoprodObj; elements are tagged accordingly.
+    The category carries the key maps `hom_okey[(i, tag)]` and
+    `hom_mkey[(i, tag, phi)]` of :func:`fincat.elements`.
     """
     scat = d.scat
     cat = site_or_cat.cat if isinstance(site_or_cat, Site) else site_or_cat
 
+    def tag(comp, h):
+        return h if comp is None else "%d:%s" % (comp, h)
+
     def homs(s):
         if isinstance(x, CoprodObj):
-            return [("%d:%s" % (i, m), i, m)
-                    for i, c in enumerate(x.components) for m in cat.hom(c, s)]
-        return [(m, None, m) for m in cat.hom(x, s)]
+            return [(i, m) for i, c in enumerate(x.components) for m in cat.hom(c, s)]
+        return [(None, m) for m in cat.hom(x, s)]
 
-    objs, okey = [], {}
+    fibers, part = [], {}
     for i in d.shape.objects:
-        for tag, comp, h in homs(d.labels.ob(i)):
-            oid = "(%s|%s)" % (i, tag)
-            okey[(i, tag)] = (oid, comp, h)
-            objs.append(oid)
-    mors, mkey, identity = [], {}, {}
-    for (i, tag), (oid, comp, h) in okey.items():
-        for phi in d.shape.out(i):
-            i2 = d.shape.cod(phi)
-            h2 = scat.comp(d.labels.mo(phi), h)
-            tag2 = ("%d:%s" % (comp, h2)) if comp is not None else h2
-            oid2 = okey[(i2, tag2)][0]
-            mid = "(%s):%s->%s" % (phi, oid, oid2)
-            mkey[(i, tag, phi)] = mid
-            mors.append(fc.Mor(mid, oid, oid2))
-            if phi == d.shape.id_of(i):
-                identity[oid] = mid
-    comp_table = {}
-    for (i, tag, phi), mid in mkey.items():
-        i2 = d.shape.cod(phi)
-        oid, comp, h = okey[(i, tag)]
-        h2 = scat.comp(d.labels.mo(phi), h)
-        tag2 = ("%d:%s" % (comp, h2)) if comp is not None else h2
-        for phi2 in d.shape.out(i2):
-            comp_table[(mkey[(i2, tag2, phi2)], mid)] = mkey[(i, tag, d.shape.comp(phi2, phi))]
-    cat_el = fc.FinCat("Hom(%s,%s)" % (x, d.name), objs, mors, identity, comp_table)
+        hs = homs(d.labels.ob(i))
+        part.update((tag(comp, h), (comp, h)) for comp, h in hs)
+        fibers.append((i, [tag(comp, h) for comp, h in hs]))
+
+    def act(phi, t):
+        comp, h = part[t]
+        return tag(comp, scat.comp(d.labels.mo(phi), h))
+
+    cat_el, okey, mkey = fc.elements(
+        "Hom(%s,%s)" % (x, d.name), fibers,
+        {i: [(phi, d.shape.cod(phi)) for phi in d.shape.out(i)] for i in d.shape.objects},
+        act, d.shape.compose_table, d.shape.identity,
+        lambda i, t: "(%s|%s)" % (i, t),
+        lambda i, phi, src, tgt: "(%s):%s->%s" % (phi, src, tgt))
     proj = fc.FinFunctor("proj", cat_el, d.shape,
-                         {okey[k][0]: k[0] for k in okey},
-                         {mid: k[2] for k, mid in mkey.items()})
-    cat_el.hom_okey = okey
+                         {oid: i for (i, t), oid in okey.items()},
+                         {mid: phi for (i, t, phi), mid in mkey.items()})
+    cat_el.hom_okey, cat_el.hom_mkey = okey, mkey
     return cat_el, proj

@@ -7,10 +7,11 @@ Everything is a plain immutable value.  Object and morphism identifiers are
 strings; declaration order is the canonical order and every search iterates
 in canonical order, returning the first witness.
 
-The builders here (products, commas, fibers, twisted arrows, posets, the
-terminal category) return categories correct by construction and do not
-re-check their axioms; :func:`validate_category` checks raw input, and
-:meth:`FinCat.validate` checks any category assembled by hand.
+The builders here (products, categories of elements, commas, fibers,
+twisted arrows, posets, the terminal category) return categories correct
+by construction and do not re-check their axioms; :func:`validate_category`
+checks raw input, and :meth:`FinCat.validate` checks any category assembled
+by hand.
 """
 
 from __future__ import annotations
@@ -246,6 +247,40 @@ def chain_category(n: int) -> FinCat:
 
 def discrete_category(name, elements) -> FinCat:
     return poset_category(name, elements, lambda a, b: a == b)
+
+
+def elements(name, fibers, out, act, comp, identity, ofmt, mfmt):
+    """Category of elements of a set-valued functor F on a finite base.
+
+    `fibers` lists (c, F(c)) per base object, `out[c]` the arrows
+    (f, cod f) out of c, `act(f, x)` is F(f)(x), `comp[(g, f)]` is g o f
+    for every composable pair and `identity[c]` is the identity of c.  An
+    object (c, x) gets the id `ofmt(c, x)`; a morphism
+    (c, x, f) : (c, x) -> (cod f, F(f)(x)) gets `mfmt(c, f, src id, tgt id)`,
+    and (g, F(f)(x)) o (f, x) = (g o f, x).  Ids are inserted in the order
+    of `fibers` and `out`.  Returns (category, okey[(c, x)], mkey[(c, x, f)]).
+    """
+    objs, okey = [], {}
+    for c, xs in fibers:
+        for x in xs:
+            oid = ofmt(c, x)
+            okey[(c, x)] = oid
+            objs.append(oid)
+    mors, mkey, ident, targets = [], {}, {}, []
+    for (c, x), oid in okey.items():
+        for f, c2 in out[c]:
+            x2 = act(f, x)
+            oid2 = okey[(c2, x2)]
+            mid = mfmt(c, f, oid, oid2)
+            mkey[(c, x, f)] = mid
+            mors.append(Mor(mid, oid, oid2))
+            targets.append((c2, x2))
+        ident[oid] = mkey[(c, x, identity[c])]
+    table = {}
+    for ((c, x, f), mid), (c2, x2) in zip(mkey.items(), targets):
+        for g, _ in out[c2]:
+            table[(mkey[(c2, x2, g)], mid)] = mkey[(c, x, comp[(g, f)])]
+    return FinCat(name, objs, mors, ident, table), okey, mkey
 
 
 def product_category(c: FinCat, d: FinCat) -> FinCat:
@@ -787,14 +822,14 @@ def twisted_arrow(I: FinCat, variant: str = "tw"):
 # isomorphism search
 
 
-def _wl_colors(c: FinCat, rounds: int = 4):
+def _wl_colors(c: FinCat):
     colors = {}
     for x in c.objects:
         colors[x] = (len(c.out(x)), len(c.into(x)),
                      sorted(len(c.hom(x, y)) for y in c.objects),
                      sorted(len(c.hom(y, x)) for y in c.objects))
     colors = _canon_colors(colors)
-    for _ in range(rounds):
+    for _ in range(4):
         nxt = {}
         for x in c.objects:
             outp = sorted((colors[c.cod(m)] for m in c.out(x)))

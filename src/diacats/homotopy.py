@@ -25,26 +25,29 @@ from .site import Site
 # the truncated simplex-opposite shape
 
 
+def _delta_op_tables(trunc: int):
+    """The truncated simplex-opposite shape as tables over levels 0..trunc:
+    out[n] lists the operators g : [m] -> [n] as arrows (g, m) out of [n],
+    comp[(h, g)] is the operator g o h, ident[n] the identity operator, and
+    text[g] the printed operator."""
+    levels = range(trunc + 1)
+    out = {n: [(g, m) for m in levels for g in sp.all_monotone(m, n)] for n in levels}
+    comp = {(h, g): sp.mt_comp(g, h) for n in levels for g, m in out[n] for h, _ in out[m]}
+    ident = {n: sp.mt_id(n) for n in levels}
+    text = {g: ",".join(map(str, g)) for n in levels for g, _ in out[n]}
+    return out, comp, ident, text
+
+
 def t_delta_op(trunc: int) -> fc.FinCat:
     """The opposite of the simplex category on [0]..[trunc]: a morphism
-    [n] -> [m] is an operator, i.e. a monotone map [m] -> [n]."""
-    objs = ["[%d]" % n for n in range(trunc + 1)]
-    mors, identity, mid = [], {}, {}
-    for n in range(trunc + 1):
-        for m in range(trunc + 1):
-            for g in sp.all_monotone(m, n):
-                i = "o(%d->%d|%s)" % (n, m, ",".join(map(str, g)))
-                mid[(n, m, g)] = i
-                mors.append(fc.Mor(i, "[%d]" % n, "[%d]" % m))
-                if n == m and g == sp.mt_id(n):
-                    identity["[%d]" % n] = i
-    comp = {}
-    for (n, m, g), i1 in mid.items():
-        for (m2, r, h), i2 in mid.items():
-            if m2 == m:
-                comp[(i2, i1)] = mid[(n, r, sp.mt_comp(g, h))]
-    cat = fc.FinCat("DeltaOp<=%d" % trunc, objs, mors, identity, comp)
-    cat.op_key = mid
+    [n] -> [m] is an operator, i.e. a monotone map [m] -> [n].  It is the
+    category of elements of the terminal presheaf."""
+    out, comp, ident, text = _delta_op_tables(trunc)
+    cat, _, mkey = fc.elements(
+        "DeltaOp<=%d" % trunc, [(n, [()]) for n in out], out, lambda g, x: x,
+        comp, ident, lambda n, x: "[%d]" % n,
+        lambda n, g, src, tgt: "o(%d->%d|%s)" % (n, len(g) - 1, text[g]))
+    cat.op_key = {(n, len(g) - 1, g): mid for (n, _, g), mid in mkey.items()}
     return cat
 
 
@@ -61,36 +64,12 @@ def int_simpset(k: sp.SimpSet, trunc=None, name=None):
     map); the projection to :func:`t_delta_op` is an opfibration.
     """
     trunc = k.trunc if trunc is None else min(trunc, k.trunc)
-    levels = range(trunc + 1)
-    ops = [[sp.all_monotone(m, n) for m in levels] for n in levels]
-    text = {g: ",".join(map(str, g)) for row in ops for gs in row for g in gs}
-    after = {(g, h): sp.mt_comp(g, h) for n in levels for m in levels
-             for g in ops[n][m] for r in levels for h in ops[m][r]}
-    objs, okey = [], {}
-    for n in levels:
-        for v in k.full_level(n):
-            oid = "e(%d|%s|%s)" % (n, text[v[0]], v[1])
-            okey[(n, v)] = oid
-            objs.append(oid)
-    mors, mkey, identity, targets = [], {}, {}, []
-    for (n, v), oid in okey.items():
-        for m in levels:
-            for g in ops[n][m]:
-                w = k.apply(g, v)
-                oid2 = okey[(m, w)]
-                mid = "g(%s|%s->%s)" % (text[g], oid, oid2)
-                mkey[(n, v, g)] = mid
-                mors.append(fc.Mor(mid, oid, oid2))
-                targets.append(w)
-        identity[oid] = mkey[(n, v, sp.mt_id(n))]
-    comp = {}
-    for ((n, v, g), mid), w in zip(mkey.items(), targets):
-        m = len(g) - 1
-        for r in levels:
-            for h in ops[m][r]:
-                comp[(mkey[(m, w, h)], mid)] = mkey[(n, v, after[(g, h)])]
-    cat = fc.FinCat(name or ("int(%s)" % k.name), objs, mors, identity, comp)
-    return cat, okey, mkey
+    out, comp, ident, text = _delta_op_tables(trunc)
+    return fc.elements(
+        name or ("int(%s)" % k.name), [(n, k.full_level(n)) for n in out], out,
+        k.apply, comp, ident,
+        lambda n, v: "e(%d|%s|%s)" % (n, text[v[0]], v[1]),
+        lambda n, g, src, tgt: "g(%s|%s->%s)" % (text[g], src, tgt))
 
 
 @dataclass
@@ -751,53 +730,36 @@ def _end_square(shape, ob, mo, slice_nerves, prods, slice_maps, fam, mid, k,
 # the bisimplicial square gadget
 
 
+def _gadget_fiber(n, m, trunc):
+    """The fiber of int(diag B) -> int(B) under (Delta_n, Delta_m, top):
+    objects the pairs of operators (g : [k] -> [n], h : [k] -> [m]),
+    morphisms w acting by precomposition.  Returns (category,
+    okey[(k, (g, h))], mkey[(k, (g, h), w)])."""
+    out, comp, ident, text = _delta_op_tables(trunc)
+    pairs = [(k, [(g, h) for g in sp.all_monotone(k, n) for h in sp.all_monotone(k, m)])
+             for k in out]
+    return fc.elements(
+        "gadget(%d,%d)" % (n, m), pairs, out,
+        lambda w, gh: (sp.mt_comp(gh[0], w), sp.mt_comp(gh[1], w)), comp, ident,
+        lambda k, gh: "f(%s|%s)" % (text[gh[0]], text[gh[1]]),
+        lambda k, w, src, tgt: "w(%s):%s" % (text[w], src))
+
+
 def gadget_comma_iso(n, m, trunc):
     """The comma fiber of the diagonal inclusion at a nondegenerate top
-    bisimplex against the element category of Delta_n x Delta_m.
-
-    The fiber of int(diag B) -> int(B) under (Delta_n, Delta_m, top) has
-    objects the pairs of operators (g : [k] -> [n], h : [k] -> [m]) with
-    morphisms w acting by precomposition; the canonical comparison onto
-    the element category of the product must be an isomorphism.
+    bisimplex against the element category of Delta_n x Delta_m: the
+    canonical comparison from :func:`_gadget_fiber` onto the element
+    category of the product must be an isomorphism.
     """
     dn, dm = sp.delta_simpset(n, trunc), sp.delta_simpset(m, trunc)
     prod, canon, ids, elem_of = sp.simpset_product(dn, dm)
     el, okey, mkey = int_simpset(prod, trunc)
     top_n, top_m = dn.nd_value(dn.levels[n][0]), dm.nd_value(dm.levels[m][0])
-    objs, okey2 = [], {}
-    for k in range(trunc + 1):
-        for g in sp.all_monotone(k, n):
-            for h in sp.all_monotone(k, m):
-                oid = "f(%s|%s)" % (",".join(map(str, g)), ",".join(map(str, h)))
-                okey2[(g, h)] = oid
-                objs.append(oid)
-    mors, mkey2, identity = [], {}, {}
-    for (g, h), oid in okey2.items():
-        k = len(g) - 1
-        for r in range(trunc + 1):
-            for w in sp.all_monotone(r, k):
-                tgt = (sp.mt_comp(g, w), sp.mt_comp(h, w))
-                mid = "w(%s):%s" % (",".join(map(str, w)), oid)
-                mkey2[(g, h, w)] = mid
-                mors.append(fc.Mor(mid, oid, okey2[tgt]))
-                if r == k and w == sp.mt_id(k):
-                    identity[oid] = mid
-    comp = {}
-    for (g, h, w), mid in mkey2.items():
-        k2 = len(w) - 1
-        g2, h2 = sp.mt_comp(g, w), sp.mt_comp(h, w)
-        for r in range(trunc + 1):
-            for w2 in sp.all_monotone(r, k2):
-                comp[(mkey2[(g2, h2, w2)], mid)] = mkey2[(g, h, sp.mt_comp(w, w2))]
-    fiber = fc.FinCat("gadget(%d,%d)" % (n, m), objs, mors, identity, comp)
-    omap, mmap = {}, {}
-    for (g, h), oid in okey2.items():
-        k = len(g) - 1
-        val = canon[(k, (dn.apply(g, top_n), dm.apply(h, top_m)))]
-        omap[oid] = okey[(k, val)]
-        for r in range(trunc + 1):
-            for w in sp.all_monotone(r, k):
-                mmap[mkey2[(g, h, w)]] = mkey[(k, val, w)]
+    fiber, okey2, mkey2 = _gadget_fiber(n, m, trunc)
+    val = {(k, (g, h)): canon[(k, (dn.apply(g, top_n), dm.apply(h, top_m)))]
+           for k, (g, h) in okey2}
+    omap = {oid: okey[(k, val[(k, gh)])] for (k, gh), oid in okey2.items()}
+    mmap = {mid: mkey[(k, val[(k, gh)], w)] for (k, gh, w), mid in mkey2.items()}
     return fc.verify_isomorphism(fc.FinFunctor("cmp", fiber, el, omap, mmap))
 
 
@@ -817,18 +779,12 @@ def check_pointwise_int(site: Site, x: str, s_obj: sp.SplitSimpObj, trunc: int):
     # a nondegenerate element of h is (value of s_obj, morphism)
     hdec = {sid: (e[0][1], e[1]) for sid, (n, e) in h.elem_of.items()}
     for (n, v), oid in okey_l.items():
-        epi, nd = v
-        nd_s, hom = hdec[nd]
-        s_val = (epi, nd_s)
-        ia_oid = ia.okey[(n, s_val)]
-        omap[oid] = "(%s|%s)" % (ia_oid, hom)
+        nd_s, hom = hdec[v[1]]
+        omap[oid] = rhs.hom_okey[(ia.okey[(n, (v[0], nd_s))], hom)]
     for (n, v, g), mid in mkey_l.items():
-        epi, nd = v
-        nd_s, hom = hdec[nd]
-        ia_oid = ia.okey[(n, (epi, nd_s))]
-        ia_mid = ia.mkey[(n, (epi, nd_s), g)]
-        mmap[mid] = "(%s):%s->%s" % (ia_mid, omap[okey_l[(n, v)]],
-                                     omap[okey_l[(len(g) - 1, h.apply(g, v))]])
+        nd_s, hom = hdec[v[1]]
+        s_val = (v[0], nd_s)
+        mmap[mid] = rhs.hom_mkey[(ia.okey[(n, s_val)], hom, ia.mkey[(n, s_val, g)])]
     functor = fc.FinFunctor("cmp", lhs, rhs, omap, mmap)
     try:
         functor.validate()
@@ -848,17 +804,11 @@ def check_pointwise_nerve(site: Site, x: str, d: dg.DiaObj, trunc: int):
     rename = {}
     for sid, (n, ((_, nd_chain), hom)) in lhs.elem_of.items():
         x0, ms = nv.chain_of[nd_chain]
-        cur = hom
-        cur_x = x0
-        el_ms = []
-        el_start = el.hom_okey[(x0, hom)][0]
+        cur, cur_x, el_ms = hom, x0, []
         for m in ms:
-            nxt = cat.comp(d.labels.mo(m), cur)
-            el_ms.append("(%s):%s->%s" % (
-                m, el.hom_okey[(cur_x, cur)][0],
-                el.hom_okey[(d.shape.cod(m), nxt)][0]))
-            cur, cur_x = nxt, d.shape.cod(m)
-        rename[sid] = sp.chain_id((el_start, tuple(el_ms)))
+            el_ms.append(el.hom_mkey[(cur_x, cur, m)])
+            cur, cur_x = cat.comp(d.labels.mo(m), cur), d.shape.cod(m)
+        rename[sid] = sp.chain_id((el.hom_okey[(x0, hom)], tuple(el_ms)))
     if any(sorted(rename[s] for s in l1) != sorted(l2)
            for l1, l2 in zip(lhs.levels, rhs.levels)):
         return False

@@ -76,10 +76,10 @@ def decode_site(data: dict, name="S") -> Site:
 # diagram.v1
 
 
-def encode_diagram(d: dg.DiaObj, site_ref="site") -> dict:
+def encode_diagram(d: dg.DiaObj) -> dict:
     return {
         "schema": "diagram.v1",
-        "site_ref": site_ref,
+        "site_ref": "site",
         "shape": encode_fincat(d.shape),
         "labels": {"obj": dict(d.labels.object_map),
                    "mor": dict(d.labels.morphism_map)},

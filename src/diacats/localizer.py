@@ -40,17 +40,6 @@ def _parts(omap, mmap, lt):
             tuple(sorted(lt.items())))
 
 
-def _composite_maps(f: dg.DiaMor, g: dg.DiaMor):
-    """Shape-map object and morphism maps and label parts of f then g,
-    as `DiaMor.then` computes them."""
-    a, b = f.shape_map, g.shape_map
-    scat = f.src.scat
-    return ({x: b.object_map[y] for x, y in a.object_map.items()},
-            {m: b.morphism_map[n] for m, n in a.morphism_map.items()},
-            {i: scat.comp(g.label_transf[a.object_map[i]], f.label_transf[i])
-             for i in f.src.shape.objects})
-
-
 class DiagramUniverse:
     """Diagrams and morphisms hash-consed by structure on entry.
 
@@ -111,16 +100,12 @@ class DiagramUniverse:
     def lookup_object(self, d: dg.DiaObj):
         return self._okey.get(d.key())
 
-    def close_composition(self, max_rounds=None):
+    def close_composition(self):
         for oid, d in list(self.objects.items()):
             self.identity[oid] = self.add_morphism(dg.DiaMor.identity(d))
         changed = True
-        rounds = 0
         while changed:
             changed = False
-            rounds += 1
-            if max_rounds is not None and rounds > max_rounds:
-                raise LimitAbsent("composition closure did not stabilize")
             mors = list(self.morphisms.items())
             by_src = {}
             for mid, um in mors:
@@ -129,14 +114,11 @@ class DiagramUniverse:
                 for gid, gm in by_src.get(fm.tgt, []):
                     if (gid, fid) in self.comp:
                         continue
-                    omap, mmap, lt = _composite_maps(fm.mor, gm.mor)
-                    key = (fm.src, gm.tgt) + _parts(omap, mmap, lt)
+                    maps = dg.composite_maps(fm.mor, gm.mor)
+                    key = (fm.src, gm.tgt) + _parts(*maps)
                     hid = self._index.get(key)
                     if hid is None:
-                        f, g = fm.mor, gm.mor
-                        hid = self._insert(key, dg.DiaMor(
-                            f.src, g.tgt, f.shape_map.then(g.shape_map), lt,
-                            "%s;%s" % (f.name, g.name)))
+                        hid = self._insert(key, dg.composite(fm.mor, gm.mor, *maps))
                         changed = True
                     self.comp[(gid, fid)] = hid
         return self
@@ -158,7 +140,7 @@ class DiagramUniverse:
             hm = self.morphisms.get(h)
             if hm is None:
                 raise TargetMismatch("composite %r missing" % h)
-            if (fm.src, gm.tgt) != (hm.src, hm.tgt) or _composite_maps(fm.mor, gm.mor) \
+            if (fm.src, gm.tgt) != (hm.src, hm.tgt) or dg.composite_maps(fm.mor, gm.mor) \
                     != (hm.mor.shape_map.object_map, hm.mor.shape_map.morphism_map,
                         hm.mor.label_transf):
                 raise TargetMismatch("comp[(%r, %r)] = %r is not their composite"
@@ -569,7 +551,7 @@ def check_L4(w: MorClass, u: DiagramUniverse, trunc: int = 3):
 
 
 def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
-                     refine_bound: int = 2, use_adjunctions: bool = True):
+                     refine_bound: int = 2):
     """Iterate (WS1-3), (L2), (L3), (L4), homotopy closure, and adjunction
     membership until no change.
 
@@ -585,7 +567,7 @@ def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
     l4s = l4_instances(u, trunc)
     classes = homotopy_classes(u)
     class_of = {m: root for root, ms in classes.items() for m in ms}
-    adjs = adjunction_instances(u) if use_adjunctions else []
+    adjs = adjunction_instances(u)
 
     for mid in ws1:
         w.admit(mid, ("WS1",))
@@ -674,10 +656,10 @@ POSET_SHAPES = {
 }
 
 
-def poset_shapes(max_objects: int = 3, include_empty: bool = True):
+def poset_shapes(max_objects: int = 3):
     """Canonical posets on up to `max_objects` elements, up to isomorphism."""
     out = []
-    for n in range(0 if include_empty else 1, max_objects + 1):
+    for n in range(max_objects + 1):
         for name, rels in POSET_SHAPES.get(n, []):
             above = {x: set(up) for x, up in rels}
             objs = [x for x, _ in rels]
@@ -686,10 +668,10 @@ def poset_shapes(max_objects: int = 3, include_empty: bool = True):
     return out
 
 
-def poset_universe(site: Site, max_objects: int = 3, label=None):
-    """All canonical poset shapes with constant labels, every diagram
-    morphism between them, closed under composition."""
-    label = label or site.cat.objects[0]
+def poset_universe(site: Site, max_objects: int = 3):
+    """All canonical poset shapes labeled constantly by the site's first
+    object, every diagram morphism between them, closed under composition."""
+    label = site.cat.objects[0]
     u = DiagramUniverse(site)
     dias = []
     for shape in poset_shapes(max_objects):
@@ -705,7 +687,7 @@ def poset_universe(site: Site, max_objects: int = 3, label=None):
     return u
 
 
-def universe_from(site: Site, objects, morphisms=None, all_mors=False):
+def universe_from(site: Site, objects, all_mors=False):
     """Universe from explicit diagrams; optionally with every diagram
     morphism between them, always closed under composition."""
     u = DiagramUniverse(site)
@@ -716,8 +698,6 @@ def universe_from(site: Site, objects, morphisms=None, all_mors=False):
             for d2 in objects:
                 for m in dg.all_dia_mors(d1, d2):
                     u.add_morphism(m)
-    for m in morphisms or []:
-        u.add_morphism(m)
     u.close_composition()
     return u
 

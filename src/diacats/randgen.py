@@ -134,12 +134,12 @@ def random_split_terminal(rng, trunc, max_nondeg=8, name="R"):
                        "*", name)
 
 
-def random_split_over(rng, site: Site, trunc, pieces=2, name="R"):
+def random_split_over(rng, site: Site, trunc, name="R"):
     """A random split object over a poset site: a coproduct of tensors of
     random simplicial sets with constant carriers, plus (sometimes) the
     nerve of a random labeled diagram for nontrivial face parts."""
     parts = []
-    for i in range(rng.randint(1, pieces)):
+    for i in range(rng.randint(1, 2)):
         s = rng.choice(list(site.cat.objects))
         k = random_simpset(rng, trunc, max_nondeg=rng.randint(1, 4),
                            name="%s%d" % (name, i))

@@ -1,9 +1,10 @@
-"""No unreferenced functions in the library.
+"""No unreferenced functions and no unused parameters in the library.
 
 An AST scan over `src/diacats`: every def, nested defs and methods
 included, must be referenced by name (a bare name or an attribute) somewhere
 in `src/`, `tests/`, `bench/` or `demos/` outside its own body.  Dunder
-methods are called by the language and are exempt.
+methods are called by the language and are exempt.  A second scan requires
+every parameter with a default to be passed by some call in that corpus.
 """
 
 import ast
@@ -51,3 +52,83 @@ def test_every_library_def_is_referenced():
     dead = sorted("%s (%s)" % (name, where) for name, where in defs.items()
                   if name not in used)
     assert not dead, "unreferenced defs: " + ", ".join(dead)
+
+
+# Defaulted parameters that no call site passes but that stay, with why.
+KEPT_DEFAULTS = {
+    ("find_isomorphism", "max_nodes"): "a safety bound on the backtracking search",
+}
+
+
+def defaulted_params():
+    """(call name, parameter, position or None, where) for every parameter
+    with a default of a library def.  A method's position does not count
+    `self`, which its calls bind, and `__init__` is called by its class."""
+    out = []
+
+    def visit(node, cls, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(child, cls, "%s:%d" % (path.relative_to(ROOT), child.lineno))
+                visit(child, None, path)
+            else:
+                visit(child, cls, path)
+
+    def add(fn, cls, where):
+        if fn.name.startswith("__") and fn.name != "__init__":
+            return
+        call = cls if fn.name == "__init__" else fn.name
+        bound = cls is not None and not any(
+            getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        a = fn.args
+        positional = (a.posonlyargs + a.args)[bound:]
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            out.append((call, arg.arg, i, where))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((call, arg.arg, None, where))
+
+    for path in sorted(LIBRARY.glob("*.py")):
+        visit(parse(path), None, path)
+    return out
+
+
+def call_sites():
+    """Per called name: (positional count, starred?, keywords, **kwargs?)."""
+    sites = {}
+    for root in CORPUS:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                sites.setdefault(name, []).append((
+                    len(node.args), any(isinstance(x, ast.Starred) for x in node.args),
+                    {k.arg for k in node.keywords}, any(k.arg is None for k in node.keywords)))
+    return sites
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call site in src/, tests/, bench/ or demos/
+    overrides is a constant: remove the parameter, or list it in
+    KEPT_DEFAULTS with the reason it stays.  Calls are matched by name, a
+    method call binding `self`; `name` parameters are exempt."""
+    sites = call_sites()
+
+    def passed(call, param, pos):
+        for npos, starred, kws, kwargs in sites.get(call, []):
+            if param in kws or kwargs or starred or (pos is not None and npos > pos):
+                return True
+        return False
+
+    unused = {(call, param): where for call, param, pos, where in defaulted_params()
+              if param != "name" and not passed(call, param, pos)}
+    flagged = sorted("%s(%s) at %s" % (c, p, w) for (c, p), w in unused.items()
+                     if (c, p) not in KEPT_DEFAULTS)
+    assert not flagged, "defaulted parameters no call site passes: " + ", ".join(flagged)
+    stale = sorted(k for k in KEPT_DEFAULTS if k not in unused)
+    assert not stale, "KEPT_DEFAULTS entries now passed or gone: %s" % stale

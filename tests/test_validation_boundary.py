@@ -101,6 +101,24 @@ def case_delta_op_and_elements(rng):
     return [ht.t_delta_op(rng.randint(1, 3)), el]
 
 
+def hom_functor_elements(p, x):
+    """The category of elements of Hom(x, -) on a finite category p through
+    `fincat.elements`, with its projection to p."""
+    el, okey, mkey = fc.elements(
+        "el", [(y, p.hom(x, y)) for y in p.objects],
+        {y: [(f, p.cod(f)) for f in p.out(y)] for y in p.objects},
+        p.comp, p.compose_table, p.identity,
+        lambda y, h: "(%s|%s)" % (y, h), lambda y, f, src, tgt: "%s:%s" % (f, src))
+    proj = fc.FinFunctor("proj", el, p, {oid: y for (y, h), oid in okey.items()},
+                         {mid: f for (y, h, f), mid in mkey.items()})
+    return el, proj
+
+
+def case_elements_of_hom_functor(rng):
+    p = rg.random_poset(rng, 4)
+    return list(hom_functor_elements(p, rng.choice(p.objects)))
+
+
 def case_gadget_fiber(rng):
     ok, cats = built(fc.FinCat, ht.gadget_comma_iso, 0, rng.randint(0, 1), 2)
     assert ok
@@ -331,6 +349,20 @@ def test_builder_output_validates(case, seed):
     assert objs
     for obj in objs:
         obj.validate()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_elements_of_hom_functor(seed):
+    """The coslice under x: one object per arrow x -> y, a discrete
+    opfibration over the poset, with (x, id_x) initial."""
+    rng = random.Random(seed)
+    p = rg.random_poset(rng, 4)
+    x = rng.choice(p.objects)
+    el, proj = hom_functor_elements(p, x)
+    assert fc.is_opfibration(proj)[0]
+    assert el.objects == tuple("(%s|%s)" % (y, h) for y in p.objects for h in p.hom(x, y))
+    start = "(%s|%s)" % (x, p.id_of(x))
+    assert all(len(el.hom(start, o)) == 1 for o in el.objects)
 
 
 def test_pipelines_never_call_validators(monkeypatch):
