@@ -271,7 +271,6 @@ def _compare_propfwd(args, rng):
 
 def _compare_theoremback(args, rng):
     from .randgen import random_split_terminal
-    site = fx.terminal_site()
     x = random_split_terminal(rng, trunc=2, max_nondeg=6)
     cmp_mor, _ = ht.comparison_to_simp(x, 2, 2, budget=300_000)
     v = at.quasi_iso(cmp_mor.underlying())

@@ -289,7 +289,7 @@ def comma_fiber_product(p: DiaMor, q: DiaMor):
     return dia, proj_p, proj_q
 
 
-def induced_comma_map(w: DiaMor, p1: DiaMor, p2: DiaMor, comma1, comma2):
+def induced_comma_map(w: DiaMor, comma1, comma2):
     """For a strict triangle p2 o w = p1 over a common target and the comma
     products comma1 = comma_fiber_product(p1, q) and comma2 =
     comma_fiber_product(p2, q) with one probe q : E -> target, the induced
@@ -297,7 +297,8 @@ def induced_comma_map(w: DiaMor, p1: DiaMor, p2: DiaMor, comma1, comma2):
 
         p1.src x_{/target} E  ->  p2.src x_{/target} E.
 
-    The triangle is not re-checked: the caller takes p1 from a composition
+    The commas carry all that is read of p1 and p2.  The triangle is a
+    precondition and is not checked: the caller takes p1 from a composition
     table, such as a `DiagramUniverse.comp` that has passed its `validate`.
     """
     c1, c1_p, c1_q = comma1

@@ -124,7 +124,7 @@ def localize_fractions(c: fc.FinCat, w) -> LocalizedCat:
     ok, why = _closed_class(c, w)
     if not ok:
         raise FractionsFailed("W is not a composition-closed wide class: %r" % (why,))
-    ok, _, failure = check_left_fractions(c, w)
+    ok, witnesses, failure = check_left_fractions(c, w)
     if not ok:
         raise FractionsFailed("no left calculus of fractions: %r" % (failure,))
 
@@ -174,26 +174,8 @@ def localize_fractions(c: fc.FinCat, w) -> LocalizedCat:
             class_of[(x, y, r)] = rep
         homs[(x, y)] = sorted(set(reps.values()), key=lambda r: (r.f, r.w))
 
-    completion_memo = {}
-
-    def completion(w1, f2):
-        """First square completion (F in W, G) for w1 in W against f2."""
-        key = (w1, f2)
-        if key in completion_memo:
-            return completion_memo[key]
-        z1, z2 = c.cod(w1), c.cod(f2)
-        for q in c.objects:
-            for cap_f in c.hom(z2, q):
-                if cap_f not in w:
-                    continue
-                for cap_g in c.hom(z1, q):
-                    if c.comp(cap_f, f2) == c.comp(cap_g, w1):
-                        completion_memo[key] = (cap_f, cap_g)
-                        return cap_f, cap_g
-        raise FractionsFailed("no completion for (%r, %r)" % (w1, f2))
-
     def compose_raw(r2: CospanRep, r1: CospanRep) -> CospanRep:
-        cap_f, cap_g = completion(r1.w, r2.f)
+        cap_f, cap_g = witnesses[("square", r1.w, r2.f)]
         return CospanRep(c.comp(cap_g, r1.f), c.comp(cap_f, r2.w))
 
     comp_table = {}

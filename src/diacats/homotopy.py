@@ -509,17 +509,6 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
             pb_cache[key] = res
         return pb_cache[key]
 
-    levels = [[(u, v) for u in nv.full_level(n) for v in x.full_level(n)]
-              for n in range(trunc + 1)]
-
-    def face_fn(n, i, e):
-        u, v = e
-        return (nv.apply(sp.mt_delta(i, n), u), x.apply(sp.mt_delta(i, n), v))
-
-    def degen_fn(n, j, e):
-        u, v = e
-        return (nv.apply(sp.mt_sigma(j, n), u), x.apply(sp.mt_sigma(j, n), v))
-
     def label_fn(e):
         u, v = e
         return apex2(u[1], v[1])[0]
@@ -538,8 +527,8 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
             raise LimitAbsent("no unique face map on the nerve side")
         return cands[0]
 
-    rhs, canon, ids, elem_of = sp.from_full_levels_split(
-        cat, trunc, levels, face_fn, degen_fn, label_fn, part_fn, None, "NxX")
+    rhs = sp.with_labels(cat, sp.simpset_product(nv.uset, x.uset, "NxX"),
+                         label_fn, part_fn)[0]
     bij = sp.split_isomorphic(lhs, rhs)
     return bij, lhs, rhs
 
@@ -597,7 +586,6 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
     Structural only: no fibrancy handling, no homotopy invariance claim.
     """
     slices, slice_nerves, prods = {}, {}, {}
-    incl = {}
     for i in shape.objects:
         sl, proj, okey, mkey = fc.slice_over(fc.FinFunctor.identity(shape), i)
         slices[i] = (sl, okey, mkey)

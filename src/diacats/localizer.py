@@ -316,7 +316,6 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
     for wid, wm in u.morphisms.items():
         for p2id, p2m in by_src.get(wm.tgt, []):
             p1id = u.comp[(p2id, wid)]
-            p1m = u.morphisms[p1id]
             d3 = p2m.mor.tgt
             resolved = {}
             all_ok = True
@@ -331,7 +330,7 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
                     for member in fam:
                         if (k, member) not in resolved:
                             resolved[(k, member)] = _induced_mid(
-                                translator, wm.mor, p1m.mor, p2m.mor,
+                                translator, wm.mor,
                                 comma(p1id, k, member), comma(p2id, k, member))
                         mid = resolved[(k, member)]
                         if mid is None:
@@ -369,14 +368,14 @@ def _translated_comma(u, translator, p, k, member):
     return comma, translation
 
 
-def _induced_mid(translator, w, p1, p2, comma1, comma2):
+def _induced_mid(translator, w, comma1, comma2):
     """The universe id of the induced map between two translated commas,
     as `_translated_comma` returns them, or None."""
     if comma1 is None or comma2 is None:
         return None
     (c1, r1), (c2, r2) = comma1, comma2
     try:
-        induced = dg.induced_comma_map(w, p1, p2, c1, c2)
+        induced = dg.induced_comma_map(w, c1, c2)
     except LimitAbsent:
         return None
     return translator.translate_mor(induced, r1, r2)
@@ -468,7 +467,6 @@ def adjunction_instances(u: DiagramUniverse):
                     ok, _ = fc.check_adjunction(w)
                     if not ok:
                         continue
-                    scat = m.src.scat
                     T = m.tgt.labels
                     partner = dg.DiaMor(
                         m.tgt, m.src, p,
@@ -566,7 +564,6 @@ def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
     l3s, l3_skipped = l3_instances(u, refine_bound, translator)
     l4s = l4_instances(u, trunc)
     classes = homotopy_classes(u)
-    class_of = {m: root for root, ms in classes.items() for m in ms}
     adjs = adjunction_instances(u)
 
     for mid in ws1:

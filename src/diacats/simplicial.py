@@ -449,20 +449,18 @@ def from_full_levels(trunc, levels, face_fn, degen_fn, id_fn=None, name="X"):
     return sset, canon, ids, elem_of
 
 
-def from_full_levels_split(scat, trunc, levels, face_fn, degen_fn,
-                           label_fn, part_fn, id_fn=None, name="X"):
-    """Split variant: `label_fn(e)` and `part_fn(n, i, e)` supply carrier
-    objects and face label-parts.  Degeneracies must preserve labels."""
-    sset, canon, ids, elem_of = from_full_levels(
-        trunc, levels, face_fn, degen_fn, id_fn, name)
+def with_labels(scat, built, label_fn, part_fn):
+    """Label a :func:`from_full_levels` result as a split object over scat:
+    `label_fn(e)` gives the carrier of each nondegenerate element and
+    `part_fn(n, i, e)` the part of its face d_i.  Degeneracies must
+    preserve labels."""
+    sset, canon, ids, elem_of = built
     label, part = {}, {}
     for (n, e), sid in ids.items():
         label[sid] = label_fn(e)
-        for i in range(n + 1):
-            if n == 0:
-                break
+        for i in range(n + 1 if n else 0):
             part[(sid, i)] = part_fn(n, i, e)
-    obj = SplitSimpObj(scat, sset, label, part, name)
+    obj = SplitSimpObj(scat, sset, label, part, sset.name)
     return obj, canon, ids, elem_of
 
 
@@ -521,20 +519,9 @@ def inclusion_map(a: SimpSet, b: SimpSet) -> SimpMap:
 
 
 def simpset_product(a: SimpSet, b: SimpSet, name=None):
-    """Product simplicial set, normalized (jointly nondegenerate pairs)."""
-    trunc = min(a.trunc, b.trunc)
-    levels = [[(u, v) for u in a.full_level(n) for v in b.full_level(n)]
-              for n in range(trunc + 1)]
-
-    def face_fn(n, i, e):
-        return (a.apply(mt_delta(i, n), e[0]), b.apply(mt_delta(i, n), e[1]))
-
-    def degen_fn(n, j, e):
-        return (a.apply(mt_sigma(j, n), e[0]), b.apply(mt_sigma(j, n), e[1]))
-
-    sset, canon, ids, elem_of = from_full_levels(
-        trunc, levels, face_fn, degen_fn, None, name or ("%sx%s" % (a.name, b.name)))
-    return sset, canon, ids, elem_of
+    """Product simplicial set, normalized (jointly nondegenerate pairs):
+    the diagonal of the external product."""
+    return diagonal(external_product(a, b), name or ("%sx%s" % (a.name, b.name)))
 
 
 def prism_horn(n, e, trunc):
@@ -606,26 +593,12 @@ def tensor(k: SimpSet, x: SplitSimpObj, name=None) -> SplitSimpObj:
     The result carries `nd_elem` (nondegenerate id -> (level, pair)) and
     `elem_canon` ((level, pair) -> value) for exact pair bookkeeping.
     """
-    trunc = min(k.trunc, x.trunc)
-    levels = [[(u, v) for u in k.full_level(n) for v in x.full_level(n)]
-              for n in range(trunc + 1)]
-
-    def face_fn(n, i, e):
-        return (k.apply(mt_delta(i, n), e[0]), x.apply(mt_delta(i, n), e[1]))
-
-    def degen_fn(n, j, e):
-        return (k.apply(mt_sigma(j, n), e[0]), x.apply(mt_sigma(j, n), e[1]))
-
-    def label_fn(e):
-        return x.label[e[1][1]]
-
     def part_fn(n, i, e):
-        _, p = x.apply_with_part(mt_delta(i, n), e[1])
-        return p
+        return x.apply_with_part(mt_delta(i, n), e[1])[1]
 
-    obj, canon, ids, elem_of = from_full_levels_split(
-        x.scat, trunc, levels, face_fn, degen_fn, label_fn, part_fn, None,
-        name or ("%s(x)%s" % (k.name, x.name)))
+    obj, canon, ids, elem_of = with_labels(
+        x.scat, simpset_product(k, x.uset, name or ("%s(x)%s" % (k.name, x.name))),
+        lambda e: x.label[e[1][1]], part_fn)
     obj.nd_elem = elem_of
     obj.elem_canon = canon
     return obj
@@ -732,13 +705,10 @@ def diagonal(bi: BisimpSplit, name=None):
     def degen_fn(n, j, e):
         return bi.vdegen(n + 1, n, j, bi.hdegen(n, n, j, e))
 
+    built = from_full_levels(trunc, levels, face_fn, degen_fn, None,
+                             name or ("diag(%s)" % bi.name))
     if bi.label is None:
-        sset, canon, ids, elem_of = from_full_levels(
-            trunc, levels, face_fn, degen_fn, None, name or ("diag(%s)" % bi.name))
-        return sset, canon, ids, elem_of
-
-    def label_fn(e):
-        return bi.label(e)
+        return built
 
     def part_fn(n, i, e):
         p1 = bi.hpart(n, n, i, e)
@@ -746,10 +716,7 @@ def diagonal(bi: BisimpSplit, name=None):
         p2 = bi.vpart(n - 1, n, i, e1)
         return bi.scat.comp(p2, p1)
 
-    obj, canon, ids, elem_of = from_full_levels_split(
-        bi.scat, trunc, levels, face_fn, degen_fn, label_fn, part_fn, None,
-        name or ("diag(%s)" % bi.name))
-    return obj, canon, ids, elem_of
+    return with_labels(bi.scat, built, bi.label, part_fn)
 
 
 # ---------------------------------------------------------------------------

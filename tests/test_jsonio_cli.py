@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -91,6 +92,29 @@ def test_cli_determinism(tmp_path):
     run_cli(["tw", "--cat", str(cat_file), "--variant", "tw", "--out", str(o1)])
     run_cli(["tw", "--cat", str(cat_file), "--variant", "tw", "--out", str(o2)])
     assert o1.read_bytes() == o2.read_bytes()
+
+
+# sha256 of the `hocolim` report below, recorded before `simpset_product`,
+# `tensor` and the base-change nerve side were rebuilt on the diagonal.
+HOCOLIM_GOLDEN = "812ba28d0c585c8fabd6122f3c15d66e01f046a1f2d7805f96fd606c26541126"
+
+
+def test_cli_hocolim_golden(tmp_path):
+    """The constant split object on {a,b,c} over the shape [1] at
+    truncation 2: the report of the diagonal path is pinned byte for byte."""
+    ps = fx.pseudocircle_site()
+    shape = fc.chain_category(1)
+    x = sp.constant_split(ps.cat, "{a,b,c}", 2)
+    ident = {"val": {s: [list(sp.mt_id(k)), s] for k, l in enumerate(x.levels) for s in l},
+             "part": {s: ps.cat.id_of(x.label[s]) for l in x.levels for s in l}}
+    functor = tmp_path / "f.json"
+    functor.write_text(io.dumps({"shape": io.encode_fincat(shape),
+                                 "objects": {a: io.encode_split(x) for a in shape.objects},
+                                 "morphisms": {m.id: ident for m in shape.morphisms}}))
+    out = tmp_path / "r.json"
+    assert run_cli(["hocolim", "--site", "pseudocircle", "--functor", str(functor),
+                    "--trunc", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HOCOLIM_GOLDEN
 
 
 def test_cli_cech_and_limits(tmp_path):

@@ -57,7 +57,7 @@ def reference_comma_mid(u, translator, w, p1, p2, k, member):
                                 {"*": k}, {"id_*": p1.tgt.shape.id_of(k)}),
                   {"*": member})
     try:
-        induced = dg.induced_comma_map(w, p1, p2, dg.comma_fiber_product(p1, q),
+        induced = dg.induced_comma_map(w, dg.comma_fiber_product(p1, q),
                                        dg.comma_fiber_product(p2, q))
     except (LimitAbsent, TargetMismatch):
         return None
@@ -351,8 +351,7 @@ def test_l3_pseudocircle_split_cover_instance():
         q = dg.DiaMor(probe, top, fc.FinFunctor("k", probe.shape, top.shape,
                                                 {"*": "*"}, {"id_*": "id_*"}),
                       {"*": member}).validate()
-        induced = dg.induced_comma_map(w_mor, w_mor, p2,
-                                       dg.comma_fiber_product(w_mor, q),
+        induced = dg.induced_comma_map(w_mor, dg.comma_fiber_product(w_mor, q),
                                        dg.comma_fiber_product(p2, q))
         induced.validate()
         universe.add_object(induced.src)

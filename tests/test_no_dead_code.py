@@ -5,6 +5,8 @@ included, must be referenced by name (a bare name or an attribute) somewhere
 in `src/`, `tests/`, `bench/` or `demos/` outside its own body.  Dunder
 methods are called by the language and are exempt.  A second scan requires
 every parameter with a default to be passed by some call in that corpus.
+A third requires every local a library def assigns to be read somewhere in
+that def.
 """
 
 import ast
@@ -132,3 +134,47 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not flagged, "defaulted parameters no call site passes: " + ", ".join(flagged)
     stale = sorted(k for k in KEPT_DEFAULTS if k not in unused)
     assert not stale, "KEPT_DEFAULTS entries now passed or gone: %s" % stale
+
+
+def dead_locals(tree):
+    """(function, name, line) for each name a def binds by a plain
+    single-name assignment in its own scope and never reads anywhere in
+    its body, nested defs included.  Tuple unpacking is exempt, and so
+    are names declared global or nonlocal."""
+    out = []
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+    def own_nodes(fn):
+        stack = list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, scopes):
+                stack.extend(ast.iter_child_nodes(node))
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        outer = {name for n in own_nodes(fn)
+                 if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id not in read | outer:
+                    out.append((fn.name, t.id, node.lineno))
+    return out
+
+
+def test_no_dead_local_assignments():
+    """A value assigned to a local name that nothing reads is dead code."""
+    dead = sorted("%s in %s (%s:%d)" % (name, fn, path.relative_to(ROOT), line)
+                  for path in sorted(LIBRARY.glob("*.py"))
+                  for fn, name, line in dead_locals(parse(path)))
+    assert not dead, "locals assigned but never read: " + ", ".join(dead)

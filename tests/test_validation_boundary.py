@@ -234,7 +234,7 @@ def case_induced_comma_map(rng):
     p2 = collapse_to(w.tgt, TOP)
     q = probe(PS.cat, rng.choice(["{a,b,c}", "{a,b,d}"]) + "<=" + TOP, p2.tgt)
     p1 = w.then(p2)
-    induced = dg.induced_comma_map(w, p1, p2, dg.comma_fiber_product(p1, q),
+    induced = dg.induced_comma_map(w, dg.comma_fiber_product(p1, q),
                                    dg.comma_fiber_product(p2, q))
     return [induced, induced.src, induced.tgt]
 
