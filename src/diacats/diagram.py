@@ -289,38 +289,65 @@ def comma_fiber_product(p: DiaMor, q: DiaMor):
     return dia, proj_p, proj_q
 
 
+def comma_rows(comma, iso=None):
+    """What `induced_rows` reads of a comma (dia, pr to p.src, pr to E) in
+    the names `iso` gives (its own when None): object rows (name, (i, e,
+    phi), label, leg to p.src, leg to E) and morphism rows (name, n1, n2, u,
+    v) with n1, n2 the row numbers of its ends, both sorted by name, and the
+    maps (i, e, phi) -> row number and (n1, n2, u, v) -> name."""
+    c, c_p, c_q = comma
+    ob = iso.object_map if iso else {o: o for o in c.shape.objects}
+    mo = iso.morphism_map if iso else {m.id: m.id for m in c.shape.morphisms}
+    order = sorted(c.comma_okey.items(), key=lambda ko: ob[ko[1]])
+    row_of = {o: n for n, (k, o) in enumerate(order)}
+    objs = [(ob[o], k, c.labels.ob(o), c_p.label_transf[o], c_q.label_transf[o])
+            for k, o in order]
+    mkeys = {(row_of[o1], row_of[o2], u, v): mo[m]
+             for (o1, o2, u, v), m in c.comma_mkey.items()}
+    mors = sorted((m,) + k for k, m in mkeys.items())
+    return objs, {k: n for n, (k, o) in enumerate(order)}, mors, mkeys
+
+
+def induced_rows(w: DiaMor, rows1, rows2):
+    """`induced_comma_map` between two `comma_rows` as (object pairs,
+    morphism pairs, label parts) in their names, sorted by source name, or
+    None when an object has no unique label map."""
+    (objs1, _, mors1, _), (objs2, row2, _, mkeys2) = rows1, rows2
+    scat, a, wl = w.src.scat, w.shape_map, w.label_transf
+    image, labels = [], []
+    for name, (i, e, phi), lab, leg_s, leg_t in objs1:
+        n = row2[(a.object_map[i], e, phi)]
+        _, _, lab2, leg_s2, leg_t2 = objs2[n]
+        want_s = scat.comp(wl[i], leg_s)
+        cands = [h for h in scat.hom(lab, lab2)
+                 if scat.comp(leg_s2, h) == want_s and scat.comp(leg_t2, h) == leg_t]
+        if len(cands) != 1:
+            return None
+        image.append(n)
+        labels.append((name, cands[0]))
+    return (tuple((row[0], objs2[n][0]) for row, n in zip(objs1, image)),
+            tuple((name, mkeys2[(image[n1], image[n2], a.morphism_map[u], v)])
+                  for name, n1, n2, u, v in mors1),
+            tuple(labels))
+
+
 def induced_comma_map(w: DiaMor, comma1, comma2):
     """For a strict triangle p2 o w = p1 over a common target and the comma
     products comma1 = comma_fiber_product(p1, q) and comma2 =
     comma_fiber_product(p2, q) with one probe q : E -> target, the induced
     morphism
 
-        p1.src x_{/target} E  ->  p2.src x_{/target} E.
+        p1.src x_{/target} E  ->  p2.src x_{/target} E,
 
-    The commas carry all that is read of p1 and p2.  The triangle is a
-    precondition and is not checked: the caller takes p1 from a composition
-    table, such as a `DiagramUniverse.comp` that has passed its `validate`.
+    `induced_rows` on the commas' own names.  The triangle is a precondition
+    and is not checked: the caller takes p1 from a composition table, such
+    as a `DiagramUniverse.comp` that has passed its `validate`.
     """
-    c1, c1_p, c1_q = comma1
-    c2, c2_p, c2_q = comma2
-    scat = w.src.scat
-    omap, mmap, lt = {}, {}, {}
-    for (i, e, phi), oid in c1.comma_okey.items():
-        tgt_key = (w.shape_map.ob(i), e, phi)
-        oid2 = c2.comma_okey[tgt_key]
-        omap[oid] = oid2
-        want_s = scat.comp(w.label_transf[i], c1_p.label_transf[oid])
-        want_t = c1_q.label_transf[oid]
-        cands = [h for h in scat.hom(c1.labels.ob(oid), c2.labels.ob(oid2))
-                 if scat.comp(c2_p.label_transf[oid2], h) == want_s
-                 and scat.comp(c2_q.label_transf[oid2], h) == want_t]
-        if len(cands) != 1:
-            raise LimitAbsent("no unique induced comma label at %r" % oid)
-        lt[oid] = cands[0]
-    for (o1, o2, u, v), mid in c1.comma_mkey.items():
-        mmap[mid] = c2.comma_mkey[(omap[o1], omap[o2], w.shape_map.mo(u), v)]
-    shape_map = fc.FinFunctor("w_k", c1.shape, c2.shape, omap, mmap)
-    return DiaMor(c1, c2, shape_map, lt, "induced")
+    parts = induced_rows(w, comma_rows(comma1), comma_rows(comma2))
+    if parts is None:
+        raise LimitAbsent("no unique induced comma label")
+    (c1, *_), (c2, *_), (omap, mmap, lt) = comma1, comma2, parts
+    return DiaMor(c1, c2, fc.FinFunctor("w_k", c1.shape, c2.shape, omap, mmap), lt, "induced")
 
 
 # ---------------------------------------------------------------------------

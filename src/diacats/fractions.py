@@ -79,11 +79,12 @@ def check_left_fractions(c: fc.FinCat, w):
 
 def _closed_class(c: fc.FinCat, w):
     w = set(w)
+    ordered = [m.id for m in c.morphisms if m.id in w]  # a witness free of set order
     for x in c.objects:
         if c.id_of(x) not in w:
             return False, ("identity", x)
-    for a in w:
-        for b in w:
+    for a in ordered:
+        for b in ordered:
             if c.cod(a) == c.dom(b) and c.comp(b, a) not in w:
                 return False, ("composition", a, b)
     return True, None

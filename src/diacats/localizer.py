@@ -203,13 +203,11 @@ class ShapeTranslator:
                 return oid, iso
         return None
 
-    def translate_mor(self, m: dg.DiaMor, rs=None, rt=None):
-        """The universe morphism conjugate to m by translations rs of m.src
-        and rt of m.tgt, found by endpoint ids and maps in universe
-        coordinates; None when either endpoint or the conjugate is absent.
-        Translations not given are computed."""
-        rs = rs or self.translate(m.src)
-        rt = rt or self.translate(m.tgt)
+    def translate_mor(self, m: dg.DiaMor):
+        """The universe morphism conjugate to m by the translations of m.src
+        and m.tgt, found by endpoint ids and maps in universe coordinates;
+        None when either endpoint or the conjugate is absent."""
+        rs, rt = self.translate(m.src), self.translate(m.tgt)
         if rs is None or rt is None:
             return None
         (so, siso), (to, tiso) = rs, rt
@@ -241,11 +239,12 @@ def _final_collapse(d: dg.DiaObj):
 
 def ws_instances(u: DiagramUniverse):
     """(WS1), (WS2), (WS3) instances over the universe."""
-    ws1 = [self_id for self_id in u.identity.values()]
+    ws1 = list(u.identity.values())
+    identities = set(ws1)
     ws2 = [(f, g, h) for (g, f), h in u.comp.items()]
     ws3 = []
     for (p, s), h in u.comp.items():
-        if h in u.identity.values() and (s, p) in u.comp:
+        if h in identities and (s, p) in u.comp:
             ws3.append((p, s, u.comp[(s, p)]))
     return ws1, ws2, ws3
 
@@ -294,9 +293,10 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
 
     A comma product depends on one universe morphism, not on the triangle:
     each `p x_{/D3} (k, U_member)` is built and translated once per
-    (morphism id, k, member), and the induced map w_k only when both of
-    its endpoints translate into the universe.  w_k is resolved through
-    those two translations by endpoint ids, so no diagram is keyed for it.
+    (morphism id, k, member) and kept as its `dg.comma_rows` in universe
+    names.  w_k is resolved only when both commas translate, by one pass of
+    `dg.induced_rows` that emits the universe index key in order: no dict,
+    functor, diagram morphism or sort is built, no diagram keyed, per map.
     """
     translator = translator or ShapeTranslator(u)
     site = u.site
@@ -330,8 +330,8 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
                     for member in fam:
                         if (k, member) not in resolved:
                             resolved[(k, member)] = _induced_mid(
-                                translator, wm.mor,
-                                comma(p1id, k, member), comma(p2id, k, member))
+                                u, wm.mor, comma(p1id, k, member),
+                                comma(p2id, k, member))
                         mid = resolved[(k, member)]
                         if mid is None:
                             break
@@ -350,9 +350,9 @@ def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
 
 
 def _translated_comma(u, translator, p, k, member):
-    """(p x_{/D3} (k, U_member) as comma_fiber_product returns it, its
-    translation onto the universe), or None when it is absent or has no
-    isomorphic copy in the universe."""
+    """(universe oid, `dg.comma_rows` in universe names) of p x_{/D3}
+    (k, U_member), or None when it is absent or has no isomorphic copy in
+    the universe."""
     probe = dg.point_dia(u.site.cat, u.site.cat.dom(member))
     q = dg.DiaMor(probe, p.tgt,
                   fc.FinFunctor("k", probe.shape, p.tgt.shape,
@@ -363,22 +363,13 @@ def _translated_comma(u, translator, p, k, member):
     except (LimitAbsent, TargetMismatch):
         return None
     translation = translator.translate(comma[0])
-    if translation is None:
-        return None
-    return comma, translation
+    return translation and (translation[0], dg.comma_rows(comma, translation[1]))
 
 
-def _induced_mid(translator, w, comma1, comma2):
-    """The universe id of the induced map between two translated commas,
-    as `_translated_comma` returns them, or None."""
-    if comma1 is None or comma2 is None:
-        return None
-    (c1, r1), (c2, r2) = comma1, comma2
-    try:
-        induced = dg.induced_comma_map(w, c1, c2)
-    except LimitAbsent:
-        return None
-    return translator.translate_mor(induced, r1, r2)
+def _induced_mid(u, w, comma1, comma2):
+    """The universe id of w_k between two `_translated_comma`s, or None."""
+    parts = comma1 and comma2 and dg.induced_rows(w, comma1[1], comma2[1])
+    return parts and u._index.get((comma1[0], comma2[0]) + parts)
 
 
 def l4_instances(u: DiagramUniverse, trunc: int = 3):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -143,6 +144,28 @@ def test_cli_localize(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["inverted"] == ["0<=0", "0<=1", "1<=1"]
     assert all(v == 1 for v in rep["class_counts"].values())
+
+
+def test_cli_localize_rejection_independent_of_hash_seed(tmp_path):
+    """W on [3] misses the composites 0<=3 and 1<=3: the reported pair is
+    the same under every string hash seed."""
+    c = fc.chain_category(3)
+    cat_file = tmp_path / "c.json"
+    cat_file.write_text(io.dumps(io.encode_fincat(c)))
+    weq = tmp_path / "w.json"
+    weq.write_text(json.dumps([c.id_of(x) for x in c.objects]
+                              + ["0<=1", "1<=2", "2<=3", "0<=2"]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    errs = set()
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diacats.cli", "localize", "--cat", str(cat_file),
+             "--weq", str(weq)], capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src))
+        assert proc.returncode == 1
+        errs.add(proc.stderr)
+    assert len(errs) == 1
+    assert b"composition-closed" in errs.pop()
 
 
 def test_cli_localizer_closure(tmp_path):

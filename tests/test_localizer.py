@@ -41,6 +41,22 @@ def span_universe():
     return lc.universe_from(TS, [i1, pt, pt, gro], all_mors=True)
 
 
+def pseudocircle_universe():
+    """Point diagrams on X = {a,b,c,d}, its cover U, V and their meet, and
+    U <= X on the shape [1], over the pseudocircle: every comma label is a
+    meet, and the legs of a label to p.src and to the probe differ, which
+    the terminal site cannot show."""
+    c1 = fc.chain_category(1)
+    u_le_x = dg.DiaObj(c1, fc.FinFunctor(
+        "lbl", c1, PS.cat, {"0": "{a,b,c}", "1": "{a,b,c,d}"},
+        {c1.id_of("0"): PS.cat.id_of("{a,b,c}"),
+         c1.id_of("1"): PS.cat.id_of("{a,b,c,d}"),
+         "0<=1": "{a,b,c}<={a,b,c,d}"}), "U<=X")
+    points = [dg.point_dia(PS.cat, x, x)
+              for x in ("{a,b,c,d}", "{a,b,c}", "{a,b,d}", "{a,b}")]
+    return lc.universe_from(PS, points + [u_le_x], all_mors=True)
+
+
 def d2_labelled(a, b):
     """The discrete shape D2 over the pseudocircle, object x labelled a and
     object y labelled b."""
@@ -50,6 +66,31 @@ def d2_labelled(a, b):
         {shape.id_of("x"): PS.cat.id_of(a), shape.id_of("y"): PS.cat.id_of(b)}))
 
 
+def reference_induced_comma_map(w, comma1, comma2):
+    """The earlier `dg.induced_comma_map`: a dict per map, the label search
+    in comma key order, a FinFunctor and a DiaMor."""
+    c1, c1_p, c1_q = comma1
+    c2, c2_p, c2_q = comma2
+    scat = w.src.scat
+    omap, mmap, lt = {}, {}, {}
+    for (i, e, phi), oid in c1.comma_okey.items():
+        tgt_key = (w.shape_map.ob(i), e, phi)
+        oid2 = c2.comma_okey[tgt_key]
+        omap[oid] = oid2
+        want_s = scat.comp(w.label_transf[i], c1_p.label_transf[oid])
+        want_t = c1_q.label_transf[oid]
+        cands = [h for h in scat.hom(c1.labels.ob(oid), c2.labels.ob(oid2))
+                 if scat.comp(c2_p.label_transf[oid2], h) == want_s
+                 and scat.comp(c2_q.label_transf[oid2], h) == want_t]
+        if len(cands) != 1:
+            raise LimitAbsent("no unique induced comma label at %r" % oid)
+        lt[oid] = cands[0]
+    for (o1, o2, u, v), mid in c1.comma_mkey.items():
+        mmap[mid] = c2.comma_mkey[(omap[o1], omap[o2], w.shape_map.mo(u), v)]
+    shape_map = fc.FinFunctor("w_k", c1.shape, c2.shape, omap, mmap)
+    return dg.DiaMor(c1, c2, shape_map, lt, "induced")
+
+
 def reference_comma_mid(u, translator, w, p1, p2, k, member):
     probe = dg.point_dia(u.site.cat, u.site.cat.dom(member))
     q = dg.DiaMor(probe, p1.tgt,
@@ -57,8 +98,8 @@ def reference_comma_mid(u, translator, w, p1, p2, k, member):
                                 {"*": k}, {"id_*": p1.tgt.shape.id_of(k)}),
                   {"*": member})
     try:
-        induced = dg.induced_comma_map(w, dg.comma_fiber_product(p1, q),
-                                       dg.comma_fiber_product(p2, q))
+        induced = reference_induced_comma_map(w, dg.comma_fiber_product(p1, q),
+                                              dg.comma_fiber_product(p2, q))
     except (LimitAbsent, TargetMismatch):
         return None
     return translator.translate_mor(induced)
@@ -387,7 +428,8 @@ def test_cover_families_refinement_bound():
     assert len(fams2) >= len(fams1)
 
 
-@pytest.mark.parametrize("make", [poset_subuniverse, span_universe])
+@pytest.mark.parametrize("make", [poset_subuniverse, span_universe,
+                                  pseudocircle_universe])
 def test_l3_instances_match_per_triangle_reference(make):
     u = make()
     instances, skipped = lc.l3_instances(u)
@@ -395,7 +437,8 @@ def test_l3_instances_match_per_triangle_reference(make):
     assert (instances, skipped) == reference_l3_instances(u)
 
 
-@pytest.mark.parametrize("make", [poset_subuniverse, span_universe])
+@pytest.mark.parametrize("make", [poset_subuniverse, span_universe,
+                                  pseudocircle_universe])
 def test_closure_matches_reference_l3(make, monkeypatch):
     u = make()
     w = lc.closure_fixpoint(lc.MorClass(), u)
@@ -436,3 +479,88 @@ def test_adjunction_enumerates_functors_once_per_pair(monkeypatch):
     monkeypatch.setattr(fc, "all_functors", counting)
     assert lc.adjunction_instances(u)
     assert calls and max(calls.values()) == 1
+
+
+def test_pseudocircle_universe_resolves_split_covers():
+    """The pseudocircle cases of the reference tests above reach the
+    {U, V} cover, where a label map swapping its legs would be lost."""
+    instances, _ = lc.l3_instances(pseudocircle_universe())
+    assert any(len(fam) > 1 for (_, _, per_k) in instances
+               for (_, fams) in per_k for (fam, _) in fams)
+
+
+def idempotent_monoid():
+    """One object and the monoid {1, e} with e e = e: e o h = e for both h,
+    so a label search can have two candidates."""
+    comp = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+    return fc.FinCat("idem", ["*"], [fc.Mor("1", "*", "*"), fc.Mor("e", "*", "*")],
+                     {"*": "1"}, comp).validate()
+
+
+@pytest.mark.parametrize("legs2, leg_t, found", [
+    (("1", "1"), "e", "e"),     # one candidate
+    (("1", "1"), "1", None),    # h = e and h = 1: none
+    (("e", "e"), "e", None),    # e o 1 = e o e: two
+], ids=["one", "none", "two"])
+def test_induced_rows_needs_exactly_one_label(legs2, leg_t, found):
+    """One object row each way, w with label part e: the induced label h
+    must satisfy leg_s2 h = e and leg_t2 h = leg_t, and any count of
+    candidates other than one gives None."""
+    cat = idempotent_monoid()
+    pt = dg.point_dia(cat, "*")
+    w = dg.DiaMor(pt, pt, fc.FinFunctor.identity(pt.shape), {"*": "e"})
+    key = ("*", "*", "1")
+    rows1 = ([("a", key, "*", "1", leg_t)], {key: 0}, [], {})
+    rows2 = ([("b", key, "*") + legs2], {key: 0}, [], {})
+    got = dg.induced_rows(w, rows1, rows2)
+    assert got == (None if found is None else ((("a", "b"),), (), (("a", found),)))
+
+
+def test_induced_comma_map_raises_without_a_label():
+    """Commas over different probes have no induced map: the wrapper
+    raises `LimitAbsent` where the kernel gives None."""
+    cat, x = PS.cat, "{a,b,c,d}"
+    top, u_dia = dg.point_dia(cat, x), dg.point_dia(cat, "{a,b,c}")
+    w = dg.all_dia_mors(u_dia, top)[0]
+
+    def probe(member):
+        pt = dg.point_dia(cat, cat.dom(member))
+        return dg.DiaMor(pt, top, fc.FinFunctor.identity(pt.shape), {"*": member})
+
+    c1 = dg.comma_fiber_product(w, probe("{a,b,c}<=%s" % x))
+    c2 = dg.comma_fiber_product(dg.DiaMor.identity(top), probe("{a,b,d}<=%s" % x))
+    with pytest.raises(LimitAbsent):
+        dg.induced_comma_map(w, c1, c2)
+
+
+def test_l3_builds_no_functor_per_induced_map(monkeypatch):
+    """Induced comma maps resolve from the rows of their cached commas:
+    `induced_comma_map` never runs, and every FinFunctor is built while a
+    comma is built and translated, none per induced map."""
+    u = span_universe()
+    calls, building = Counter(), []
+    real_init, real_comma = fc.FinFunctor.__init__, lc._translated_comma
+    real_induced = dg.induced_comma_map
+
+    def counting_init(self, *args, **kwargs):
+        calls["inside" if building else "outside"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_comma(*args):
+        calls["commas"] += 1
+        building.append(True)
+        try:
+            return real_comma(*args)
+        finally:
+            building.pop()
+
+    def counting_induced(*args):
+        calls["induced"] += 1
+        return real_induced(*args)
+
+    monkeypatch.setattr(fc.FinFunctor, "__init__", counting_init)
+    monkeypatch.setattr(lc, "_translated_comma", counting_comma)
+    monkeypatch.setattr(dg, "induced_comma_map", counting_induced)
+    instances, _ = lc.l3_instances(u)
+    assert instances and calls["commas"] and calls["inside"]
+    assert calls["induced"] == calls["outside"] == 0
