@@ -64,10 +64,14 @@ def int_simpset(k: sp.SimpSet, trunc=None, name=None):
     map); the projection to :func:`t_delta_op` is an opfibration.
     """
     trunc = k.trunc if trunc is None else min(trunc, k.trunc)
+    return _int_elements(k, trunc, name or ("int(%s)" % k.name), k.apply)
+
+
+def _int_elements(k: sp.SimpSet, trunc: int, name: str, act):
+    """The element category of `int_simpset`, with `act(g, v)` = g* v."""
     out, comp, ident, text = _delta_op_tables(trunc)
     return fc.elements(
-        name or ("int(%s)" % k.name), [(n, k.full_level(n)) for n in out], out,
-        k.apply, comp, ident,
+        name, [(n, k.full_level(n)) for n in out], out, act, comp, ident,
         lambda n, v: "e(%d|%s|%s)" % (n, text[v[0]], v[1]),
         lambda n, g, src, tgt: "g(%s|%s->%s)" % (text[g], src, tgt))
 
@@ -85,15 +89,19 @@ class IntAmalgResult:
 
 def int_amalg(x: sp.SplitSimpObj, trunc=None) -> IntAmalgResult:
     """The category of elements of a split simplicial object, labeled by
-    the carrier of each element."""
+    the carrier of each element.  Each operator is applied once: the part
+    of a morphism is read off the application that finds its target."""
     trunc = x.trunc if trunc is None else min(trunc, x.trunc)
-    cat, okey, mkey = int_simpset(x.uset, trunc)
+    parts = {}
+
+    def act(g, v):
+        w, parts[(g, v)] = x.apply_with_part(g, v)
+        return w
+
+    cat, okey, mkey = _int_elements(x.uset, trunc, "int(%s)" % x.uset.name, act)
     tshape = t_delta_op(trunc)
     lab_ob = {oid: x.label[v[1]] for (n, v), oid in okey.items()}
-    lab_mo = {}
-    for (n, v, g), mid in mkey.items():
-        _, p = x.apply_with_part(g, v)
-        lab_mo[mid] = p
+    lab_mo = {mid: parts[(g, v)] for (n, v, g), mid in mkey.items()}
     labels = fc.FinFunctor("lbl", cat, x.scat, lab_ob, lab_mo)
     dia = dg.DiaObj(cat, labels, "int(%s)" % x.name)
     proj = fc.FinFunctor("proj", cat, tshape,
@@ -269,6 +277,11 @@ def comparison_to_simp(x: sp.SplitSimpObj, nerve_trunc: int, int_trunc=None,
     last-vertex map, matching the orientation of the element category as
     an opfibration over the truncated simplex-opposite shape.
 
+    Each chain extends its parent by one arrow, so its composite and phi
+    extend the parent's by one step; only the previous level's walks are
+    kept.  Pulling back along phi runs once per distinct (phi, simplex)
+    pair, however many chains share it.
+
     `budget` bounds the total nondegenerate chain count; the exact
     forecast is consulted first and BudgetExceeded raised when the nerve
     would not fit."""
@@ -283,20 +296,22 @@ def comparison_to_simp(x: sp.SplitSimpObj, nerve_trunc: int, int_trunc=None,
     ia = int_amalg(x, int_trunc)
     nerve_ia = dg.nerve(ia.dia, nerve_trunc)
     mor_op = {mid: g for (n, v, g), mid in ia.mkey.items()}
-    val, part = {}, {}
-    for lev, ids in enumerate(nerve_ia.levels):
+    val, part, applied, walk = {}, {}, {}, {}
+    for ids in nerve_ia.levels:
+        parent, walk = walk, {}
         for sid in ids:
-            start_oid, ms = nerve_ia.chain_of[sid]
+            chain = start_oid, ms = nerve_ia.chain_of[sid]
             n0, v0 = ia.index[start_oid]
-            phi = [0]
-            comp = sp.mt_id(n0)
-            for m in ms:
-                comp = sp.mt_comp(comp, mor_op[m])
-                phi.append(comp[0])
-            phi = tuple(phi)
-            w, p = x.apply_with_part(phi, v0)
-            val[sid] = w
-            part[sid] = p
+            if ms:
+                comp, phi = parent[(start_oid, ms[:-1])]
+                comp = sp.mt_comp(comp, mor_op[ms[-1]])
+                phi += (comp[0],)
+            else:
+                comp, phi = sp.mt_id(n0), (0,)
+            walk[chain] = comp, phi
+            if (phi, v0) not in applied:
+                applied[(phi, v0)] = x.apply_with_part(phi, v0)
+            val[sid], part[sid] = applied[(phi, v0)]
     return sp.SplitMor(nerve_ia, x, val, part, "firstvertex"), ia
 
 

@@ -77,6 +77,141 @@ def test_comparison_to_simp_random():
         assert at.quasi_iso(cmp_mor.underlying()).ok
 
 
+def reference_comparison_loop(x, ia, nerve_ia):
+    """The per-chain loop `comparison_to_simp` ran before each chain's walk
+    was extended from its parent's and each application was memoized: the
+    whole operator walk is composed and applied again for every chain.
+    Returns (val, part, the (phi, v0) key of every chain)."""
+    mor_op = {mid: g for (n, v, g), mid in ia.mkey.items()}
+    val, part, keys = {}, {}, {}
+    for lev, ids in enumerate(nerve_ia.levels):
+        for sid in ids:
+            start_oid, ms = nerve_ia.chain_of[sid]
+            n0, v0 = ia.index[start_oid]
+            phi = [0]
+            comp = sp.mt_id(n0)
+            for m in ms:
+                comp = sp.mt_comp(comp, mor_op[m])
+                phi.append(comp[0])
+            phi = tuple(phi)
+            w, p = x.apply_with_part(phi, v0)
+            val[sid] = w
+            part[sid] = p
+            keys[sid] = (phi, v0)
+    return val, part, keys
+
+
+def reference_int_amalg(x, trunc):
+    """`int_amalg`'s labels and projection as built before each part was
+    read off the application in `int_simpset`: every operator is applied a
+    second time through `apply_with_part`."""
+    cat, okey, mkey = ht.int_simpset(x.uset, trunc)
+    tshape = ht.t_delta_op(trunc)
+    lab_ob = {oid: x.label[v[1]] for (n, v), oid in okey.items()}
+    lab_mo = {}
+    for (n, v, g), mid in mkey.items():
+        _, p = x.apply_with_part(g, v)
+        lab_mo[mid] = p
+    labels = fc.FinFunctor("lbl", cat, x.scat, lab_ob, lab_mo)
+    proj = fc.FinFunctor("proj", cat, tshape,
+                         {oid: "[%d]" % n for (n, v), oid in okey.items()},
+                         {mid: tshape.op_key[(n, len(g) - 1, g)]
+                          for (n, v, g), mid in mkey.items()})
+    return labels, proj
+
+
+def companion_objects():
+    """The 25 objects of the criterion 01 companion, in its draw order."""
+    rng = random.Random(1)
+    return [rg.random_split_terminal(rng, 3, 8) for _ in range(25)]
+
+
+def has_nonidentity(scat, parts):
+    return any(not scat.is_identity(p) for p in parts)
+
+
+def shrinking_delta2():
+    """Delta_2 over the pseudocircle with carriers that shrink as the
+    dimension grows, so that every face part is a non-identity.  The
+    objects of `random_split_over` move their carrier only along d_0,
+    which the first-vertex comparison never walks."""
+    d = sp.delta_simpset(2, 2)
+    lab = {"(0)": "{a,b,c,d}", "(1)": "{a,b,c,d}", "(2)": "{a,b,c,d}",
+           "(0,1)": "{a,b,c}", "(0,2)": "{a,b,d}", "(1,2)": "{a,b}", "(0,1,2)": "{a}"}
+    part = {(s, i): "%s<=%s" % (lab[s], lab[nd]) for (s, i), (_, nd) in d.faces.items()}
+    return sp.SplitSimpObj(PS.cat, d, lab, part, "shrinking").validate()
+
+
+def comparison_pin_inputs():
+    over = [rg.random_split_over(random.Random(s), PS, 2) for s in range(40)]
+    assert any(has_nonidentity(x.scat, x.part.values()) for x in over)
+    fixtures = [sp.as_split(TS.cat, sset, "*") for sset in
+                [sp.delta_simpset(0, 2), sp.delta_simpset(1, 2), sp.boundary_delta(2, 2)]]
+    return companion_objects() + over + fixtures + [shrinking_delta2()]
+
+
+def test_comparison_to_simp_matches_reference_loop():
+    nonidentity = 0
+    for x in comparison_pin_inputs():
+        cmp_mor, ia = ht.comparison_to_simp(x, 2, 2, budget=500_000)
+        cmp_mor.validate()
+        val, part, _ = reference_comparison_loop(x, ia, cmp_mor.src)
+        assert cmp_mor.val == val
+        assert cmp_mor.part == part
+        nonidentity += has_nonidentity(x.scat, part.values())
+    assert nonidentity > 0
+
+
+def counting_apply_steps(monkeypatch):
+    calls = []
+    real = sp.SimpSet.apply_steps
+
+    def counting(self, op, value):
+        calls.append(op)
+        return real(self, op, value)
+
+    monkeypatch.setattr(sp.SimpSet, "apply_steps", counting)
+    return calls
+
+
+def test_comparison_to_simp_applies_once_per_key(monkeypatch):
+    x = companion_objects()[0]
+    calls = counting_apply_steps(monkeypatch)
+    cmp_mor, ia = ht.comparison_to_simp(x, 2, 2, budget=500_000)
+    made = len(calls)
+    monkeypatch.undo()
+    _, _, keys = reference_comparison_loop(x, ia, cmp_mor.src)
+    assert made <= len(set(keys.values())) + len(ia.dia.shape.morphisms)
+    assert made < len(keys)
+
+
+@pytest.mark.parametrize("source", ["companion", "over", "nerve", "shrinking"])
+def test_int_amalg_applies_each_operator_once(monkeypatch, source):
+    if source == "companion":
+        xs = companion_objects()[:5]
+    elif source == "over":
+        xs = [x for x in (rg.random_split_over(random.Random(s), PS, 2) for s in range(40))
+              if has_nonidentity(x.scat, x.part.values())]
+    elif source == "nerve":
+        xs = [dg.nerve(rg.random_diaobj(random.Random(s), PS, 3), 2) for s in range(3)]
+    else:
+        xs = [shrinking_delta2()]
+    for x in xs:
+        calls = counting_apply_steps(monkeypatch)
+        ia = ht.int_amalg(x)
+        made = len(calls)
+        monkeypatch.undo()
+        assert made == len(ia.dia.shape.morphisms)
+        labels, proj = reference_int_amalg(x, x.trunc)
+        for got, ref in [(ia.dia.labels, labels), (ia.proj, proj)]:
+            assert got.name == ref.name
+            assert list(got.object_map.items()) == list(ref.object_map.items())
+            assert list(got.morphism_map.items()) == list(ref.morphism_map.items())
+            assert got.source.objects == ref.source.objects
+            assert got.source.morphisms == ref.source.morphisms
+            assert got.target.name == ref.target.name
+
+
 def test_comparison_budget_guard():
     x = sp.as_split(TS.cat, sp.delta_simpset(1, 4), "*")
     with pytest.raises(BudgetExceeded):

@@ -118,6 +118,21 @@ def test_cli_hocolim_golden(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HOCOLIM_GOLDEN
 
 
+COMPARE_GOLDEN = {
+    ("theoremback", "3"): "e54ef747d652d4913e1ca4c30ddc05ab5a8a63147a85fd38b94a027aed5baea4",
+    ("pointwiseint", "1"): "97fa734a2447782ec2965b68098b525a134a356ea7cb8d08729afb56620af127",
+}
+
+
+@pytest.mark.parametrize("check,seed", sorted(COMPARE_GOLDEN))
+def test_cli_compare_golden(tmp_path, check, seed):
+    """`theoremback` runs `comparison_to_simp` and `pointwiseint` runs
+    `int_amalg`: both reports are pinned byte for byte."""
+    out = tmp_path / "r.json"
+    assert run_cli(["compare", check, "--seed", seed, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_GOLDEN[(check, seed)]
+
+
 def test_cli_cech_and_limits(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(["cech", "--site", "pseudocircle",
