@@ -409,54 +409,34 @@ class ContractCert:
         return False
 
 
-def _deletable(cat: fc.FinCat, objs, x):
+def _deletable(cat: fc.FinCat, op: fc.FinCat, objs, x):
     """Can x be deleted from the full subcategory on objs by an adjunction?
 
     True when the inclusion of objs - {x} admits a right adjoint
-    (a coreflection of x) or a left adjoint (a reflection of x).  Hom-sets
-    among `objs` agree with the ambient category, so the ambient hom data
-    is used directly.
+    (a coreflection of x) or a left adjoint (a reflection of x, which is a
+    coreflection in op = cat^op).  Hom-sets among `objs` agree with the
+    ambient category, so the ambient hom data is used directly.
     """
     rest = [y for y in objs if y != x]
     if not rest:
         return None
-    # coreflection: d with eps: d -> x such that Hom(d', d) ~ Hom(d', x)
-    for d in rest:
-        for eps in cat.hom(d, x):
-            ok = True
-            for d2 in rest:
-                for h in cat.hom(d2, x):
-                    lifts = [u for u in cat.hom(d2, d) if cat.comp(eps, u) == h]
-                    if len(lifts) != 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return ("coreflection", d, eps)
-    # reflection: d with eta: x -> d such that Hom(d, d') ~ Hom(x, d')
-    for d in rest:
-        for eta in cat.hom(x, d):
-            ok = True
-            for d2 in rest:
-                for h in cat.hom(x, d2):
-                    lifts = [u for u in cat.hom(d, d2) if cat.comp(u, eta) == h]
-                    if len(lifts) != 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return ("reflection", d, eta)
+    for kind, c in (("coreflection", cat), ("reflection", op)):
+        # d with eps: d -> x such that eps o - : Hom(d', d) ~ Hom(d', x)
+        for d in rest:
+            for eps in c.hom(d, x):
+                if all(fc.factor(c, d2, d, [(eps, h)]) is not None
+                       for d2 in rest for h in c.hom(d2, x)):
+                    return (kind, d, eps)
     return None
 
 
 def _verify_deletion_chain(cat: fc.FinCat, chain) -> bool:
     objs = list(cat.objects)
+    op = cat.opposite()
     for (x, witness) in chain:
         if x not in objs:
             return False
-        if _deletable(cat, objs, x) is None:
+        if _deletable(cat, op, objs, x) is None:
             return False
         objs.remove(x)
     return len(objs) == 1
@@ -477,11 +457,12 @@ def contractibility_certificate(cat: fc.FinCat, trunc: int = 4):
     if ext["final"] is not None:
         return ContractCert("FinalObject", ext["final"])
     objs = list(cat.objects)
+    op = cat.opposite()
     chain = []
     while len(objs) > 1:
         step = None
         for x in sorted(objs):
-            w = _deletable(cat, objs, x)
+            w = _deletable(cat, op, objs, x)
             if w is not None:
                 step = (x, w)
                 break

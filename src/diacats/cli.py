@@ -61,7 +61,7 @@ def _emit(args, payload):
 
 
 def _emit_dot(args, cat):
-    if getattr(args, "dot", None):
+    if args.dot:
         with open(args.dot, "w") as f:
             f.write(fc.to_dot(cat) + "\n")
 
@@ -350,52 +350,57 @@ def cmd_compare(args):
 # ---------------------------------------------------------------------------
 
 
+def _flag(*names, **kwargs):
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trunc", type=int, default=6,
-                        help="truncation dimension (default 6)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--refine-bound", dest="refine_bound", type=int,
-                        default=2)
-    common.add_argument("--out", default=None)
-    common.add_argument("--dot", default=None)
+    out = _flag("--out", default=None)
+    trunc = _flag("--trunc", type=int, default=6,
+                  help="truncation dimension (default 6)")
+    seed = _flag("--seed", type=int, default=0)
+    refine = _flag("--refine-bound", dest="refine_bound", type=int, default=2)
+    dot = _flag("--dot", default=None)
     p = argparse.ArgumentParser(prog="diacats",
                                 description="finite-category homotopy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name):
-        return sub.add_parser(name, parents=[common])
+    def add_parser(name, *flags):
+        """A subcommand with --out and the flags it reads."""
+        return sub.add_parser(name, parents=[out, *flags])
 
-    sp_ = add_parser("validate")
+    sp_ = add_parser("validate", dot)
     sp_.add_argument("--cat")
     sp_.add_argument("--site")
     sp_.set_defaults(fn=cmd_validate)
 
-    sp_ = add_parser("nerve")
+    sp_ = add_parser("nerve", trunc)
     sp_.add_argument("--dia", required=True)
     sp_.add_argument("--site", required=True)
     sp_.set_defaults(fn=cmd_nerve)
 
-    sp_ = add_parser("groth")
+    sp_ = add_parser("groth", dot)
     sp_.add_argument("--functor", required=True)
     sp_.add_argument("--site", required=True)
     sp_.set_defaults(fn=cmd_groth)
 
-    sp_ = add_parser("int-amalg")
+    sp_ = add_parser("int-amalg", trunc, dot)
     sp_.add_argument("--ssimp", required=True)
     sp_.add_argument("--site", required=True)
     sp_.set_defaults(fn=cmd_int_amalg)
 
-    sp_ = add_parser("hocolim")
+    sp_ = add_parser("hocolim", trunc)
     sp_.add_argument("--functor", required=True)
     sp_.add_argument("--site", required=True)
     sp_.set_defaults(fn=cmd_hocolim)
 
-    sp_ = add_parser("holim")
+    sp_ = add_parser("holim", trunc)
     sp_.add_argument("--functor", required=True)
     sp_.set_defaults(fn=cmd_holim)
 
-    sp_ = add_parser("cech")
+    sp_ = add_parser("cech", trunc)
     sp_.add_argument("--site", required=True)
     sp_.add_argument("--family", nargs="+", required=True)
     sp_.set_defaults(fn=cmd_cech)
@@ -412,12 +417,12 @@ def build_parser():
     sp_.add_argument("--map", required=True)
     sp_.set_defaults(fn=cmd_quasi_iso)
 
-    sp_ = add_parser("localizer-check")
+    sp_ = add_parser("localizer-check", trunc, refine)
     sp_.add_argument("--universe", required=True)
     sp_.add_argument("--weq")
     sp_.set_defaults(fn=cmd_localizer_check)
 
-    sp_ = add_parser("localizer-closure")
+    sp_ = add_parser("localizer-closure", trunc, refine)
     sp_.add_argument("--universe", required=True)
     sp_.add_argument("--seed-file", dest="seed_file", default=None)
     sp_.set_defaults(fn=cmd_localizer_closure)
@@ -427,7 +432,7 @@ def build_parser():
     sp_.add_argument("--weq", required=True)
     sp_.set_defaults(fn=cmd_localize)
 
-    sp_ = add_parser("tw")
+    sp_ = add_parser("tw", dot)
     sp_.add_argument("--cat", required=True)
     sp_.add_argument("--variant", choices=["tw", "twc"], default="tw")
     sp_.set_defaults(fn=cmd_tw)
@@ -438,7 +443,7 @@ def build_parser():
     sp_.add_argument("--pullback", nargs=2)
     sp_.set_defaults(fn=cmd_limits)
 
-    sp_ = add_parser("compare")
+    sp_ = add_parser("compare", trunc, seed)
     sp_.add_argument("check")
     sp_.set_defaults(fn=cmd_compare)
     return p
@@ -447,9 +452,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "homology" and args.trunc < 2:
-        sys.stderr.write("homology needs --trunc >= 2\n")
-        return 2
     try:
         return args.fn(args)
     except (SchemaError, InvalidSimplicial, InvalidFunctor, InvalidNatTransf) as exc:

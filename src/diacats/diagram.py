@@ -274,12 +274,10 @@ def comma_fiber_product(p: DiaMor, q: DiaMor):
     for (o1, o2, u, v), mid in mkey.items():
         want_s = scat.comp(S.mo(u), leg_s[o1])
         want_t = scat.comp(T.mo(v), leg_t[o1])
-        cands = [h for h in scat.hom(label_ob[o1], label_ob[o2])
-                 if scat.comp(leg_s[o2], h) == want_s
-                 and scat.comp(leg_t[o2], h) == want_t]
-        if len(cands) != 1:
+        label_mo[mid] = fc.factor(scat, label_ob[o1], label_ob[o2],
+                                  [(leg_s[o2], want_s), (leg_t[o2], want_t)])
+        if label_mo[mid] is None:
             raise LimitAbsent("no unique comma label map at %r" % mid)
-        label_mo[mid] = cands[0]
     labels = fc.FinFunctor("lbl", shape, scat, label_ob, label_mo)
     dia = DiaObj(shape, labels, "%s x/%s %s" % (p.src.name, p.tgt.name, q.src.name))
     proj_p = DiaMor(dia, p.src, pr_i, {oid: leg_s[oid] for oid in label_ob}, "pr1")
@@ -318,13 +316,12 @@ def induced_rows(w: DiaMor, rows1, rows2):
     for name, (i, e, phi), lab, leg_s, leg_t in objs1:
         n = row2[(a.object_map[i], e, phi)]
         _, _, lab2, leg_s2, leg_t2 = objs2[n]
-        want_s = scat.comp(wl[i], leg_s)
-        cands = [h for h in scat.hom(lab, lab2)
-                 if scat.comp(leg_s2, h) == want_s and scat.comp(leg_t2, h) == leg_t]
-        if len(cands) != 1:
+        h = fc.factor(scat, lab, lab2,
+                      [(leg_s2, scat.comp(wl[i], leg_s)), (leg_t2, leg_t)])
+        if h is None:
             return None
         image.append(n)
-        labels.append((name, cands[0]))
+        labels.append((name, h))
     return (tuple((row[0], objs2[n][0]) for row, n in zip(objs1, image)),
             tuple((name, mkeys2[(image[n1], image[n2], a.morphism_map[u], v)])
                   for name, n1, n2, u, v in mors1),

@@ -54,14 +54,14 @@ class FinCat:
         self.identity = dict(identity)
         self.compose_table = dict(compose)
         self._mor_by_id = {m.id: m for m in self.morphisms}
-        self._hom = {}
+        self._hom, self._out, self._in = {}, {}, {}
         for m in self.morphisms:
             self._hom.setdefault((m.dom, m.cod), []).append(m.id)
-        self._out = {}
-        self._in = {}
-        for m in self.morphisms:
             self._out.setdefault(m.dom, []).append(m.id)
             self._in.setdefault(m.cod, []).append(m.id)
+        for index in (self._hom, self._out, self._in):
+            for k, ids in index.items():
+                index[k] = tuple(ids)
 
     # -- basic queries ----------------------------------------------------
 
@@ -74,14 +74,14 @@ class FinCat:
     def cod(self, mid: str) -> str:
         return self._mor_by_id[mid].cod
 
-    def hom(self, x: str, y: str) -> list:
-        return list(self._hom.get((x, y), []))
+    def hom(self, x: str, y: str) -> tuple:
+        return self._hom.get((x, y), ())
 
-    def out(self, x: str) -> list:
-        return list(self._out.get(x, []))
+    def out(self, x: str) -> tuple:
+        return self._out.get(x, ())
 
-    def into(self, x: str) -> list:
-        return list(self._in.get(x, []))
+    def into(self, x: str) -> tuple:
+        return self._in.get(x, ())
 
     def id_of(self, x: str) -> str:
         return self.identity[x]
@@ -480,6 +480,32 @@ def check_adjunction(w: AdjunctionWitness):
     return True, None
 
 
+def left_adjoint(s: FinFunctor):
+    """A left adjoint p of s : I -> J with its unit id_J => s o p, or None.
+
+    Mac Lane's criterion (CWM, Thm IV.1.2): s has a left adjoint iff every
+    slice j x_{/J} I has an initial object.  (p(j), unit_j) is the first
+    initial object of :func:`slice_under` in canonical order, and p(g) for
+    g : j -> j' is the unique slice arrow out of it to (p(j'), unit_j' o g).
+    """
+    I, J = s.source, s.target
+    omap, unit, under = {}, {}, {}
+    for j in J.objects:
+        sl, proj, okey, _ = slice_under(j, s)
+        init = detect_extremal(sl)["initial"]
+        if init is None:
+            return None
+        _, omap[j], unit[j] = {o: k for k, o in okey.items()}[init]
+        under[j] = sl, proj, okey, init
+    mmap = {}
+    for g in J.morphisms:
+        sl, proj, okey, init = under[g.dom]
+        to = okey[("*", omap[g.cod], J.comp(unit[g.cod], g.id))]
+        mmap[g.id] = proj.mo(sl.hom(init, to)[0])
+    p = FinFunctor("F", J, I, omap, mmap)
+    return p, NatTransf(FinFunctor.identity(J), p.then(s), unit)
+
+
 # ---------------------------------------------------------------------------
 # comma constructions
 
@@ -654,6 +680,18 @@ def _cones(D: FinFunctor):
     return cones
 
 
+def factor(C: FinCat, a: str, b: str, cone):
+    """The unique u : a -> b with C.comp(leg, u) == want for every
+    (leg, want) in `cone`, or None when no u or more than one u fits."""
+    found = None
+    for u in C.hom(a, b):
+        if all(C.comp(leg, u) == want for leg, want in cone):
+            if found is not None:
+                return None
+            found = u
+    return found
+
+
 def limit_cone(D: FinFunctor):
     """Brute-force limit of D : J -> C; returns (apex, legs) or None.
 
@@ -663,14 +701,8 @@ def limit_cone(D: FinFunctor):
     J, C = D.source, D.target
     cones = _cones(D)
     for apex, legs in cones:
-        universal = True
-        for apex2, legs2 in cones:
-            facts = [u for u in C.hom(apex2, apex)
-                     if all(C.comp(legs[j], u) == legs2[j] for j in J.objects)]
-            if len(facts) != 1:
-                universal = False
-                break
-        if universal:
+        if all(factor(C, apex2, apex, [(legs[j], legs2[j]) for j in J.objects])
+               is not None for apex2, legs2 in cones):
             return apex, legs
     return None
 

@@ -94,7 +94,7 @@ def _closed_class(c: fc.FinCat, w):
 class LocalizedCat:
     base: fc.FinCat
     w: set
-    homs: dict                 # (x, y) -> list of representative CospanReps
+    homs: dict                 # (x, y) -> tuple of representative CospanReps
     class_of: dict             # (x, y, CospanRep) -> representative
     comp_table: dict           # (rep2, rep1) -> rep of the composite
     loc: dict                  # base morphism id -> its class representative
@@ -103,7 +103,7 @@ class LocalizedCat:
         return self.comp_table[(g, f)]
 
     def hom(self, x, y):
-        return list(self.homs.get((x, y), []))
+        return self.homs.get((x, y), ())
 
     def is_iso_class(self, x, y, rep: CospanRep):
         idx = self.loc[self.base.id_of(x)]
@@ -173,7 +173,7 @@ def localize_fractions(c: fc.FinCat, w) -> LocalizedCat:
                 reps[m] = rep
         for r, rep in reps.items():
             class_of[(x, y, r)] = rep
-        homs[(x, y)] = sorted(set(reps.values()), key=lambda r: (r.f, r.w))
+        homs[(x, y)] = tuple(sorted(set(reps.values()), key=lambda r: (r.f, r.w)))
 
     def compose_raw(r2: CospanRep, r1: CospanRep) -> CospanRep:
         cap_f, cap_g = witnesses[("square", r1.w, r2.f)]

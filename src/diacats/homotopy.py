@@ -464,13 +464,10 @@ def fiber_product_split(site: Site, f_leg: str, x: sp.SplitSimpObj, aug,
                 nd2 = x.uset.faces[(s, i)][1]
                 a1, la1, lx1 = apex(s)
                 a2, la2, lx2 = apex(nd2)
-                want_a = la1
-                want_x = cat.comp(x.part[(s, i)], lx1)
-                cands = [h for h in cat.hom(a1, a2)
-                         if cat.comp(la2, h) == want_a and cat.comp(lx2, h) == want_x]
-                if len(cands) != 1:
+                part[(s, i)] = fc.factor(cat, a1, a2, [
+                    (la2, la1), (lx2, cat.comp(x.part[(s, i)], lx1))])
+                if part[(s, i)] is None:
                     raise LimitAbsent("no unique induced map between fiber products")
-                part[(s, i)] = cands[0]
     obj = sp.SplitSimpObj(cat, x.uset, label, part,
                           name or ("%sx%s" % (f_leg, x.name)))
     obj.pb_legs = {s: pb_cache[s] for l in x.levels for s in l}
@@ -499,13 +496,10 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
                 val[nd] = (sp.mt_id(lev), nd)
                 a1, la1, lx1 = obs[i].pb_legs[nd]
                 a2, la2, lx2 = obs[j].pb_legs[nd]
-                want_a = cat.comp(d.labels.mo(m.id), la1)
-                want_x = lx1
-                cands = [h for h in cat.hom(a1, a2)
-                         if cat.comp(la2, h) == want_a and cat.comp(lx2, h) == want_x]
-                if len(cands) != 1:
+                part[nd] = fc.factor(cat, a1, a2, [
+                    (la2, cat.comp(d.labels.mo(m.id), la1)), (lx2, lx1)])
+                if part[nd] is None:
                     raise LimitAbsent("no unique transport %r along %r" % (nd, m.id))
-                part[nd] = cands[0]
         mos[m.id] = sp.SplitMor(obs[i], obs[j], val, part, m.id)
     xd = SplitDiagram(shape, obs, mos, "FxX")
     lhs, _ = hocolim_bk(xd, trunc)
@@ -534,13 +528,10 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
         v2, pv = x.apply_with_part(sp.mt_delta(i, n), v)
         a1, lf1, lx1 = apex2(u[1], v[1])
         a2, lf2, lx2 = apex2(u2[1], v2[1])
-        want_f = cat.comp(pu, lf1)
-        want_x = cat.comp(pv, lx1)
-        cands = [h for h in cat.hom(a1, a2)
-                 if cat.comp(lf2, h) == want_f and cat.comp(lx2, h) == want_x]
-        if len(cands) != 1:
+        h = fc.factor(cat, a1, a2, [(lf2, cat.comp(pu, lf1)), (lx2, cat.comp(pv, lx1))])
+        if h is None:
             raise LimitAbsent("no unique face map on the nerve side")
-        return cands[0]
+        return h
 
     rhs = sp.with_labels(cat, sp.simpset_product(nv.uset, x.uset, "NxX"),
                          label_fn, part_fn)[0]

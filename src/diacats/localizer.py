@@ -372,6 +372,18 @@ def _induced_mid(u, w, comma1, comma2):
     return parts and u._index.get((comma1[0], comma2[0]) + parts)
 
 
+def _certified(parts, trunc):
+    """[(j, certificate kind)] when every (j, category) in `parts` carries a
+    sufficient contractibility certificate, else None."""
+    certs = []
+    for j, cat in parts:
+        cert = at.contractibility_certificate(cat, trunc)
+        if cert is None or cert.necessary_only:
+            return None
+        certs.append((j, cert.kind))
+    return certs
+
+
 def l4_instances(u: DiagramUniverse, trunc: int = 3):
     """Pure-diagram-type morphisms whose slices (or fibers, for
     fibrations) all carry a sufficient contractibility certificate."""
@@ -380,31 +392,13 @@ def l4_instances(u: DiagramUniverse, trunc: int = 3):
         m = um.mor
         if not m.is_pure_diagram_type():
             continue
-        alpha = m.shape_map
-        certs = []
-        ok = True
-        for j in m.tgt.shape.objects:
-            sl, _, _, _ = fc.slice_under(j, alpha)
-            cert = at.contractibility_certificate(sl, trunc)
-            if cert is None or cert.necessary_only:
-                ok = False
-                break
-            certs.append((j, cert.kind))
-        if ok:
+        alpha, js = m.shape_map, m.tgt.shape.objects
+        certs = _certified(((j, fc.slice_under(j, alpha)[0]) for j in js), trunc)
+        if certs is not None:
             out.append((mid, "slices", certs))
-            continue
-        fib_ok, _ = fc.is_fibration(alpha)
-        if fib_ok:
-            certs = []
-            ok = True
-            for j in m.tgt.shape.objects:
-                fb, _ = fc.fiber(alpha, j)
-                cert = at.contractibility_certificate(fb, trunc)
-                if cert is None or cert.necessary_only:
-                    ok = False
-                    break
-                certs.append((j, cert.kind))
-            if ok:
+        elif fc.is_fibration(alpha)[0]:
+            certs = _certified(((j, fc.fiber(alpha, j)[0]) for j in js), trunc)
+            if certs is not None:
                 out.append((mid, "fibers", certs))
     return out
 
@@ -438,43 +432,23 @@ def homotopy_classes(u: DiagramUniverse):
 
 def adjunction_instances(u: DiagramUniverse):
     """Morphisms of the form (s, id) with s a right adjoint, together with
-    the partner (p, unit-induced) when present in the universe."""
+    the partner (p, unit-induced) when present in the universe; p and its
+    unit come from `fc.left_adjoint`.  Since the labels of such a morphism
+    are those of its target pulled back along s, the partner is a diagram
+    morphism by the unit's naturality."""
     out = []
-    # keyed by the shape objects themselves: composition and the adjunction
-    # check compare categories by identity
-    functors = {}
     for mid, um in u.morphisms.items():
         m = um.mor
         if not m.is_pure_diagram_type():
             continue
-        s = m.shape_map
-        I, J = s.source, s.target
-        if (J, I) not in functors:
-            functors[(J, I)] = fc.all_functors(J, I)
-        for p in functors[(J, I)]:
-            for unit in fc.all_nat_transfs(fc.FinFunctor.identity(J), p.then(s)):
-                for counit in fc.all_nat_transfs(s.then(p), fc.FinFunctor.identity(I)):
-                    w = fc.AdjunctionWitness(p, s, unit, counit)
-                    ok, _ = fc.check_adjunction(w)
-                    if not ok:
-                        continue
-                    T = m.tgt.labels
-                    partner = dg.DiaMor(
-                        m.tgt, m.src, p,
-                        {j: T.mo(unit.at(j)) for j in J.objects}, "padj")
-                    try:
-                        partner.validate()
-                    except Exception:
-                        continue
-                    pid = u.lookup(partner)
-                    out.append((mid, pid, p.name))
-                    break
-                else:
-                    continue
-                break
-            else:
-                continue
-            break
+        adj = fc.left_adjoint(m.shape_map)
+        if adj is None:
+            continue
+        p, unit = adj
+        T = m.tgt.labels
+        partner = dg.DiaMor(m.tgt, m.src, p,
+                            {j: T.mo(unit.at(j)) for j in p.source.objects}, "padj")
+        out.append((mid, u.lookup(partner), p.name))
     return out
 
 

@@ -882,11 +882,10 @@ def cech_cover(site, family, trunc, name=None):
         asml, legs = apex_of(tsmall)
         if set(legb) == set(legs):
             return cat.id_of(abig)
-        cands = [h for h in cat.hom(abig, asml)
-                 if all(cat.comp(legs[m], h) == legb[m] for m in legs)]
-        if len(cands) != 1:
+        h = fc.factor(cat, abig, asml, [(legs[m], legb[m]) for m in legs])
+        if h is None:
             raise LimitAbsent("no unique projection between fiber powers")
-        return cands[0]
+        return h
 
     levels = [[] for _ in range(trunc + 1)]
     faces, label, part = {}, {}, {}

@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 from diacats import algtop as at
 from diacats import fincat as fc
 from diacats import fixtures as fx
+from diacats import homotopy as ht
 from diacats import simplicial as sp
 
 
@@ -144,8 +145,69 @@ def test_adjunction_chain_implies_collapse_quasi_iso():
     assert at.quasi_iso(sp.SimpMap(n, pt, vals).validate()).ok
 
 
+def reference_deletable(cat, objs, x):
+    """`at._deletable` as it was before `fc.factor`: two hand-written
+    lift searches, the reflection one on cat itself."""
+    rest = [y for y in objs if y != x]
+    if not rest:
+        return None
+    for d in rest:
+        for eps in cat.hom(d, x):
+            ok = True
+            for d2 in rest:
+                for h in cat.hom(d2, x):
+                    lifts = [u for u in cat.hom(d2, d) if cat.comp(eps, u) == h]
+                    if len(lifts) != 1:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return ("coreflection", d, eps)
+    for d in rest:
+        for eta in cat.hom(x, d):
+            ok = True
+            for d2 in rest:
+                for h in cat.hom(x, d2):
+                    lifts = [u for u in cat.hom(d, d2) if cat.comp(u, eta) == h]
+                    if len(lifts) != 1:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return ("reflection", d, eta)
+    return None
+
+
+def test_deletable_matches_reference():
+    """Every object of random posets (seeds 0-59), the zig-zags, the fence,
+    and the element category of Delta1 x Delta1 at truncation 1, in the
+    full category and with its first object removed."""
+    from diacats import randgen as rg
+    prod = sp.simpset_product(sp.delta_simpset(1, 1), sp.delta_simpset(1, 1))[0]
+    cats = [rg.random_poset(random.Random(s), 5) for s in range(60)]
+    cats += [fx.xi_zigzag(n) for n in range(1, 5)] + [fx.fence_poset(), fx.cone_poset(),
+                                                     ht.int_simpset(prod, 1)[0]]
+    kinds = set()
+    for cat in cats:
+        op = cat.opposite()
+        for objs in (list(cat.objects), list(cat.objects[1:])):
+            for x in objs:
+                got = at._deletable(cat, op, objs, x)
+                assert got == reference_deletable(cat, objs, x), (cat.name, objs, x)
+                kinds.add(got and got[0])
+    assert kinds == {None, "coreflection", "reflection"}
+
+
 def test_homology_point_cert_is_necessary_only():
     # a category whose nerve has point homology in low range gets the
     # necessary-only marker when extremal deletion gets stuck
     cert = at.contractibility_certificate(fx.cone_poset())
     assert cert.kind == "FinalObject" and not cert.necessary_only
+    # the element category of Delta1 x Delta1 has no extremal object and no
+    # deletion chain, but its nerve has point homology through degree 1
+    prod = sp.simpset_product(sp.delta_simpset(1, 2), sp.delta_simpset(1, 2))[0]
+    cat, _, _ = ht.int_simpset(prod, 2)
+    cert = at.contractibility_certificate(cat, 2)
+    assert cert.kind == "HomologyPoint" and cert.necessary_only

@@ -132,6 +132,119 @@ def test_adjunction_inclusion_collapse():
     assert ok, fail
 
 
+def idempotent_monoid():
+    """One object and {1, e} with e e = e: e o h = e for both h."""
+    comp = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+    return fc.FinCat("idem", ["*"], [fc.Mor("1", "*", "*"), fc.Mor("e", "*", "*")],
+                     {"*": "1"}, comp).validate()
+
+
+def cyclic_group(n):
+    els = ["g%d" % k for k in range(n)]
+    return fc.FinCat("Z%d" % n, ["o"], [fc.Mor(g, "o", "o") for g in els], {"o": "g0"},
+                     {(els[a], els[b]): els[(a + b) % n]
+                      for a in range(n) for b in range(n)}).validate()
+
+
+def walking_iso():
+    m = fc.Mor
+    return fc.FinCat("Iso", ["a", "b"],
+                     [m("1a", "a", "a"), m("1b", "b", "b"), m("f", "a", "b"), m("g", "b", "a")],
+                     {"a": "1a", "b": "1b"},
+                     {("1a", "1a"): "1a", ("1b", "1b"): "1b", ("f", "1a"): "f",
+                      ("1b", "f"): "f", ("g", "1b"): "g", ("1a", "g"): "g",
+                      ("g", "f"): "1a", ("f", "g"): "1b"}).validate()
+
+
+def with_terminal(c):
+    """c with a new terminal object T."""
+    mors = list(c.morphisms) + [fc.Mor("1T", "T", "T")]
+    mors += [fc.Mor("%s>T" % x, x, "T") for x in c.objects]
+    comp = dict(c.compose_table)
+    comp[("1T", "1T")] = "1T"
+    for m in c.morphisms:
+        comp[("%s>T" % m.cod, m.id)] = "%s>T" % m.dom
+    for x in c.objects:
+        comp[("1T", "%s>T" % x)] = "%s>T" % x
+    return fc.FinCat(c.name + "+T", list(c.objects) + ["T"], mors,
+                     dict(c.identity, T="1T"), comp).validate()
+
+
+def with_initial(c):
+    """c with a new initial object T."""
+    op = with_terminal(c.opposite()).opposite()
+    return fc.FinCat(c.name + "+I", op.objects, op.morphisms, op.identity,
+                     op.compose_table).validate()
+
+
+def test_factor_needs_exactly_one_map():
+    c = idempotent_monoid()
+    assert fc.factor(c, "*", "*", [("1", "e")]) == "e"
+    assert fc.factor(c, "*", "*", [("e", "e")]) is None   # 1 and e both fit
+    assert fc.factor(c, "*", "*", [("e", "1")]) is None   # nothing fits
+    assert fc.factor(c, "*", "*", []) is None             # no constraint: two maps
+    assert fc.factor(fc.chain_category(1), "0", "1", []) == "0<=1"
+    assert fc.factor(fc.chain_category(1), "1", "0", []) is None
+
+
+def brute_left_adjoint(s):
+    """The first (p, unit) of the exhaustive search over all functors and
+    natural transformations that completes to an adjunction p -| s."""
+    I, J = s.source, s.target
+    for p in fc.all_functors(J, I):
+        for unit in fc.all_nat_transfs(fc.FinFunctor.identity(J), p.then(s)):
+            for counit in fc.all_nat_transfs(s.then(p), fc.FinFunctor.identity(I)):
+                if fc.check_adjunction(fc.AdjunctionWitness(p, s, unit, counit))[0]:
+                    return p, unit
+    return None
+
+
+SMALL_CATS = [cyclic_group(2), cyclic_group(3), walking_iso(), idempotent_monoid(),
+              fc.chain_category(0), fc.chain_category(1),
+              with_terminal(cyclic_group(2)), with_initial(cyclic_group(2)),
+              with_terminal(walking_iso()), with_initial(walking_iso()),
+              with_terminal(fc.discrete_category("D2", ["p", "q"])),
+              fc.product_category(cyclic_group(2), fc.chain_category(1))]
+
+
+def test_left_adjoint_matches_exhaustive_search():
+    """Over every functor among small categories with isomorphisms,
+    idempotents and extremal objects: Mac Lane's criterion finds a left
+    adjoint exactly when the exhaustive search does, and each (p, unit)
+    completes to an adjunction with a counit that passes the triangles."""
+    found = differ = 0
+    for I in SMALL_CATS:
+        for J in SMALL_CATS:
+            for s in fc.all_functors(I, J):
+                ref, got = brute_left_adjoint(s), fc.left_adjoint(s)
+                assert (ref is None) == (got is None), (I.name, J.name, s.morphism_map)
+                if got is None:
+                    continue
+                p, unit = got
+                assert p.name == "F"
+                p.validate()
+                unit.validate()
+                assert any(fc.check_adjunction(fc.AdjunctionWitness(p, s, unit, c))[0]
+                           for c in fc.all_nat_transfs(s.then(p), fc.FinFunctor.identity(I)))
+                found += 1
+                differ += (p.key(), unit.components) != (ref[0].key(), ref[1].components)
+    # left adjoints are unique only up to isomorphism: one automorphism of
+    # Z2x[1] gets another (equally valid) choice than the exhaustive order
+    assert (found, differ) == (130, 1)
+
+
+def test_left_adjoint_takes_the_first_initial_object():
+    """s = id on Z/2: both (o, g0) and (o, g1) are initial in o / s; the
+    unit is read off the first."""
+    z2 = cyclic_group(2)
+    p, unit = fc.left_adjoint(fc.FinFunctor.identity(z2))
+    assert unit.components == {"o": "g0"}
+    assert p.morphism_map == {"g0": "g0", "g1": "g1"}
+    incl = fc.FinFunctor("R", fc.terminal_category(), fc.chain_category(1),
+                         {"*": "0"}, {"id_*": "0<=0"}).validate()
+    assert fc.left_adjoint(incl) is None   # 1 / incl is empty
+
+
 def test_adjunction_identity_and_broken():
     c = fc.chain_category(1)
     idf = fc.FinFunctor.identity(c)

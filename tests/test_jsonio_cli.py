@@ -80,6 +80,28 @@ def test_cli_validate_and_homology(tmp_path):
     assert rep["pi0"] == 1
 
 
+CLI_FLAGS = {
+    "--trunc": {"nerve", "int-amalg", "hocolim", "holim", "cech",
+                "localizer-check", "localizer-closure", "compare"},
+    "--dot": {"validate", "groth", "int-amalg", "tw"},
+    "--refine-bound": {"localizer-check", "localizer-closure"},
+    "--seed": {"compare"},
+}
+
+
+def test_cli_flags_only_where_read():
+    """Each shared flag is declared only on the subcommands that read it;
+    --out is on all 15."""
+    sub = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    declared = {name: {o for a in p._actions for o in a.option_strings}
+                for name, p in sub.choices.items()}
+    assert len(declared) == 15 and all("--out" in opts for opts in declared.values())
+    for flag, names in CLI_FLAGS.items():
+        assert {n for n, opts in declared.items() if flag in opts} == names, flag
+    with pytest.raises(SystemExit):   # homology reads its truncation from its input
+        run_cli(["homology", "--simp", "x.json", "--trunc", "3"])
+
+
 def test_cli_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

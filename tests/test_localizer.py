@@ -29,16 +29,23 @@ def poset_subuniverse():
         for n in ("P1", "C2", "V")], all_mors=True)
 
 
-def span_universe():
-    """Criterion 09's first span universe: pt <- I1 -> pt, its
-    Grothendieck construction and every diagram morphism among them."""
+def constant_dia(shape, name):
+    return dg.DiaObj(shape, fc.FinFunctor.constant(shape, TS.cat, "*"), name)
+
+
+def span_universe(k=0):
+    """Criterion 09's span universe k: pt <- Y -> W with (Y, W) = (I1, pt),
+    (pt, I1), (V, pt), (I1, I1), (V, pt) for k = 0..4, its Grothendieck
+    construction and every diagram morphism among them."""
     pt = dg.point_dia(TS.cat, "*", "pt")
-    c1 = fc.chain_category(1)
-    i1 = dg.DiaObj(c1, fc.FinFunctor.constant(c1, TS.cat, "*"), "I1")
-    f = dg.all_dia_mors(i1, pt)[0]
-    g = dg.all_dia_mors(i1, pt)[0]
+    i1 = constant_dia(fc.chain_category(1), "I1")
+    v = constant_dia(fc.poset_category("V", ["a", "b", "c"],
+                                       lambda p, q: p == q or (p == "a" and q in "bc")), "V")
+    y, w = [(i1, pt), (pt, i1), (v, pt), (i1, i1), (v, pt)][k]
+    f = dg.all_dia_mors(y, pt)[0]
+    g = dg.all_dia_mors(y, w)[0]
     gro, _, _ = dg.grothendieck_construction(dg.span_diafunctor(f, g))
-    return lc.universe_from(TS, [i1, pt, pt, gro], all_mors=True)
+    return lc.universe_from(TS, [y, pt, w, gro], all_mors=True)
 
 
 def pseudocircle_universe():
@@ -55,6 +62,36 @@ def pseudocircle_universe():
     points = [dg.point_dia(PS.cat, x, x)
               for x in ("{a,b,c,d}", "{a,b,c}", "{a,b,d}", "{a,b}")]
     return lc.universe_from(PS, points + [u_le_x], all_mors=True)
+
+
+def bench_poset_universe():
+    """The poset universe of the benchmark's `closure` workload."""
+    shapes = {c.name: c for c in lc.poset_shapes(3)}
+    return lc.universe_from(TS, [constant_dia(shapes[n], n)
+                                 for n in ("E0", "P1", "C2", "D2", "C3", "V")],
+                            all_mors=True)
+
+
+def nonposet_universe():
+    """Constant diagrams on the walking isomorphism a <-> b, on Z/2 and on
+    the walking isomorphism with a terminal object t: shapes with
+    non-identity automorphisms and isomorphic objects, where a left
+    adjoint is unique only up to isomorphism."""
+    m = fc.Mor
+    iso_mors = [m("1a", "a", "a"), m("1b", "b", "b"), m("f", "a", "b"), m("g", "b", "a")]
+    iso_comp = {("1a", "1a"): "1a", ("1b", "1b"): "1b", ("f", "1a"): "f", ("1b", "f"): "f",
+                ("g", "1b"): "g", ("1a", "g"): "g", ("g", "f"): "1a", ("f", "g"): "1b"}
+    iso = fc.FinCat("Iso", ["a", "b"], iso_mors, {"a": "1a", "b": "1b"}, iso_comp)
+    z2 = fc.FinCat("Z2", ["o"], [m("e", "o", "o"), m("x", "o", "o")], {"o": "e"},
+                   {("e", "e"): "e", ("e", "x"): "x", ("x", "e"): "x", ("x", "x"): "e"})
+    isot = fc.FinCat(
+        "IsoT", ["a", "b", "t"],
+        iso_mors + [m("1t", "t", "t"), m("at", "a", "t"), m("bt", "b", "t")],
+        {"a": "1a", "b": "1b", "t": "1t"},
+        {**iso_comp, ("1t", "1t"): "1t", ("at", "1a"): "at", ("1t", "at"): "at",
+         ("bt", "1b"): "bt", ("1t", "bt"): "bt", ("bt", "f"): "at", ("at", "g"): "bt"})
+    return lc.universe_from(TS, [constant_dia(c.validate(), c.name) for c in (iso, z2, isot)],
+                            all_mors=True)
 
 
 def d2_labelled(a, b):
@@ -466,19 +503,93 @@ def test_l3_builds_each_comma_once(monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
-def test_adjunction_enumerates_functors_once_per_pair(monkeypatch):
+def reference_adjunction_instances(u):
+    """`lc.adjunction_instances` as it was before `fc.left_adjoint`: the
+    first (p, unit, counit) in the order of `fc.all_functors` and
+    `fc.all_nat_transfs` that passes `fc.check_adjunction` and gives a
+    valid partner."""
+    out = []
+    functors = {}
+    for mid, um in u.morphisms.items():
+        m = um.mor
+        if not m.is_pure_diagram_type():
+            continue
+        s = m.shape_map
+        I, J = s.source, s.target
+        if (J, I) not in functors:
+            functors[(J, I)] = fc.all_functors(J, I)
+        for p in functors[(J, I)]:
+            for unit in fc.all_nat_transfs(fc.FinFunctor.identity(J), p.then(s)):
+                for counit in fc.all_nat_transfs(s.then(p), fc.FinFunctor.identity(I)):
+                    w = fc.AdjunctionWitness(p, s, unit, counit)
+                    ok, _ = fc.check_adjunction(w)
+                    if not ok:
+                        continue
+                    T = m.tgt.labels
+                    partner = dg.DiaMor(
+                        m.tgt, m.src, p,
+                        {j: T.mo(unit.at(j)) for j in J.objects}, "padj")
+                    try:
+                        partner.validate()
+                    except Exception:
+                        continue
+                    pid = u.lookup(partner)
+                    out.append((mid, pid, p.name))
+                    break
+                else:
+                    continue
+                break
+            else:
+                continue
+            break
+    return out
+
+
+ADJ_UNIVERSES = {
+    "crit08": lambda: lc.poset_universe(TS, 3),
+    **{"span%d" % k: (lambda k=k: span_universe(k)) for k in range(5)},
+    "bench_posets": bench_poset_universe,
+    "pseudocircle": pseudocircle_universe,
+    "small": small_universe,
+    "poset_sub": poset_subuniverse,
+    "nonposet": nonposet_universe,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJ_UNIVERSES))
+def test_adjunction_instances_match_reference(name):
+    """Same instances and partners as the exhaustive search; every partner
+    is a valid diagram morphism and every (p, unit) completes to an
+    adjunction that passes the triangle identities."""
+    u = ADJ_UNIVERSES[name]()
+    got = lc.adjunction_instances(u)
+    assert got and got == reference_adjunction_instances(u)
+    for mid, pid, _ in got:
+        m = u.morphisms[mid].mor
+        s = m.shape_map
+        p, unit = fc.left_adjoint(s)
+        partner = dg.DiaMor(m.tgt, m.src, p, {j: m.tgt.labels.mo(unit.at(j))
+                                              for j in s.target.objects}, "padj")
+        partner.validate()
+        assert pid == u.lookup(partner)
+        assert any(fc.check_adjunction(fc.AdjunctionWitness(p, s, unit, c))[0]
+                   for c in fc.all_nat_transfs(s.then(p), fc.FinFunctor.identity(s.source)))
+
+
+def test_adjunction_instances_enumerate_no_functors(monkeypatch):
     u = span_universe()
-    oid_of = {id(d.shape): oid for oid, d in u.objects.items()}
-    real = fc.all_functors
     calls = Counter()
 
-    def counting(source, target):
-        calls[(oid_of[id(source)], oid_of[id(target)])] += 1
-        return real(source, target)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(fc, "all_functors", counting)
+    for name in ("all_functors", "all_nat_transfs"):
+        monkeypatch.setattr(fc, name, counting(name, getattr(fc, name)))
     assert lc.adjunction_instances(u)
-    assert calls and max(calls.values()) == 1
+    assert calls == Counter()
 
 
 def test_pseudocircle_universe_resolves_split_covers():
