@@ -405,7 +405,8 @@ class ContractCert:
         if self.kind == "AdjunctionChain":
             return _verify_deletion_chain(cat, self.payload)
         if self.kind == "HomologyPoint":
-            return homology(sp.nerve_of_category(cat, 4)).is_point()
+            trunc = self.payload.valid_range + 1
+            return homology(sp.nerve_of_category(cat, trunc)).is_point()
         return False
 
 
@@ -473,7 +474,7 @@ def contractibility_certificate(cat: fc.FinCat, trunc: int = 4):
     if len(objs) == 1 and len(cat.hom(objs[0], objs[0])) == 1:
         return ContractCert("AdjunctionChain", chain)
     h = homology(sp.nerve_of_category(cat, trunc))
-    if h.is_point() and pi0(sp.nerve_of_category(cat, 1)) == 1:
+    if h.is_point():
         return ContractCert("HomologyPoint", h, necessary_only=True)
     return None
 

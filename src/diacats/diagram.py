@@ -383,45 +383,33 @@ def grothendieck_construction(F: DiaFunctor):
     g : alpha_m(i) -> i', labeled S_a(i).  Returns (DiaObj, projection
     functor to the base, fiber inclusion DiaMors)."""
     A = F.base
-    objs, okey = [], {}
-    for a in A.objects:
-        for i in F.ob[a].shape.objects:
-            oid = "(%s|%s)" % (a, i)
-            okey[(a, i)] = oid
-            objs.append(oid)
-    mors, mkey, identity = [], {}, {}
+    shape_of = {a: F.ob[a].shape for a in A.objects}
+    okey = {(a, i): "(%s|%s)" % (a, i) for a in A.objects for i in shape_of[a].objects}
+    at = {oid: k for k, oid in okey.items()}
+    arrows = []
     for a in A.objects:
         for m in A.out(a):
             a2 = A.cod(m)
             am = F.mo[m].shape_map
-            for i in F.ob[a].shape.objects:
-                for g in F.ob[a2].shape.out(am.ob(i)):
-                    mid = "(%s|%s):%s->%s" % (m, g, okey[(a, i)],
-                                              okey[(a2, F.ob[a2].shape.cod(g))])
-                    mkey[(a, i, m, g)] = mid
-                    mors.append(fc.Mor(mid, okey[(a, i)],
-                                       okey[(a2, F.ob[a2].shape.cod(g))]))
-                    if m == A.id_of(a) and g == F.ob[a].shape.id_of(i):
-                        identity[okey[(a, i)]] = mid
-    comp = {}
-    for (a, i, m, g), mid in mkey.items():
-        a2 = A.cod(m)
-        i2 = F.ob[a2].shape.cod(g)
-        for m2 in A.out(a2):
-            a3 = A.cod(m2)
-            am2 = F.mo[m2].shape_map
-            for g2 in F.ob[a3].shape.out(am2.ob(i2)):
-                mid2 = mkey[(a2, i2, m2, g2)]
-                mm = A.comp(m2, m)
-                gg = F.ob[a3].shape.comp(g2, am2.mo(g))
-                comp[(mid2, mid)] = mkey[(a, i, mm, gg)]
-    shape = fc.FinCat("int(%s)" % F.name, objs, mors, identity, comp)
+            for i in shape_of[a].objects:
+                for g in shape_of[a2].out(am.ob(i)):
+                    src, tgt = okey[(a, i)], okey[(a2, shape_of[a2].cod(g))]
+                    arrows.append((src, tgt, (m, g), "(%s|%s):%s->%s" % (m, g, src, tgt)))
+
+    def compose(d2, d1):
+        (m2, g2), (m, g) = d2, d1
+        return A.comp(m2, m), shape_of[A.cod(m2)].comp(g2, F.mo[m2].shape_map.mo(g))
+
+    def identity(oid):
+        a, i = at[oid]
+        return A.id_of(a), shape_of[a].id_of(i)
+
+    shape, mkey = fc.keyed_category("int(%s)" % F.name, list(okey.values()), arrows,
+                                    compose, identity)
     scat = F.ob[A.objects[0]].scat
     lab_ob = {okey[(a, i)]: F.ob[a].labels.ob(i) for (a, i) in okey}
-    lab_mo = {}
-    for (a, i, m, g), mid in mkey.items():
-        a2 = A.cod(m)
-        lab_mo[mid] = scat.comp(F.ob[a2].labels.mo(g), F.mo[m].label_transf[i])
+    lab_mo = {mid: scat.comp(F.ob[A.cod(m)].labels.mo(g), F.mo[m].label_transf[at[src][1]])
+              for (src, _, m, g), mid in mkey.items()}
     labels = fc.FinFunctor("lbl", shape, scat, lab_ob, lab_mo)
     dia = DiaObj(shape, labels, "int(%s)" % F.name)
     proj = fc.FinFunctor("proj", shape, A,
@@ -429,17 +417,15 @@ def grothendieck_construction(F: DiaFunctor):
                          {mid: k[2] for k, mid in mkey.items()})
     incl = {}
     for a in A.objects:
-        Ia = F.ob[a].shape
+        Ia = shape_of[a]
         incl[a] = DiaMor(
             F.ob[a], dia,
             fc.FinFunctor("inc_%s" % a, Ia, shape,
                           {i: okey[(a, i)] for i in Ia.objects},
-                          {m.id: mkey[(a, m.dom, A.id_of(a), m.id)]
+                          {m.id: mkey[(okey[(a, m.dom)], okey[(a, m.cod)], A.id_of(a), m.id)]
                            for m in Ia.morphisms}),
             {i: scat.id_of(F.ob[a].labels.ob(i)) for i in Ia.objects},
             "iota_%s" % a)
-    dia.groth_okey = okey
-    dia.groth_mkey = mkey
     return dia, proj, incl
 
 

@@ -9,9 +9,11 @@ in canonical order, returning the first witness.
 
 The builders here (products, categories of elements, commas, fibers,
 twisted arrows, posets, the terminal category) return categories correct
-by construction and do not re-check their axioms; :func:`validate_category`
-checks raw input, and :meth:`FinCat.validate` checks any category assembled
-by hand.
+by construction and do not re-check their axioms: :func:`keyed_category`
+fills the identities and composition table of those whose morphisms are
+keyed by their ends and data, :func:`elements` those of categories of
+elements.  :func:`validate_category` checks raw input, and
+:meth:`FinCat.validate` checks any category assembled by hand.
 """
 
 from __future__ import annotations
@@ -222,21 +224,8 @@ def terminal_category(obj: str = "*") -> FinCat:
 def poset_category(name, elements, leq) -> FinCat:
     """The category of a finite poset.  `leq(a, b)` decides a <= b."""
     elements = list(elements)
-    mors, identity, hom = [], {}, {}
-    for a in elements:
-        for b in elements:
-            if leq(a, b):
-                mid = "%s<=%s" % (a, b)
-                mors.append(Mor(mid, a, b))
-                hom[(a, b)] = mid
-                if a == b:
-                    identity[a] = mid
-    comp = {}
-    for (a, b), f in hom.items():
-        for (b2, c), g in hom.items():
-            if b2 == b:
-                comp[(g, f)] = hom[(a, c)]
-    return FinCat(name, elements, mors, identity, comp)
+    arrows = [(a, b, (), "%s<=%s" % (a, b)) for a in elements for b in elements if leq(a, b)]
+    return keyed_category(name, elements, arrows, lambda g, f: (), lambda a: ())[0]
 
 
 def chain_category(n: int) -> FinCat:
@@ -283,23 +272,37 @@ def elements(name, fibers, out, act, comp, identity, ofmt, mfmt):
     return FinCat(name, objs, mors, ident, table), okey, mkey
 
 
+def keyed_category(name, objects, arrows, compose, identity):
+    """A category whose morphisms are keyed by (src id, tgt id) + data.
+
+    `arrows` lists (src id, tgt id, data tuple, morphism id) in canonical
+    order, `compose(d2, d1)` is the data of d2 o d1 and `identity(oid)` the
+    data of the identity at oid.  The composition table is filled in one
+    pass per source object.  Returns (category, mkey[(src, tgt) + data]).
+    """
+    mors, mkey, out = [], {}, {}
+    for src, tgt, data, mid in arrows:
+        mors.append(Mor(mid, src, tgt))
+        mkey[(src, tgt) + data] = mid
+        out.setdefault(src, []).append((tgt, data, mid))
+    table = {}
+    for src, firsts in out.items():
+        for tgt, d1, f in firsts:
+            for tgt2, d2, g in out[tgt]:
+                table[(g, f)] = mkey[(src, tgt2) + compose(d2, d1)]
+    ident = {oid: mkey[(oid, oid) + identity(oid)] for oid in objects}
+    return FinCat(name, objects, mors, ident, table), mkey
+
+
 def product_category(c: FinCat, d: FinCat) -> FinCat:
-    objs = ["(%s,%s)" % (x, y) for x in c.objects for y in d.objects]
-    mors, identity, comp = [], {}, {}
-    mid = {}
-    for f in c.morphisms:
-        for g in d.morphisms:
-            m = "(%s,%s)" % (f.id, g.id)
-            mid[(f.id, g.id)] = m
-            mors.append(Mor(m, "(%s,%s)" % (f.dom, g.dom), "(%s,%s)" % (f.cod, g.cod)))
-    for x in c.objects:
-        for y in d.objects:
-            identity["(%s,%s)" % (x, y)] = mid[(c.id_of(x), d.id_of(y))]
-    for (f1, g1), m1 in mid.items():
-        for (f2, g2), m2 in mid.items():
-            if c.cod(f2) == c.dom(f1) and d.cod(g2) == d.dom(g1):
-                comp[(m1, m2)] = mid[(c.comp(f1, f2), d.comp(g1, g2))]
-    return FinCat("%sx%s" % (c.name, d.name), objs, mors, identity, comp)
+    pair = {"(%s,%s)" % xy: xy for xy in itertools.product(c.objects, d.objects)}
+    arrows = [("(%s,%s)" % (f.dom, g.dom), "(%s,%s)" % (f.cod, g.cod), (f.id, g.id),
+               "(%s,%s)" % (f.id, g.id)) for f in c.morphisms for g in d.morphisms]
+    cc, dc = c.compose_table, d.compose_table
+    return keyed_category(
+        "%sx%s" % (c.name, d.name), list(pair), arrows,
+        lambda g, f: (cc[(g[0], f[0])], dc[(g[1], f[1])]),
+        lambda o: (c.id_of(pair[o][0]), d.id_of(pair[o][1])))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +487,27 @@ def left_adjoint(s: FinFunctor):
     """A left adjoint p of s : I -> J with its unit id_J => s o p, or None.
 
     Mac Lane's criterion (CWM, Thm IV.1.2): s has a left adjoint iff every
-    slice j x_{/J} I has an initial object.  (p(j), unit_j) is the first
-    initial object of :func:`slice_under` in canonical order, and p(g) for
-    g : j -> j' is the unique slice arrow out of it to (p(j'), unit_j' o g).
+    slice j x_{/J} I has an initial object.  The objects (i, phi : j -> s i)
+    of that slice are read from J's hom-sets in the order
+    :func:`slice_under` lists them; (p(j), unit_j) is the first with exactly
+    one slice arrow u (s(u) o unit_j = phi) to each, and p(g) for
+    g : j -> j' is the one slice arrow to (p(j'), unit_j' o g).
     """
     I, J = s.source, s.target
-    omap, unit, under = {}, {}, {}
+
+    def slice_arrows(i0, phi0, i, phi):
+        return [u for u in I.hom(i0, i) if J.comp(s.mo(u), phi0) == phi]
+
+    omap, unit = {}, {}
     for j in J.objects:
-        sl, proj, okey, _ = slice_under(j, s)
-        init = detect_extremal(sl)["initial"]
+        under = [(i, phi) for i in I.objects for phi in J.hom(j, s.ob(i))]
+        init = next((o for o in under
+                     if all(len(slice_arrows(*o, *x)) == 1 for x in under)), None)
         if init is None:
             return None
-        _, omap[j], unit[j] = {o: k for k, o in okey.items()}[init]
-        under[j] = sl, proj, okey, init
-    mmap = {}
-    for g in J.morphisms:
-        sl, proj, okey, init = under[g.dom]
-        to = okey[("*", omap[g.cod], J.comp(unit[g.cod], g.id))]
-        mmap[g.id] = proj.mo(sl.hom(init, to)[0])
+        omap[j], unit[j] = init
+    mmap = {g.id: slice_arrows(omap[g.dom], unit[g.dom], omap[g.cod],
+                               J.comp(unit[g.cod], g.id))[0] for g in J.morphisms}
     p = FinFunctor("F", J, I, omap, mmap)
     return p, NatTransf(FinFunctor.identity(J), p.then(s), unit)
 
@@ -521,32 +527,18 @@ def comma_category(F: FinFunctor, G: FinFunctor):
     if F.target is not G.target and F.target.name != G.target.name:
         raise TargetMismatch("comma factors must share a target")
     A, B, C = F.source, G.source, F.target
-    objs, okey = [], {}
-    for a in A.objects:
-        for b in B.objects:
-            for phi in C.hom(F.ob(a), G.ob(b)):
-                oid = "(%s|%s|%s)" % (a, b, phi)
-                okey[(a, b, phi)] = oid
-                objs.append(oid)
-    mors, mkey, identity = [], {}, {}
-    for (a, b, phi), oid in okey.items():
-        for (a2, b2, phi2), oid2 in okey.items():
-            for u in A.hom(a, a2):
-                for v in B.hom(b, b2):
-                    if C.comp(phi2, F.mo(u)) == C.comp(G.mo(v), phi):
-                        mid = "(%s|%s):%s->%s" % (u, v, oid, oid2)
-                        mkey[(oid, oid2, u, v)] = mid
-                        mors.append(Mor(mid, oid, oid2))
-                        if u == A.id_of(a) and v == B.id_of(b) and oid == oid2:
-                            identity[oid] = mid
-    comp = {}
-    by_src = {}
-    for (o1, o2, u, v), mid in mkey.items():
-        by_src.setdefault(o1, []).append((o1, o2, u, v, mid))
-    for (o1, o2, u, v), mid in mkey.items():
-        for (p1, p2, u2, v2, mid2) in by_src.get(o2, []):
-            comp[(mkey[(o2, p2, u2, v2)], mid)] = mkey[(o1, p2, A.comp(u2, u), B.comp(v2, v))]
-    cat = FinCat("(%s/%s)" % (F.name, G.name), objs, mors, identity, comp)
+    cc = C.compose_table
+    okey = {(a, b, phi): "(%s|%s|%s)" % (a, b, phi) for a in A.objects
+            for b in B.objects for phi in C.hom(F.ob(a), G.ob(b))}
+    arrows = [(oid, oid2, (u, v), "(%s|%s):%s->%s" % (u, v, oid, oid2))
+              for (a, b, phi), oid in okey.items() for (a2, b2, phi2), oid2 in okey.items()
+              for u in A.hom(a, a2) for v in B.hom(b, b2)
+              if cc[(phi2, F.mo(u))] == cc[(G.mo(v), phi)]]
+    ends = {oid: (A.id_of(a), B.id_of(b)) for (a, b, _), oid in okey.items()}
+    ac, bc = A.compose_table, B.compose_table
+    cat, mkey = keyed_category("(%s/%s)" % (F.name, G.name), list(okey.values()), arrows,
+                               lambda g, f: (ac[(g[0], f[0])], bc[(g[1], f[1])]),
+                               ends.__getitem__)
     proj_a = FinFunctor("pr1", cat, A,
                         {okey[k]: k[0] for k in okey},
                         {mid: u for (o1, o2, u, v), mid in mkey.items()})
@@ -789,59 +781,38 @@ def twisted_arrow(I: FinCat, variant: str = "tw"):
     filling the displayed ladder; pi1, pi3 both land in I and mu : pi1 => pi3
     is given by the pair's composite.
     """
+    ic = I.compose_table
     if variant == "tw":
-        objs = [m.id for m in I.morphisms]
-        okey = {m.id: m.id for m in I.morphisms}
-        mors, mkey, identity = [], {}, {}
-        for nu in I.morphisms:
-            for nu2 in I.morphisms:
-                for a in I.hom(nu.dom, nu2.dom):
-                    for b in I.hom(nu2.cod, nu.cod):
-                        if I.comp(b, I.comp(nu2.id, a)) == nu.id:
-                            mid = "(%s|%s):%s->%s" % (a, b, nu.id, nu2.id)
-                            mkey[(nu.id, nu2.id, a, b)] = mid
-                            mors.append(Mor(mid, nu.id, nu2.id))
-                            if nu.id == nu2.id and I.is_identity(a) and I.is_identity(b):
-                                identity[nu.id] = mid
-        comp = {}
-        for (o1, o2, a, b), m1 in mkey.items():
-            for (p1, p2, a2, b2), m2 in mkey.items():
-                if p1 == o2:
-                    comp[(m2, m1)] = mkey[(o1, p2, I.comp(a2, a), I.comp(b, b2))]
-        cat = FinCat("tw(%s)" % I.name, objs, mors, identity, comp)
+        arrows = [(nu.id, nu2.id, (a, b), "(%s|%s):%s->%s" % (a, b, nu.id, nu2.id))
+                  for nu in I.morphisms for nu2 in I.morphisms
+                  for a in I.hom(nu.dom, nu2.dom) for b in I.hom(nu2.cod, nu.cod)
+                  if ic[(b, ic[(nu2.id, a)])] == nu.id]
+        cat, mkey = keyed_category(
+            "tw(%s)" % I.name, [m.id for m in I.morphisms], arrows,
+            lambda g, f: (ic[(g[0], f[0])], ic[(f[1], g[1])]),
+            lambda nu: (I.id_of(I.dom(nu)), I.id_of(I.cod(nu))))
         pi1 = FinFunctor("pi1", cat, I, {m.id: I.dom(m.id) for m in I.morphisms},
-                         {mid: a for (o1, o2, a, b), mid in mkey.items()})
-        iop = I.opposite()
-        pi3 = FinFunctor("pi3", cat, iop, {m.id: I.cod(m.id) for m in I.morphisms},
-                         {mid: b for (o1, o2, a, b), mid in mkey.items()})
+                         {mid: k[2] for k, mid in mkey.items()})
+        pi3 = FinFunctor("pi3", cat, I.opposite(), {m.id: I.cod(m.id) for m in I.morphisms},
+                         {mid: k[3] for k, mid in mkey.items()})
         return cat, pi1, pi3, None
     if variant != "twc":
         raise ValueError("variant must be 'tw' or 'twc'")
     pairs = [(f.id, g.id) for f in I.morphisms for g in I.morphisms
              if I.cod(f.id) == I.dom(g.id)]
     okey = {p: "(%s,%s)" % p for p in pairs}
-    objs = [okey[p] for p in pairs]
-    mors, mkey, identity = [], {}, {}
-    for (f1, f2) in pairs:
-        for (g1, g2) in pairs:
-            for a in I.hom(I.dom(f1), I.dom(g1)):
-                for b in I.hom(I.cod(g1), I.cod(f1)):
-                    if I.comp(b, I.comp(g1, a)) != f1:
-                        continue
-                    for c in I.hom(I.cod(f2), I.cod(g2)):
-                        if I.comp(c, I.comp(f2, b)) == g2:
-                            mid = "(%s|%s|%s):%s->%s" % (a, b, c, okey[(f1, f2)], okey[(g1, g2)])
-                            mkey[((f1, f2), (g1, g2), a, b, c)] = mid
-                            mors.append(Mor(mid, okey[(f1, f2)], okey[(g1, g2)]))
-                            if (f1, f2) == (g1, g2) and I.is_identity(a) \
-                                    and I.is_identity(b) and I.is_identity(c):
-                                identity[okey[(f1, f2)]] = mid
-    comp = {}
-    for (o1, o2, a, b, c), m1 in mkey.items():
-        for (p1, p2, a2, b2, c2), m2 in mkey.items():
-            if p1 == o2:
-                comp[(m2, m1)] = mkey[(o1, p2, I.comp(a2, a), I.comp(b, b2), I.comp(c2, c))]
-    cat = FinCat("twc(%s)" % I.name, objs, mors, identity, comp)
+    arrows = [(okey[(f1, f2)], okey[(g1, g2)], (a, b, c),
+               "(%s|%s|%s):%s->%s" % (a, b, c, okey[(f1, f2)], okey[(g1, g2)]))
+              for (f1, f2) in pairs for (g1, g2) in pairs
+              for a in I.hom(I.dom(f1), I.dom(g1)) for b in I.hom(I.cod(g1), I.cod(f1))
+              if ic[(b, ic[(g1, a)])] == f1
+              for c in I.hom(I.cod(f2), I.cod(g2)) if ic[(c, ic[(f2, b)])] == g2]
+    ends = {okey[(f, g)]: (I.id_of(I.dom(f)), I.id_of(I.dom(g)), I.id_of(I.cod(g)))
+            for (f, g) in pairs}
+    cat, mkey = keyed_category(
+        "twc(%s)" % I.name, [okey[p] for p in pairs], arrows,
+        lambda g, f: (ic[(g[0], f[0])], ic[(f[1], g[1])], ic[(g[2], f[2])]),
+        ends.__getitem__)
     pi1 = FinFunctor("pi1", cat, I, {okey[p]: I.dom(p[0]) for p in pairs},
                      {mid: k[2] for k, mid in mkey.items()})
     pi3 = FinFunctor("pi3", cat, I, {okey[p]: I.cod(p[1]) for p in pairs},

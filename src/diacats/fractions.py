@@ -278,21 +278,8 @@ def localized_as_fincat(lc_: LocalizedCat) -> fc.FinCat:
     """Materialize the localization as a finite category (classes as
     morphisms)."""
     c = lc_.base
-    mors, identity, mid = [], {}, {}
-    for (x, y), reps in sorted(lc_.homs.items()):
-        for r in reps:
-            i = "[%s|%s]:%s->%s" % (r.f, r.w, x, y)
-            mid[(x, y, r)] = i
-            mors.append(fc.Mor(i, x, y))
-    for x in c.objects:
-        identity[x] = mid[(x, x, lc_.loc[c.id_of(x)])]
-    comp = {}
-    for (x, y), reps1 in lc_.homs.items():
-        for (y2, t), reps2 in lc_.homs.items():
-            if y2 != y:
-                continue
-            for r1 in reps1:
-                for r2 in reps2:
-                    comp[(mid[(y, t, r2)], mid[(x, y, r1)])] = \
-                        mid[(x, t, lc_.comp_table[(r2, r1)])]
-    return fc.FinCat("%s[W^-1]" % c.name, c.objects, mors, identity, comp).validate()
+    arrows = [(x, y, (r,), "[%s|%s]:%s->%s" % (r.f, r.w, x, y))
+              for (x, y), reps in sorted(lc_.homs.items()) for r in reps]
+    return fc.keyed_category("%s[W^-1]" % c.name, c.objects, arrows,
+                             lambda g, f: (lc_.comp_table[(g[0], f[0])],),
+                             lambda x: (lc_.loc[c.id_of(x)],))[0].validate()

@@ -586,19 +586,24 @@ def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
 
 
 def replay_provenance(w: MorClass, u: DiagramUniverse):
-    """Re-derive every member from its recorded rule instance; returns the
-    list of members whose premises are not themselves members."""
-    bad = []
-    for mid, why in w.provenance.items():
-        rule = why[0]
-        if rule in ("WS2-compose", "WS2-right", "WS2-left", "WS3", "WS3-section"):
-            premises = [x for x in why[1:] if isinstance(x, str) and x in u.morphisms]
-            if not all(p in w.members for p in premises):
-                bad.append(mid)
-        elif rule == "HTP":
-            if why[1] not in w.members:
-                bad.append(mid)
-    return bad
+    """Re-check every WS2-compose, WS2-right, WS2-left, WS3, WS3-section
+    and HTP record: its premises must be members and the instance it names
+    must hold in the universe (the composites it records, or for HTP a
+    representative parallel to the member).  Other rules are not replayed.
+    Returns the members whose record fails."""
+    ident, comp, ends = set(u.identity.values()), u.comp.get, u.morphisms
+    holds = {
+        "WS2-compose": lambda mid, f, g: comp((g, f)) == mid,
+        "WS2-right": lambda mid, f, h: comp((mid, f)) == h,
+        "WS2-left": lambda mid, g, h: comp((g, mid)) == h,
+        "WS3": lambda mid, s, sp_: comp((mid, s)) in ident and comp((s, mid)) == sp_,
+        "WS3-section": lambda mid, p, sp_: comp((p, mid)) in ident and comp((mid, p)) == sp_,
+        "HTP": lambda mid, rep: rep in ends and
+        (ends[rep].src, ends[rep].tgt) == (ends[mid].src, ends[mid].tgt),
+    }
+    return [mid for mid, (rule, *premises) in w.provenance.items()
+            if rule in holds and not (holds[rule](mid, *premises)
+                                      and all(p in w.members for p in premises))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -211,3 +212,20 @@ def test_homology_point_cert_is_necessary_only():
     cat, _, _ = ht.int_simpset(prod, 2)
     cert = at.contractibility_certificate(cat, 2)
     assert cert.kind == "HomologyPoint" and cert.necessary_only
+
+
+def test_homology_point_cert_rechecks_at_its_own_truncation(monkeypatch):
+    """A HomologyPoint certificate made at truncation 2 is rechecked on the
+    2-truncated nerve (valid through degree 1), not on a deeper one."""
+    prod = sp.simpset_product(sp.delta_simpset(1, 2), sp.delta_simpset(1, 2))[0]
+    cat, _, _ = ht.int_simpset(prod, 2)
+    cert = at.contractibility_certificate(cat, 2)
+    assert cert.kind == "HomologyPoint" and cert.payload.valid_range == 1
+    truncs = []
+    real = sp.nerve_of_category
+    monkeypatch.setattr(sp, "nerve_of_category",
+                        lambda c, trunc: truncs.append(trunc) or real(c, trunc))
+    start = time.perf_counter()
+    assert cert.recheck(cat)
+    assert time.perf_counter() - start < 1.0
+    assert truncs == [2]

@@ -245,6 +245,17 @@ def test_left_adjoint_takes_the_first_initial_object():
     assert fc.left_adjoint(incl) is None   # 1 / incl is empty
 
 
+def test_left_adjoint_builds_no_comma_category(monkeypatch):
+    """The slices j / s are read from hom-sets, not built."""
+    calls = []
+    real = fc.comma_category
+    monkeypatch.setattr(fc, "comma_category", lambda *a: calls.append(a) or real(*a))
+    for s in fc.all_functors(SMALL_CATS[-1], SMALL_CATS[-2]):
+        fc.left_adjoint(s)
+    assert fc.left_adjoint(fc.FinFunctor.identity(SMALL_CATS[-1])) is not None
+    assert calls == []
+
+
 def test_adjunction_identity_and_broken():
     c = fc.chain_category(1)
     idf = fc.FinFunctor.identity(c)

@@ -372,6 +372,26 @@ def test_closure_provenance_replays():
     assert not lc.replay_provenance(w, u)
 
 
+@pytest.mark.parametrize("rule", ["WS2-compose", "WS2-right", "WS2-left",
+                                  "WS3", "WS3-section", "HTP"])
+def test_replay_provenance_rejects_forged_instances(rule):
+    """A forged record whose premises are members but whose instance does
+    not hold in the universe (identities in place of the real factors) is
+    reported."""
+    u = small_universe()
+    w = lc.closure_fixpoint(lc.MorClass(), u)
+    assert not lc.replay_provenance(w, u)
+    mid = next(m for m in sorted(w.members) if u.morphisms[m].src != u.morphisms[m].tgt)
+    id_src, id_tgt = u.identity[u.morphisms[mid].src], u.identity[u.morphisms[mid].tgt]
+    assert {id_src, id_tgt} <= w.members
+    forged = w.copy()
+    forged.provenance[mid] = (rule,) + {
+        "WS2-compose": (id_src, id_src), "WS2-right": (id_src, id_src),
+        "WS2-left": (id_tgt, id_tgt), "WS3": (id_src, id_src),
+        "WS3-section": (id_tgt, id_tgt), "HTP": (id_src,)}[rule]
+    assert lc.replay_provenance(forged, u) == [mid]
+
+
 def test_seeded_non_equivalence_flags_seed_not_engine():
     u = small_universe()
     # seed with a genuine non-equivalence: the collapse D2 -> P1 direction

@@ -6,7 +6,8 @@ in `src/`, `tests/`, `bench/` or `demos/` outside its own body.  Dunder
 methods are called by the language and are exempt.  A second scan requires
 every parameter with a default to be passed by some call in that corpus.
 A third requires every local a library def assigns to be read somewhere in
-that def.
+that def.  A fourth requires every attribute the library stores on an
+object other than `self` to be read somewhere in that corpus.
 """
 
 import ast
@@ -178,3 +179,29 @@ def test_no_dead_local_assignments():
                   for path in sorted(LIBRARY.glob("*.py"))
                   for fn, name, line in dead_locals(parse(path)))
     assert not dead, "locals assigned but never read: " + ", ".join(dead)
+
+
+def stored_attributes(tree):
+    """(attribute, line) for each `x.attr = ...` whose object is not `self`."""
+    out = []
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+        for t in targets:
+            if isinstance(t, ast.Attribute) and not (
+                    isinstance(t.value, ast.Name) and t.value.id == "self"):
+                out.append((t.attr, node.lineno))
+    return out
+
+
+def test_every_stored_attribute_is_read():
+    """An attribute set on another object that nothing reads is dead data."""
+    read = set()
+    for root in CORPUS:
+        for path in root.rglob("*.py"):
+            read.update(n.attr for n in ast.walk(parse(path))
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    unread = sorted("%s (%s:%d)" % (attr, path.relative_to(ROOT), line)
+                    for path in sorted(LIBRARY.glob("*.py"))
+                    for attr, line in stored_attributes(parse(path)) if attr not in read)
+    assert not unread, "attributes stored but never read: " + ", ".join(unread)
