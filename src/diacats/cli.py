@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 
 from . import algtop as at
 from . import diagram as dg
@@ -213,6 +214,7 @@ def cmd_localizer_closure(args):
         seed.provenance[mid] = ("SEED",)
     w = lc.closure_fixpoint(seed, u, args.trunc, args.refine_bound)
     _emit(args, {"command": "localizer-closure",
+                 "admissions": Counter(why[0] for why in w.provenance.values()),
                  "members": sorted(w.members),
                  "provenance": {m: list(map(str, w.provenance[m]))
                                 for m in sorted(w.members)},

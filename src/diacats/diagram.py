@@ -218,19 +218,9 @@ def homotopy_related(a: DiaMor, b: DiaMor) -> bool:
     keys = [m.key() for m in pool]
     index = {k: i for i, k in enumerate(keys)}
     ia, ib = index[a.key()], index[b.key()]
-    parent = list(range(len(pool)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, m1 in enumerate(pool):
-        for j, m2 in enumerate(pool):
-            if i < j and (two_morphisms(m1, m2) or two_morphisms(m2, m1)):
-                parent[find(i)] = find(j)
-    return find(ia) == find(ib)
+    classes = fc.partition(range(len(pool)), lambda i, j: (
+        two_morphisms(pool[i], pool[j]) or two_morphisms(pool[j], pool[i])))
+    return any(ia in c and ib in c for c in classes.values())
 
 
 # ---------------------------------------------------------------------------

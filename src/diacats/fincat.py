@@ -985,6 +985,28 @@ def is_bijective(F: FinFunctor) -> bool:
             sorted(F.morphism_map.values()) == sorted(m.id for m in F.target.morphisms))
 
 
+def partition(items, related, pairs=None):
+    """Classes of the equivalence relation generated by the `pairs` (every
+    pair of `items` by default) that are `related`, as {root: members in
+    item order} in order of first member.  A pair already in one class is
+    not tested: joining it would change nothing."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in itertools.combinations(items, 2) if pairs is None else pairs:
+        if find(a) != find(b) and related(a, b):
+            parent[find(a)] = find(b)
+    classes = {}
+    for x in items:
+        classes.setdefault(find(x), []).append(x)
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # DOT export
 

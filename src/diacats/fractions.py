@@ -10,7 +10,6 @@ least.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import fincat as fc
@@ -141,33 +140,17 @@ def localize_fractions(c: fc.FinCat, w) -> LocalizedCat:
                         items.append(CospanRep(f.id, wm))
             cospans[(x, y)] = sorted(items, key=lambda r: (r.f, r.w))
 
+    def linked(r1, r2):
+        """Some u carries one cospan onto the other, both legs."""
+        return any(c.comp(u, a.f) == b.f and c.comp(u, a.w) == b.w
+                   for a, b in ((r1, r2), (r2, r1))
+                   for u in c.hom(c.cod(a.f), c.cod(b.f)))
+
     class_of = {}
     homs = {}
     for (x, y), items in cospans.items():
-        parent = {r: r for r in items}
-
-        def find(r):
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            return r
-
-        for r1, r2 in itertools.combinations(items, 2):
-            if find(r1) == find(r2):
-                continue
-            z1, z2 = c.cod(r1.f), c.cod(r2.f)
-            linked = any(c.comp(u, r1.f) == r2.f and c.comp(u, r1.w) == r2.w
-                         for u in c.hom(z1, z2))
-            linked = linked or any(
-                c.comp(u, r2.f) == r1.f and c.comp(u, r2.w) == r1.w
-                for u in c.hom(z2, z1))
-            if linked:
-                parent[find(r1)] = find(r2)
-        groups = {}
-        for r in items:
-            groups.setdefault(find(r), []).append(r)
         reps = {}
-        for members in groups.values():
+        for members in fc.partition(items, linked).values():
             rep = min(members, key=lambda r: (r.f, r.w))
             for m in members:
                 reps[m] = rep

@@ -152,6 +152,7 @@ class DiagramUniverse:
 class MorClass:
     members: set = field(default_factory=set)
     provenance: dict = field(default_factory=dict)
+    rules: dict = None  # the instance tables of the closure that derived it
 
     def admit(self, mid, why):
         if mid not in self.members:
@@ -161,7 +162,7 @@ class MorClass:
         return False
 
     def copy(self):
-        return MorClass(set(self.members), dict(self.provenance))
+        return MorClass(set(self.members), dict(self.provenance), self.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -406,28 +407,12 @@ def l4_instances(u: DiagramUniverse, trunc: int = 3):
 def homotopy_classes(u: DiagramUniverse):
     """Partition of the universe morphisms into 2-morphism zig-zag classes
     (per parallel pair of endpoints)."""
-    parent = {mid: mid for mid in u.morphisms}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    groups = {}
-    for mid, um in u.morphisms.items():
+    mor, groups = u.morphisms, {}
+    for mid, um in mor.items():
         groups.setdefault((um.src, um.tgt), []).append(mid)
-    for (s, t), mids in groups.items():
-        for a, b in itertools.combinations(mids, 2):
-            if find(a) == find(b):
-                continue  # already one class: merging would change nothing
-            ma, mb = u.morphisms[a].mor, u.morphisms[b].mor
-            if dg.two_morphisms(ma, mb) or dg.two_morphisms(mb, ma):
-                parent[find(a)] = find(b)
-    classes = {}
-    for mid in u.morphisms:
-        classes.setdefault(find(mid), []).append(mid)
-    return classes
+    return fc.partition(list(mor), lambda a, b: (
+        dg.two_morphisms(mor[a].mor, mor[b].mor) or dg.two_morphisms(mor[b].mor, mor[a].mor)),
+        [pair for mids in groups.values() for pair in itertools.combinations(mids, 2)])
 
 
 def adjunction_instances(u: DiagramUniverse):
@@ -453,157 +438,168 @@ def adjunction_instances(u: DiagramUniverse):
 
 
 # ---------------------------------------------------------------------------
-# axiom checks (report-valued)
+# rule derivations: the closure admits them, the checks report them
+
+
+def _rule_tables(u: DiagramUniverse, trunc: int, refine_bound: int):
+    """The instance table of each rule family, and the skipped L3 triangles."""
+    translator = ShapeTranslator(u)
+    ws1, ws2, ws3 = ws_instances(u)
+    l2s = l2_instances(u, translator)
+    l3s, skipped = l3_instances(u, refine_bound, translator)
+    return {"WS1": ws1, "L4": l4_instances(u, trunc), "L2": l2s,
+            "HTP": homotopy_classes(u), "ADJ": adjunction_instances(u),
+            "WS2": ws2, "WS3": ws3, "L3": l3s}, skipped
+
+
+def _derive(w: MorClass, rules: dict):
+    """(member, provenance record, instance) for every instance in `rules`
+    whose premises are members of w and whose conclusion is not, family by
+    family in the closure's order: WS1, L4, L2, ADJ, WS2, WS3, L3, HTP.
+
+    `rules` may hold only some families.  Membership is read live: a caller
+    that admits each derivation as it comes sees it in the ones after.
+    """
+    m = w.members
+    for mid in rules.get("WS1", ()):
+        if mid not in m:
+            yield mid, ("WS1",), mid
+    for mid, how, certs in rules.get("L4", ()):
+        if mid not in m:
+            yield mid, ("L4", how, tuple(certs)), (mid, how, certs)
+    for oid, mid in rules.get("L2", ()):
+        if mid is not None and mid not in m:
+            yield mid, ("L2", oid), (oid, mid)
+    for mid, pid, pname in rules.get("ADJ", ()):
+        if mid not in m:
+            yield mid, ("ADJ", pname), (mid, pid, pname)
+        if pid is not None and pid not in m and mid in m:
+            yield pid, ("ADJ-partner", mid), (mid, pid, pname)
+    for f, g, h in rules.get("WS2", ()):
+        inw = (f in m, g in m, h in m)
+        if inw == (True, True, False):
+            yield h, ("WS2-compose", f, g), (f, g, h)
+        elif inw == (True, False, True):
+            yield g, ("WS2-right", f, h), (f, g, h)
+        elif inw == (False, True, True):
+            yield f, ("WS2-left", g, h), (f, g, h)
+    for p, s, sp_ in rules.get("WS3", ()):
+        if sp_ in m and p not in m:
+            yield p, ("WS3", s, sp_), (p, s, sp_)
+        if sp_ in m and s not in m:
+            yield s, ("WS3-section", p, sp_), (p, s, sp_)
+    for wid, p2id, per_k in rules.get("L3", ()):
+        if wid in m:
+            continue
+        chosen = []
+        for k, fam_entries in per_k:
+            fam = next((fam for fam, mids in fam_entries
+                        if all(x in m for x in mids)), None)
+            if fam is None:
+                break
+            chosen.append((k, tuple(fam)))
+        else:
+            yield wid, ("L3", p2id, tuple(chosen)), (wid, p2id, per_k)
+    for mids in rules.get("HTP", {}).values():
+        reps = [x for x in mids if x in m]
+        for x in mids:
+            if reps and x not in m:
+                yield x, ("HTP", reps[0]), mids
 
 
 def check_ws(w: MorClass, u: DiagramUniverse):
     ws1, ws2, ws3 = ws_instances(u)
     violations = []
-    for mid in ws1:
-        if mid not in w.members:
+    for mid, (rule, *_), inst in _derive(w, {"WS1": ws1, "WS2": ws2, "WS3": ws3}):
+        if rule == "WS1":
             violations.append(("WS1", mid))
-    for (f, g, h) in ws2:
-        known = (f in w.members) + (g in w.members) + (h in w.members)
-        if known == 2:
-            for x in (f, g, h):
-                if x not in w.members:
-                    violations.append(("WS2", f, g, h, x))
-    for (p, s, sp_) in ws3:
-        if sp_ in w.members and p not in w.members:
-            violations.append(("WS3", p, s))
+        elif rule.startswith("WS2"):
+            violations.append(("WS2",) + inst + (mid,))
+        elif rule == "WS3":
+            violations.append(("WS3",) + inst[:2])
     return violations
 
 
 def check_L2(w: MorClass, u: DiagramUniverse):
-    violations, missing = [], []
-    for oid, mid in l2_instances(u):
-        if mid is None:
-            missing.append(("MissingCollapseMorphism", oid))
-        elif mid not in w.members:
-            violations.append(("L2", oid, mid))
-    return violations, missing
+    l2s = l2_instances(u)
+    return ([("L2",) + inst for _, _, inst in _derive(w, {"L2": l2s})],
+            [("MissingCollapseMorphism", oid) for oid, mid in l2s if mid is None])
 
 
 def check_L3(w: MorClass, u: DiagramUniverse, refine_bound: int = 2):
     instances, skipped = l3_instances(u, refine_bound)
-    violations = []
-    for (wid, p2id, per_k) in instances:
-        if wid in w.members:
-            continue
-        triggered = True
-        for (k, fam_entries) in per_k:
-            if not any(all(m in w.members for m in mids)
-                       for fam, mids in fam_entries):
-                triggered = False
-                break
-        if triggered:
-            violations.append(("L3", wid, p2id))
-    return violations, skipped
+    return [("L3",) + inst[:2] for _, _, inst in _derive(w, {"L3": instances})], skipped
 
 
 def check_L4(w: MorClass, u: DiagramUniverse, trunc: int = 3):
-    violations = []
-    for (mid, how, certs) in l4_instances(u, trunc):
-        if mid not in w.members:
-            violations.append(("L4", mid, how, certs))
-    return violations
+    return [("L4",) + inst for _, _, inst in _derive(w, {"L4": l4_instances(u, trunc)})]
 
 
 # ---------------------------------------------------------------------------
-# the closure fixpoint
+# the closure fixpoint and its replay
 
 
 def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
                      refine_bound: int = 2):
-    """Iterate (WS1-3), (L2), (L3), (L4), homotopy closure, and adjunction
-    membership until no change.
+    """Admit what `_derive` yields until a pass admits nothing.
 
     Monotone on a finite lattice, so termination is guaranteed; the result
     is a sound under-approximation of the smallest localizer restricted to
-    the universe, with one provenance entry per member.
-    """
+    the universe, with one provenance entry per member.  It carries the
+    instance tables it was derived from and the skipped L3 triangles."""
     w = seed.copy()
-    translator = ShapeTranslator(u)
-    ws1, ws2, ws3 = ws_instances(u)
-    l2s = l2_instances(u, translator)
-    l3s, l3_skipped = l3_instances(u, refine_bound, translator)
-    l4s = l4_instances(u, trunc)
-    classes = homotopy_classes(u)
-    adjs = adjunction_instances(u)
-
-    for mid in ws1:
-        w.admit(mid, ("WS1",))
-    for (mid, how, certs) in l4s:
-        w.admit(mid, ("L4", how, tuple(certs)))
-    for (oid, mid) in l2s:
-        if mid is not None:
-            w.admit(mid, ("L2", oid))
-    for (mid, pid, pname) in adjs:
-        w.admit(mid, ("ADJ", pname))
-        if pid is not None:
-            w.admit(pid, ("ADJ-partner", mid))
-
-    changed = True
-    while changed:
-        changed = False
-        for (f, g, h) in ws2:
-            inw = (f in w.members, g in w.members, h in w.members)
-            if inw == (True, True, False):
-                changed |= w.admit(h, ("WS2-compose", f, g))
-            elif inw == (True, False, True):
-                changed |= w.admit(g, ("WS2-right", f, h))
-            elif inw == (False, True, True):
-                changed |= w.admit(f, ("WS2-left", g, h))
-        for (p, s, sp_) in ws3:
-            if sp_ in w.members:
-                changed |= w.admit(p, ("WS3", s, sp_))
-                changed |= w.admit(s, ("WS3-section", p, sp_))
-        for (wid, p2id, per_k) in l3s:
-            if wid in w.members:
-                continue
-            good = True
-            chosen = []
-            for (k, fam_entries) in per_k:
-                pick = None
-                for fam, mids in fam_entries:
-                    if all(m in w.members for m in mids):
-                        pick = (k, tuple(fam))
-                        break
-                if pick is None:
-                    good = False
-                    break
-                chosen.append(pick)
-            if good:
-                changed |= w.admit(wid, ("L3", p2id, tuple(chosen)))
-        for root, mids in classes.items():
-            if any(m in w.members for m in mids):
-                rep = next(m for m in mids if m in w.members)
-                for m in mids:
-                    if m not in w.members:
-                        changed |= w.admit(m, ("HTP", rep))
-    w.skipped_l3 = l3_skipped
+    w.rules, w.skipped_l3 = _rule_tables(u, trunc, refine_bound)
+    admitted = True
+    while admitted:
+        admitted = [mid for mid, why, _ in _derive(w, w.rules) if w.admit(mid, why)]
     return w
 
 
 def replay_provenance(w: MorClass, u: DiagramUniverse):
-    """Re-check every WS2-compose, WS2-right, WS2-left, WS3, WS3-section
-    and HTP record: its premises must be members and the instance it names
-    must hold in the universe (the composites it records, or for HTP a
-    representative parallel to the member).  Other rules are not replayed.
-    Returns the members whose record fails."""
-    ident, comp, ends = set(u.identity.values()), u.comp.get, u.morphisms
+    """Re-check every record of a closure (or of its copy) against the
+    instance tables it was derived from (WS2 against the composition table
+    its instances come from): the instance it names must be in the tables
+    and its premises must be members.  A SEED record is accepted.  Returns
+    the members whose record fails, or names no rule or instance."""
+    rules, m, comp = w.rules, w.members, u.comp.get
+    ident, l2, ws3 = (set(rules[r]) for r in ("WS1", "L2", "WS3"))
+    l4 = {(mid, how, tuple(certs)) for mid, how, certs in rules["L4"]}
+    adj = {(mid, pname) for mid, _, pname in rules["ADJ"]}
+    partner = {(pid, mid) for mid, pid, _ in rules["ADJ"]}
+    l3 = {(wid, p2id): per_k for wid, p2id, per_k in rules["L3"]}
+    root = {x: r for r, mids in rules["HTP"].items() for x in mids}
+
+    def l3_holds(mid, p2id, chosen):
+        """Each k of the triangle named once, with one of its families
+        whose comma ids are all members."""
+        fams = {k: {tuple(fam): mids for fam, mids in entries}
+                for k, entries in l3[mid, p2id]}
+        return sorted(k for k, _ in chosen) == sorted(fams) and all(
+            fam in fams[k] and set(fams[k][fam]) <= m for k, fam in chosen)
+
     holds = {
-        "WS2-compose": lambda mid, f, g: comp((g, f)) == mid,
-        "WS2-right": lambda mid, f, h: comp((mid, f)) == h,
-        "WS2-left": lambda mid, g, h: comp((g, mid)) == h,
-        "WS3": lambda mid, s, sp_: comp((mid, s)) in ident and comp((s, mid)) == sp_,
-        "WS3-section": lambda mid, p, sp_: comp((p, mid)) in ident and comp((mid, p)) == sp_,
-        "HTP": lambda mid, rep: rep in ends and
-        (ends[rep].src, ends[rep].tgt) == (ends[mid].src, ends[mid].tgt),
+        "SEED": lambda mid: True,
+        "WS1": lambda mid: mid in ident,
+        "WS2-compose": lambda mid, f, g: comp((g, f)) == mid and {f, g} <= m,
+        "WS2-right": lambda mid, f, h: comp((mid, f)) == h and {f, h} <= m,
+        "WS2-left": lambda mid, g, h: comp((g, mid)) == h and {g, h} <= m,
+        "WS3": lambda mid, s, sp_: (mid, s, sp_) in ws3 and {s, sp_} <= m,
+        "WS3-section": lambda mid, p, sp_: (p, mid, sp_) in ws3 and {p, sp_} <= m,
+        "L2": lambda mid, oid: (oid, mid) in l2,
+        "L3": l3_holds,
+        "L4": lambda mid, how, certs: (mid, how, certs) in l4,
+        "HTP": lambda mid, rep: rep in m and root[rep] == root[mid],
+        "ADJ": lambda mid, pname: (mid, pname) in adj,
+        "ADJ-partner": lambda mid, src: (mid, src) in partner and src in m,
     }
-    return [mid for mid, (rule, *premises) in w.provenance.items()
-            if rule in holds and not (holds[rule](mid, *premises)
-                                      and all(p in w.members for p in premises))]
+
+    def valid(mid, why):
+        try:
+            return holds[why[0]](mid, *why[1:])
+        except (IndexError, KeyError, TypeError, ValueError):  # no such rule or instance
+            return False
+
+    return [mid for mid, why in w.provenance.items() if not valid(mid, why)]
 
 
 # ---------------------------------------------------------------------------

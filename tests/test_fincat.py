@@ -347,3 +347,19 @@ def test_associativity_exhaustion_holds_everywhere():
 def test_dot_export_mentions_generators():
     s = fc.to_dot(fc.chain_category(1))
     assert '"0" -> "1"' in s
+
+
+def test_partition_tests_no_pair_already_joined():
+    """Four related items: each join is tested once, a pair already in one
+    class never; the classes keep the item order, under the last root."""
+    tested = []
+
+    def related(a, b):
+        tested.append((a, b))
+        return True
+
+    assert fc.partition([0, 1, 2, 3], related) == {3: [0, 1, 2, 3]}
+    assert tested == [(0, 1), (0, 2), (0, 3)]
+    assert fc.partition("abc", lambda a, b: False) == {"a": ["a"], "b": ["b"], "c": ["c"]}
+    assert list(fc.partition("abc", related, [("c", "a")]).items()) \
+        == [("a", ["a", "c"]), ("b", ["b"])]

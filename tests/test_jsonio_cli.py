@@ -214,6 +214,7 @@ def test_cli_localizer_closure(tmp_path):
                     "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert len(rep["members"]) == 10
+    assert rep["admissions"] == {"ADJ-partner": 2, "L4": 4, "WS1": 4}
     assert run_cli(["localizer-check", "--universe", str(ufile),
                     "--weq", str(tmp_path / "none")]) in (0, 1, 2)
 

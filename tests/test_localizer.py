@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -8,6 +11,7 @@ from diacats import algtop as at
 from diacats import diagram as dg
 from diacats import fincat as fc
 from diacats import fixtures as fx
+from diacats import jsonio as io
 from diacats import localizer as lc
 from diacats import randgen as rg
 from diacats.errors import LimitAbsent, TargetMismatch
@@ -372,24 +376,51 @@ def test_closure_provenance_replays():
     assert not lc.replay_provenance(w, u)
 
 
-@pytest.mark.parametrize("rule", ["WS2-compose", "WS2-right", "WS2-left",
-                                  "WS3", "WS3-section", "HTP"])
+@pytest.mark.parametrize("rule", ["WS1", "WS2-compose", "WS2-right", "WS2-left",
+                                  "WS3", "WS3-section", "L2", "L3", "L4", "HTP",
+                                  "ADJ", "ADJ-partner"])
 def test_replay_provenance_rejects_forged_instances(rule):
     """A forged record whose premises are members but whose instance does
-    not hold in the universe (identities in place of the real factors) is
-    reported."""
+    not hold in the universe (identities in place of the real factors, an
+    object whose collapse is another morphism, a triangle with no family
+    named, a functor or partner that is not the member's) is reported."""
     u = small_universe()
     w = lc.closure_fixpoint(lc.MorClass(), u)
     assert not lc.replay_provenance(w, u)
     mid = next(m for m in sorted(w.members) if u.morphisms[m].src != u.morphisms[m].tgt)
-    id_src, id_tgt = u.identity[u.morphisms[mid].src], u.identity[u.morphisms[mid].tgt]
+    tgt = u.morphisms[mid].tgt
+    id_src, id_tgt = u.identity[u.morphisms[mid].src], u.identity[tgt]
     assert {id_src, id_tgt} <= w.members
     forged = w.copy()
     forged.provenance[mid] = (rule,) + {
-        "WS2-compose": (id_src, id_src), "WS2-right": (id_src, id_src),
+        "WS1": (), "WS2-compose": (id_src, id_src), "WS2-right": (id_src, id_src),
         "WS2-left": (id_tgt, id_tgt), "WS3": (id_src, id_src),
-        "WS3-section": (id_tgt, id_tgt), "HTP": (id_src,)}[rule]
+        "WS3-section": (id_tgt, id_tgt), "L2": (tgt,), "L3": (id_tgt, ()),
+        "L4": ("fibers", ()), "HTP": (id_src,), "ADJ": ("no such functor",),
+        "ADJ-partner": (id_src,)}[rule]
     assert lc.replay_provenance(forged, u) == [mid]
+
+
+@pytest.mark.parametrize("record", [(), ("WS1", "m0"), ("HTP",), ("L3", "m0", [["x"]]),
+                                    ("NO-SUCH-RULE",)])
+def test_replay_provenance_reports_malformed_records(record):
+    """A record with no rule, fields of another rule's shape or an unknown
+    rule is reported, not raised."""
+    u = small_universe()
+    forged = lc.closure_fixpoint(lc.MorClass(), u)
+    mid = sorted(forged.members)[0]
+    forged.provenance[mid] = record
+    assert lc.replay_provenance(forged, u) == [mid]
+
+
+def test_replay_reads_the_closure_tables(monkeypatch):
+    """A closure and its copy carry the instance tables they were derived
+    from: replay builds no comma product, certificate or left adjoint."""
+    u = span_universe()
+    w = lc.closure_fixpoint(lc.MorClass(), u)
+    for name in ("l3_instances", "l4_instances", "adjunction_instances"):
+        monkeypatch.setattr(lc, name, None)
+    assert lc.replay_provenance(w, u) == lc.replay_provenance(w.copy(), u) == []
 
 
 def test_seeded_non_equivalence_flags_seed_not_engine():
@@ -695,3 +726,195 @@ def test_l3_builds_no_functor_per_induced_map(monkeypatch):
     instances, _ = lc.l3_instances(u)
     assert instances and calls["commas"] and calls["inside"]
     assert calls["induced"] == calls["outside"] == 0
+
+
+# ---------------------------------------------------------------------------
+# frozen copies of the closure and the checks as each wrote its own rules
+
+
+def reference_closure_fixpoint(seed, u, trunc=3, refine_bound=2):
+    """The earlier `lc.closure_fixpoint`: WS1, L4, L2 and ADJ admitted
+    once, then WS2, WS3, L3 and HTP until no change."""
+    w = seed.copy()
+    translator = lc.ShapeTranslator(u)
+    ws1, ws2, ws3 = lc.ws_instances(u)
+    l2s = lc.l2_instances(u, translator)
+    l3s, l3_skipped = lc.l3_instances(u, refine_bound, translator)
+    l4s = lc.l4_instances(u, trunc)
+    classes = lc.homotopy_classes(u)
+    adjs = lc.adjunction_instances(u)
+
+    for mid in ws1:
+        w.admit(mid, ("WS1",))
+    for (mid, how, certs) in l4s:
+        w.admit(mid, ("L4", how, tuple(certs)))
+    for (oid, mid) in l2s:
+        if mid is not None:
+            w.admit(mid, ("L2", oid))
+    for (mid, pid, pname) in adjs:
+        w.admit(mid, ("ADJ", pname))
+        if pid is not None:
+            w.admit(pid, ("ADJ-partner", mid))
+
+    changed = True
+    while changed:
+        changed = False
+        for (f, g, h) in ws2:
+            inw = (f in w.members, g in w.members, h in w.members)
+            if inw == (True, True, False):
+                changed |= w.admit(h, ("WS2-compose", f, g))
+            elif inw == (True, False, True):
+                changed |= w.admit(g, ("WS2-right", f, h))
+            elif inw == (False, True, True):
+                changed |= w.admit(f, ("WS2-left", g, h))
+        for (p, s, sp_) in ws3:
+            if sp_ in w.members:
+                changed |= w.admit(p, ("WS3", s, sp_))
+                changed |= w.admit(s, ("WS3-section", p, sp_))
+        for (wid, p2id, per_k) in l3s:
+            if wid in w.members:
+                continue
+            good = True
+            chosen = []
+            for (k, fam_entries) in per_k:
+                pick = None
+                for fam, mids in fam_entries:
+                    if all(m in w.members for m in mids):
+                        pick = (k, tuple(fam))
+                        break
+                if pick is None:
+                    good = False
+                    break
+                chosen.append(pick)
+            if good:
+                changed |= w.admit(wid, ("L3", p2id, tuple(chosen)))
+        for root, mids in classes.items():
+            if any(m in w.members for m in mids):
+                rep = next(m for m in mids if m in w.members)
+                for m in mids:
+                    if m not in w.members:
+                        changed |= w.admit(m, ("HTP", rep))
+    w.skipped_l3 = l3_skipped
+    return w
+
+
+def reference_check_ws(w, u):
+    ws1, ws2, ws3 = lc.ws_instances(u)
+    violations = []
+    for mid in ws1:
+        if mid not in w.members:
+            violations.append(("WS1", mid))
+    for (f, g, h) in ws2:
+        known = (f in w.members) + (g in w.members) + (h in w.members)
+        if known == 2:
+            for x in (f, g, h):
+                if x not in w.members:
+                    violations.append(("WS2", f, g, h, x))
+    for (p, s, sp_) in ws3:
+        if sp_ in w.members and p not in w.members:
+            violations.append(("WS3", p, s))
+    return violations
+
+
+def reference_check_L2(w, u):
+    violations, missing = [], []
+    for oid, mid in lc.l2_instances(u):
+        if mid is None:
+            missing.append(("MissingCollapseMorphism", oid))
+        elif mid not in w.members:
+            violations.append(("L2", oid, mid))
+    return violations, missing
+
+
+def reference_check_L3(w, u, refine_bound=2):
+    instances, skipped = lc.l3_instances(u, refine_bound)
+    violations = []
+    for (wid, p2id, per_k) in instances:
+        if wid in w.members:
+            continue
+        triggered = True
+        for (k, fam_entries) in per_k:
+            if not any(all(m in w.members for m in mids)
+                       for fam, mids in fam_entries):
+                triggered = False
+                break
+        if triggered:
+            violations.append(("L3", wid, p2id))
+    return violations, skipped
+
+
+def reference_check_L4(w, u, trunc=3):
+    violations = []
+    for (mid, how, certs) in lc.l4_instances(u, trunc):
+        if mid not in w.members:
+            violations.append(("L4", mid, how, certs))
+    return violations
+
+
+def reference_checks(w, u):
+    return (reference_check_ws(w, u), reference_check_L2(w, u), reference_check_L3(w, u),
+            reference_check_L4(w, u))
+
+
+def checks(w, u):
+    return lc.check_ws(w, u), lc.check_L2(w, u), lc.check_L3(w, u), lc.check_L4(w, u)
+
+
+def seeded_with_first_three(u):
+    seed = lc.MorClass(set(list(u.morphisms)[:3]))
+    seed.provenance = {mid: ("SEED",) for mid in list(u.morphisms)[:3]}
+    return seed
+
+
+@pytest.mark.parametrize("name", sorted(ADJ_UNIVERSES))
+def test_derivations_match_reference(name, monkeypatch):
+    """The closure admits, and the checks report, what the frozen copies
+    did, order included; honest closures replay to [].  Each L3 and L4
+    table is built once and read by both sides; crit 08 runs the unseeded
+    closure and one check pass."""
+    u = ADJ_UNIVERSES[name]()
+    for table in ("l3_instances", "l4_instances"):
+        real, memo = getattr(lc, table), {}
+
+        def once(u, bound, translator=None, real=real, memo=memo):
+            if bound not in memo:
+                memo[bound] = real(u, bound)
+            return memo[bound]
+
+        monkeypatch.setattr(lc, table, once)
+    w, ref = lc.closure_fixpoint(lc.MorClass(), u), reference_closure_fixpoint(lc.MorClass(), u)
+    assert list(w.provenance.items()) == list(ref.provenance.items())
+    assert w.members == ref.members and w.skipped_l3 == ref.skipped_l3
+    assert lc.replay_provenance(w, u) == []
+    classes = [w]
+    if name != "crit08":
+        seeded = lc.closure_fixpoint(seeded_with_first_three(u), u)
+        ref = reference_closure_fixpoint(seeded_with_first_three(u), u)
+        assert list(seeded.provenance.items()) == list(ref.provenance.items())
+        assert seeded.members == ref.members and seeded.skipped_l3 == ref.skipped_l3
+        assert lc.replay_provenance(seeded, u) == []
+        classes += [lc.MorClass(), lc.MorClass(set(u.identity.values())),
+                    lc.MorClass(set(sorted(w.members)[::2])),
+                    lc.MorClass(set(list(u.morphisms)[::3]))]
+    for c in classes:
+        assert checks(c, u) == reference_checks(c, u)
+
+
+@pytest.mark.parametrize("make", [pseudocircle_universe, span_universe],
+                         ids=["pseudocircle", "span"])
+def test_localizer_cli_independent_of_hash_seed(make, tmp_path):
+    """`localizer-closure` and `localizer-check` print the same bytes, on
+    stdout and stderr, under every string hash seed."""
+    ufile = tmp_path / "u.json"
+    ufile.write_text(io.dumps(io.encode_universe(make())))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lc.__file__)))
+    for command in ("localizer-closure", "localizer-check"):
+        outs = set()
+        for seed in range(3):
+            proc = subprocess.run(
+                [sys.executable, "-m", "diacats.cli", command, "--universe", str(ufile)],
+                capture_output=True, env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                              PYTHONPATH=src))
+            assert proc.returncode == (0 if command == "localizer-closure" else 1)
+            outs.add((proc.stdout, proc.stderr))
+        assert len(outs) == 1
