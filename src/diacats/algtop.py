@@ -294,20 +294,9 @@ def homology(x: sp.SimpSet) -> HomologySummary:
 
 def pi0(x: sp.SimpSet) -> int:
     """Connected components via the 1-skeleton."""
-    parent = {s: s for s in x.levels[0]}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in x.levels[1] if x.trunc >= 1 else []:
-        a = find(x.faces[(e, 0)][1])
-        b = find(x.faces[(e, 1)][1])
-        if a != b:
-            parent[a] = b
-    return len({find(s) for s in x.levels[0]})
+    edges = x.levels[1] if x.trunc >= 1 else []
+    return len(fc.partition(x.levels[0], lambda a, b: True,
+                            [(x.faces[(e, 0)][1], x.faces[(e, 1)][1]) for e in edges]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ construction, nerves, and Hom-diagrams.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import fincat as fc
@@ -178,35 +177,36 @@ class Dia2Mor:
 
 
 def all_dia_mors(d1: DiaObj, d2: DiaObj):
-    """Every DiaMor d1 -> d2, in canonical order."""
-    scat = d1.scat
+    """Every DiaMor d1 -> d2, in canonical order: shape functors as
+    :func:`fc.all_functors` lists them, then label parts by
+    :func:`fc.backtrack`, each shape morphism checked for naturality once
+    both its ends have parts."""
+    scat, S, T = d1.scat, d1.labels, d2.labels
     out = []
     for a in fc.all_functors(d1.shape, d2.shape):
-        objs = list(d1.shape.objects)
-        choices = [scat.hom(d1.labels.ob(i), d2.labels.ob(a.ob(i))) for i in objs]
-        for combo in itertools.product(*choices):
-            m = DiaMor(d1, d2, a, dict(zip(objs, combo)))
-            try:
-                m.validate()
-            except (InvalidNatTransf, InvalidFunctor):
-                continue
-            out.append(m)
+        for lt in fc.backtrack(d1.shape.objects,
+                               lambda i, _: scat.hom(S.ob(i), T.ob(a.ob(i))),
+                               fc.naturality(S, a.then(T))):
+            out.append(DiaMor(d1, d2, a, dict(lt)))
     return out
 
 
 def two_morphisms(f: DiaMor, g: DiaMor):
-    """All 2-morphisms f => g."""
-    if f.src is not g.src or f.tgt is not g.tgt:
+    """All 2-morphisms f => g: the natural transformations mu of the shape
+    maps with mu^* T o f = g, found by one :func:`fc.backtrack`."""
+    a, b = f.shape_map, g.shape_map
+    if f.src is not g.src or f.tgt is not g.tgt \
+            or a.source is not b.source or a.target is not b.target:
         return []
-    out = []
-    for mu in fc.all_nat_transfs(f.shape_map, g.shape_map):
-        c = Dia2Mor(f, g, mu)
-        try:
-            c.validate()
-        except (InvalidNatTransf, EndpointMismatch):
-            continue
-        out.append(c)
-    return out
+    scat, T, J = f.src.scat, f.tgt.labels, a.target
+    natural = fc.naturality(a, b)
+
+    def fits(i, mu):
+        return natural(i, mu) and \
+            scat.comp(T.mo(mu[i]), f.label_transf[i]) == g.label_transf[i]
+
+    return [Dia2Mor(f, g, fc.NatTransf(a, b, dict(mu))) for mu in fc.backtrack(
+        a.source.objects, lambda i, _: J.hom(a.ob(i), b.ob(i)), fits)]
 
 
 def homotopy_related(a: DiaMor, b: DiaMor) -> bool:

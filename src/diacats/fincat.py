@@ -4,8 +4,11 @@ checks, brute-force limits and twisted arrows.  Nerves of categories live
 in :mod:`diacats.simplicial`.
 
 Everything is a plain immutable value.  Object and morphism identifiers are
-strings; declaration order is the canonical order and every search iterates
-in canonical order, returning the first witness.
+strings, and declaration order is the canonical order.  Every exhaustive
+search is one :func:`backtrack`: it fills its slots in canonical order, each
+slot trying its options in canonical order, so results come out in the
+lexicographic order of those choices and a search that stops early returns
+the first witness in that order.
 
 The builders here (products, categories of elements, commas, fibers,
 twisted arrows, posets, the terminal category) return categories correct
@@ -306,6 +309,43 @@ def product_category(c: FinCat, d: FinCat) -> FinCat:
 
 
 # ---------------------------------------------------------------------------
+# exhaustive search
+
+
+def backtrack(slots, options, fits=None, partial=None):
+    """Every completion of the dict `partial` over `slots`, depth first
+    (Knuth, TAOCP 4B, 7.2.2, Algorithm B).
+
+    Slot k tries, in order, the values `options(slot, partial)` lists while
+    the slots before it are set; the walk goes deeper only while
+    `fits(slot, partial)` holds with the new value in place.  Yields the one
+    working dict, so a caller copies what it keeps.
+    """
+    partial = {} if partial is None else partial
+    slots = tuple(slots)
+    if not slots:
+        yield partial
+        return
+    last = len(slots) - 1
+    stack = [iter(options(slots[0], partial))]
+    while stack:
+        k = len(stack) - 1
+        slot = slots[k]
+        for value in stack[k]:
+            partial[slot] = value
+            if fits is None or fits(slot, partial):
+                break
+        else:
+            partial.pop(slot, None)
+            stack.pop()
+            continue
+        if k == last:
+            yield partial
+        else:
+            stack.append(iter(options(slots[k + 1], partial)))
+
+
+# ---------------------------------------------------------------------------
 # functors, natural transformations, adjunctions
 
 
@@ -399,61 +439,59 @@ class NatTransf:
 
 
 def all_functors(source: FinCat, target: FinCat):
-    """Enumerate every functor source -> target in canonical order."""
-    objs = list(source.objects)
-    mors = [m for m in source.morphisms if not source.is_identity(m.id)]
+    """Every functor source -> target: object images in product order, then
+    the non-identity morphisms' images by :func:`backtrack`.  A composable
+    pair of non-identities is checked once it and its composite are set."""
+    mors = [m.id for m in source.morphisms if not source.is_identity(m.id)]
+    rank = {m: k for k, m in enumerate(mors)}
+    checks = {m: [] for m in mors}
+    for (g, f), h in source.compose_table.items():
+        if g in rank and f in rank:
+            checks[max((g, f, h), key=lambda n: rank.get(n, -1))].append((g, f, h))
+    tc = target.compose_table
+
+    def images(m, _):
+        return target.hom(omap[source.dom(m)], omap[source.cod(m)])
+
+    def fits(m, mmap):
+        return all(tc[(mmap[g], mmap[f])] == mmap[h] for g, f, h in checks[m])
+
     results = []
-    for images in itertools.product(target.objects, repeat=len(objs)):
-        omap = dict(zip(objs, images))
-        # extend over morphisms by backtracking
-        mmap = {source.id_of(x): target.id_of(omap[x]) for x in objs}
-
-        def extend(k):
-            if k == len(mors):
-                f = FinFunctor("F", source, target, omap, dict(mmap))
-                try:
-                    f.validate()
-                except InvalidFunctor:
-                    return
-                results.append(f)
-                return
-            m = mors[k]
-            for im in target.hom(omap[m.dom], omap[m.cod]):
-                mmap[m.id] = im
-                ok = True
-                # partial composition check against already-assigned ones
-                for n in mors[:k] + [m]:
-                    if n.cod == m.dom and (m.id, n.id) in source.compose_table:
-                        c = source.comp(m.id, n.id)
-                        if c in mmap and target.comp(mmap[m.id], mmap[n.id]) != mmap[c]:
-                            ok = False
-                            break
-                    if m.cod == n.dom and (n.id, m.id) in source.compose_table:
-                        c = source.comp(n.id, m.id)
-                        if c in mmap and target.comp(mmap[n.id], mmap[m.id]) != mmap[c]:
-                            ok = False
-                            break
-                if ok:
-                    extend(k + 1)
-                del mmap[m.id]
-
-        extend(0)
+    for objs in itertools.product(target.objects, repeat=len(source.objects)):
+        omap = dict(zip(source.objects, objs))
+        ids = {source.id_of(x): target.id_of(omap[x]) for x in source.objects}
+        for mmap in backtrack(mors, images, fits, ids):
+            results.append(FinFunctor("F", source, target, omap, dict(mmap)))
     return results
 
 
-def all_nat_transfs(F: FinFunctor, G: FinFunctor):
-    """Enumerate natural transformations F => G."""
-    t = F.target
-    xs = list(F.source.objects)
-    choices = [t.hom(F.ob(x), G.ob(x)) for x in xs]
-    out = []
-    for combo in itertools.product(*choices):
-        comps = dict(zip(xs, combo))
-        try:
-            out.append(NatTransf(F, G, comps).validate())
-        except (InvalidNatTransf, EndpointMismatch):
-            pass
+def by_later_end(c: FinCat, mors):
+    """The morphisms `mors` of c grouped under their later end in canonical
+    order: a :func:`backtrack` over c's objects checks each once both its
+    ends are set."""
+    rank = {x: k for k, x in enumerate(c.objects)}
+    out = {x: [] for x in c.objects}
+    for m in mors:
+        out[max(c.dom(m), c.cod(m), key=rank.__getitem__)].append(m)
     return out
+
+
+def naturality(F: FinFunctor, G: FinFunctor):
+    """`fits` for a :func:`backtrack` of components x -> (F x -> G x) over
+    F.source's objects."""
+    S, tc = F.source, F.target.compose_table
+    checks = {x: [(S.dom(m), S.cod(m), F.mo(m), G.mo(m)) for m in ms]
+              for x, ms in by_later_end(S, [m.id for m in S.morphisms]).items()}
+    return lambda x, c: all(tc[(c[y], fm)] == tc[(gm, c[x0])] for x0, y, fm, gm in checks[x])
+
+
+def all_nat_transfs(F: FinFunctor, G: FinFunctor):
+    """Every natural transformation F => G, in canonical order."""
+    if F.source is not G.source or F.target is not G.target:
+        return []
+    t = F.target
+    return [NatTransf(F, G, dict(c)) for c in backtrack(
+        F.source.objects, lambda x, _: t.hom(F.ob(x), G.ob(x)), naturality(F, G))]
 
 
 @dataclass
@@ -659,17 +697,11 @@ def is_fibration(alpha: FinFunctor):
 
 
 def _cones(D: FinFunctor):
-    """All cones over D, as (apex, legs dict)."""
+    """All cones over D, as (apex, legs dict): the natural transformations
+    from each constant functor, apexes in canonical order."""
     J, C = D.source, D.target
-    cones = []
-    for apex in C.objects:
-        legsets = [C.hom(apex, D.ob(j)) for j in J.objects]
-        for combo in itertools.product(*legsets):
-            legs = dict(zip(J.objects, combo))
-            if all(C.comp(D.mo(m.id), legs[m.dom]) == legs[m.cod]
-                   for m in J.morphisms):
-                cones.append((apex, legs))
-    return cones
+    return [(apex, n.components) for apex in C.objects
+            for n in all_nat_transfs(FinFunctor.constant(J, C, apex), D)]
 
 
 def factor(C: FinCat, a: str, b: str, cone):
@@ -874,99 +906,58 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
     if any(len(cgroups[k]) != len(dgroups.get(k, [])) for k in cgroups):
         return None
     xs = sorted(c.objects, key=lambda x: (len(cgroups[cc[x]]), cc[x], x))
-    assignment = {}
-    used = set()
+    # the nodes counted against max_nodes: the root, each object placed, the
+    # root of each morphism search and each morphism placed
     budget = [max_nodes]
 
-    def feasible(x, y):
-        for x2, y2 in assignment.items():
-            if len(c.hom(x, x2)) != len(d.hom(y, y2)):
-                return False
-            if len(c.hom(x2, x)) != len(d.hom(y2, y)):
-                return False
-        return True
-
-    def match_objects(k):
-        if budget[0] <= 0:
-            return None
+    def visit():
+        """Count one node of the search; False once `max_nodes` are spent."""
         budget[0] -= 1
-        if k == len(xs):
-            return match_morphisms()
-        x = xs[k]
-        for y in dgroups[cc[x]]:
-            if y in used or not feasible(x, y):
-                continue
-            assignment[x] = y
-            used.add(y)
-            res = match_objects(k + 1)
-            if res is not None:
-                return res
-            del assignment[x]
-            used.discard(y)
+        return budget[0] >= 0
+
+    def feasible(x, part):
+        y = part[x]
+        for x2, y2 in part.items():
+            if x2 != x and (len(c.hom(x, x2)) != len(d.hom(y, y2)) or
+                            len(c.hom(x2, x)) != len(d.hom(y2, y))):
+                return False
+        return visit()
+
+    def images(f, mmap):
+        cands = [d.id_of(omap[c.dom(f)])] if c.is_identity(f) else \
+            d.hom(omap[c.dom(f)], omap[c.cod(f)])
+        return [g for g in cands if g not in mmap.values()
+                and (labels is None or G.mo(g) == F.mo(f))]
+
+    def consistent(f, mmap):
+        m = c.mor(f)
+        for g in mmap:
+            n = c.mor(g)
+            if n.cod == m.dom:
+                h = c.comp(f, g)
+                if h in mmap and d.comp(mmap[f], mmap[g]) != mmap[h]:
+                    return False
+            if m.cod == n.dom:
+                h = c.comp(g, f)
+                if h in mmap and d.comp(mmap[g], mmap[f]) != mmap[h]:
+                    return False
+        return visit()
+
+    if not visit():
         return None
-
-    def match_morphisms():
-        # per-homset bijections, backtracking with composition checks
-        homs = []
-        for x in c.objects:
-            for y in c.objects:
-                hc = c.hom(x, y)
-                hd = d.hom(assignment[x], assignment[y])
-                if len(hc) != len(hd):
-                    return None
-                if hc:
-                    homs.append((hc, hd))
-        mmap = {}
-
-        def consistent(f):
-            m = c.mor(f)
-            for g in list(mmap):
-                n = c.mor(g)
-                if n.cod == m.dom:
-                    h = c.comp(f, g)
-                    if h in mmap and d.comp(mmap[f], mmap[g]) != mmap[h]:
-                        return False
-                if m.cod == n.dom:
-                    h = c.comp(g, f)
-                    if h in mmap and d.comp(mmap[g], mmap[f]) != mmap[h]:
-                        return False
-            return True
-
-        flat = [f for hc, hd in homs for f in hc]
-        pool = {f: hd for hc, hd in homs for f in hc}
-
-        def assign(k):
-            if budget[0] <= 0:
+    flat = [f for x in c.objects for y in c.objects for f in c.hom(x, y)]
+    for omap in backtrack(xs, lambda x, part: [y for y in dgroups[cc[x]]
+                                               if y not in part.values()], feasible):
+        if any(len(c.hom(x, y)) != len(d.hom(omap[x], omap[y]))
+               for x in c.objects for y in c.objects) or not visit():
+            continue
+        mmap = next(backtrack(flat, images, consistent), None)
+        if mmap is not None:
+            try:
+                return FinFunctor("iso", c, d, dict(omap), dict(mmap)).validate()
+            except InvalidFunctor:
                 return None
-            budget[0] -= 1
-            if k == len(flat):
-                return dict(mmap)
-            f = flat[k]
-            m = c.mor(f)
-            forced = None
-            if c.is_identity(f):
-                forced = d.id_of(assignment[m.dom])
-            for g in ([forced] if forced else pool[f]):
-                if g in mmap.values() or (labels is not None and G.mo(g) != F.mo(f)):
-                    continue
-                mmap[f] = g
-                if consistent(f) and assign(k + 1) is not None:
-                    return dict(mmap)
-                del mmap[f]
-            return None
-
-        res = assign(0)
-        if res is None:
-            return None
-        return FinFunctor("iso", c, d, dict(assignment), res)
-
-    out = match_objects(0)
-    if out is not None:
-        try:
-            out.validate()
-        except InvalidFunctor:
-            return None
-    return out
+    return None
 
 
 def verify_isomorphism(F: FinFunctor) -> bool:

@@ -544,16 +544,19 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
 
 
 def simp_maps(a: sp.SimpSet, b: sp.SimpSet):
-    """All simplicial maps a -> b (levelwise, by backtracking), as frozen
-    value assignments."""
-    nds = [(k, s) for k in range(a.trunc + 1) for s in a.levels[k]]
-    out = []
-    val = {}
+    """All simplicial maps a -> b, as :func:`fc.backtrack` finds them: a's
+    nondegenerate simplices level by level, each trying b's values (epi,
+    nd) in order and kept when its faces agree with the values set."""
+    level = {s: k for k in range(a.trunc + 1) for s in a.levels[k]}
 
-    def fits(k, s, w):
-        for i in range(k + 1):
-            if k == 0:
-                break
+    def options(s, _):
+        k = level[s]
+        return [(e, nd) for m in range(k + 1) for e in sp.all_epis(k, m)
+                for nd in b.levels[m]]
+
+    def fits(s, val):
+        k, w = level[s], val[s]
+        for i in range(k + 1) if k else ():
             ev, nd = a.faces[(s, i)]
             img = b.apply(sp.mt_delta(i, k), w)
             if ev == sp.mt_id(k - 1):
@@ -564,22 +567,7 @@ def simp_maps(a: sp.SimpSet, b: sp.SimpSet):
                     return False
         return True
 
-    def bt(p):
-        if p == len(nds):
-            out.append(dict(val))
-            return
-        k, s = nds[p]
-        for m in range(k + 1):
-            for e in sp.all_epis(k, m):
-                for nd in b.levels[m]:
-                    w = (e, nd)
-                    if fits(k, s, w):
-                        val[s] = w
-                        bt(p + 1)
-                        del val[s]
-
-    bt(0)
-    return [sp.SimpMap(a, b, v) for v in out]
+    return [sp.SimpMap(a, b, dict(v)) for v in fc.backtrack(level, options, fits)]
 
 
 def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
@@ -621,26 +609,18 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
     def family_key(fam):
         return tuple(sorted((i, tuple(sorted(f.val.items()))) for i, f in fam.items()))
 
+    squares = fc.by_later_end(shape, [m.id for m in shape.morphisms
+                                      if not shape.is_identity(m.id)])
     levels = []
     level_fams = []
     for k in range(trunc + 1):
         cands = {i: mapping_elements(i, k) for i in shape.objects}
-        fams = [{}]
-        for i in shape.objects:
-            fams = [dict(f, **{i: c}) for f in fams for c in cands[i]]
-        good = []
-        for fam in fams:
-            ok = True
-            for m in shape.morphisms:
-                if shape.is_identity(m.id):
-                    continue
-                i, j = shape.dom(m.id), shape.cod(m.id)
-                if not _end_square(shape, ob, mo, slice_nerves, prods,
-                                   slice_maps, fam, m.id, k, trunc):
-                    ok = False
-                    break
-            if ok:
-                good.append(fam)
+
+        def fits(i, fam):
+            return all(_end_square(shape, ob, mo, slice_nerves, prods, slice_maps,
+                                   fam, m, k, trunc) for m in squares[i])
+
+        good = [dict(f) for f in fc.backtrack(shape.objects, lambda i, _: cands[i], fits)]
         level_fams.append(good)
         levels.append([family_key(f) for f in good])
     fam_by_key = [{family_key(f): f for f in lf} for lf in level_fams]
@@ -658,8 +638,8 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
                 for sid in prod_m.levels[lev]:
                     u, v = elem_m[sid][1]
                     # v is a Delta_m value; push into Delta_k along op
-                    vert = tuple(op[t] for t in _delta_vertices(v))
-                    v2 = _delta_value(vert, k)
+                    epi, runs = sp.collapse_runs(op[t] for t in _delta_vertices(v))
+                    v2 = (epi, "(%s)" % ",".join(map(str, runs)))
                     pair_val = canon_k[(lev, (u, v2))]
                     val[sid] = fam[i].map_value(pair_val)
             out[i] = sp.SimpMap(prod_m, ob[i], val)
@@ -681,21 +661,6 @@ def _delta_vertices(v):
     epi, nd = v
     verts = tuple(int(t) for t in nd.strip("()").split(","))
     return tuple(verts[epi[i]] for i in range(len(epi)))
-
-
-def _delta_value(vert, n):
-    """The value of the simplex of Delta_n with the given vertex tuple."""
-    seen = []
-    for t in vert:
-        if not seen or seen[-1] != t:
-            seen.append(t)
-    epi = []
-    c = 0
-    for i, t in enumerate(vert):
-        if i > 0 and t != vert[i - 1]:
-            c += 1
-        epi.append(c)
-    return (tuple(epi), "(%s)" % ",".join(map(str, seen)))
 
 
 def _end_square(shape, ob, mo, slice_nerves, prods, slice_maps, fam, mid, k,

@@ -635,19 +635,9 @@ def poset_universe(site: Site, max_objects: int = 3):
     """All canonical poset shapes labeled constantly by the site's first
     object, every diagram morphism between them, closed under composition."""
     label = site.cat.objects[0]
-    u = DiagramUniverse(site)
-    dias = []
-    for shape in poset_shapes(max_objects):
-        d = dg.DiaObj(shape, fc.FinFunctor.constant(shape, site.cat, label),
-                      shape.name)
-        u.add_object(d)
-        dias.append(d)
-    for d1 in dias:
-        for d2 in dias:
-            for m in dg.all_dia_mors(d1, d2):
-                u.add_morphism(m)
-    u.close_composition()
-    return u
+    return universe_from(site, [
+        dg.DiaObj(shape, fc.FinFunctor.constant(shape, site.cat, label), shape.name)
+        for shape in poset_shapes(max_objects)], all_mors=True)
 
 
 def universe_from(site: Site, objects, all_mors=False):

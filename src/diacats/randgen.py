@@ -91,39 +91,20 @@ def random_simpset(rng, trunc, max_nondeg=8, name="R"):
 
 def _sample_boundary(rng, x: sp.SimpSet, k):
     """A tuple of k+1 values at level k-1 satisfying the simplicial
-    identities (sampled by backtracking)."""
+    identities: the first :func:`fc.backtrack` finds in a shuffled pool."""
     pool = x.full_level(k - 1)
     if not pool:
         return None
     order = list(pool)
     rng.shuffle(order)
 
-    def compatible(vals):
-        if k < 2:
-            return True
-        j = len(vals) - 1
-        for i in range(j):
-            a = x.apply(sp.mt_delta(i, k - 1), vals[j])
-            b = x.apply(sp.mt_delta(j - 1, k - 1), vals[i])
-            if a != b:
-                return False
-        return True
+    def compatible(j, vals):
+        return all(x.apply(sp.mt_delta(i, k - 1), vals[j]) ==
+                   x.apply(sp.mt_delta(j - 1, k - 1), vals[i]) for i in range(j))
 
-    vals = []
-
-    def bt():
-        if len(vals) == k + 1:
-            return True
-        for v in order:
-            vals.append(v)
-            if compatible(vals) and bt():
-                return True
-            vals.pop()
-        return False
-
-    if bt():
-        return tuple(vals)
-    return None
+    vals = next(fc.backtrack(range(k + 1), lambda j, _: order,
+                             compatible if k >= 2 else None), None)
+    return None if vals is None else tuple(vals.values())
 
 
 def random_split_terminal(rng, trunc, max_nondeg=8, name="R"):

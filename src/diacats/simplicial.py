@@ -60,6 +60,17 @@ def epi_mono_factor(u):
     return tuple(rank[v] for v in u), tuple(image)
 
 
+def collapse_runs(seq):
+    """(epi, runs) of a sequence: `runs` keeps one entry per maximal run of
+    equal adjacent entries, and epi[q] is the run that entry q falls in."""
+    epi, runs = [], []
+    for t in seq:
+        if not runs or runs[-1] != t:
+            runs.append(t)
+        epi.append(len(runs) - 1)
+    return tuple(epi), tuple(runs)
+
+
 def all_epis(n, m):
     """All order-preserving surjections [n] ->> [m], lexicographic."""
     if m > n or m < 0:
@@ -906,19 +917,8 @@ def cech_cover(site, family, trunc, name=None):
             for i in range(n + 1):
                 if n == 0:
                     break
-                t2 = t[:i] + t[i + 1:]
-                # reduce adjacent duplicates, recording the collapse epi
-                keep = [0]
-                for q in range(1, n):
-                    if t2[q] != t2[q - 1]:
-                        keep.append(q)
-                red = tuple(t2[q] for q in keep)
-                epi, c = [], 0
-                for q in range(n):
-                    if q in keep[1:]:
-                        c += 1
-                    epi.append(c)
-                faces[(sid, i)] = (tuple(epi), tup_id(red))
+                epi, red = collapse_runs(t[:i] + t[i + 1:])
+                faces[(sid, i)] = (epi, tup_id(red))
                 part[(sid, i)] = proj(t, red)
     sset = SimpSet(trunc, levels, faces, name or "Cech")
     u = SplitSimpObj(site.cat, sset, label, part, name or "Cech")
@@ -1089,42 +1089,19 @@ def split_isomorphic(a: SplitSimpObj, b: SplitSimpObj):
         return None
     if [len(l) for l in a.levels] != [len(l) for l in b.levels]:
         return None
-    bij = {}
+    level = {s: k for k, l in enumerate(a.levels) for s in l}
 
-    def extend(k):
-        if k > a.trunc:
-            return True
-        asims = list(a.levels[k])
-        bsims = list(b.levels[k])
+    def options(s, bij):
+        used = set(bij.values())
+        return [t for t in b.levels[level[s]] if t not in used and a.label[s] == b.label[t]]
 
-        def backtrack(idx, used):
-            if idx == len(asims):
-                return extend(k + 1)
-            s = asims[idx]
-            for t in bsims:
-                if t in used or a.label[s] != b.label[t]:
-                    continue
-                ok = True
-                for i in range(k + 1):
-                    if k == 0:
-                        break
-                    (e1, nd1) = a.uset.faces[(s, i)]
-                    (e2, nd2) = b.uset.faces[(t, i)]
-                    if e1 != e2 or bij.get(nd1) != nd2 \
-                            or a.part[(s, i)] != b.part[(t, i)]:
-                        ok = False
-                        break
-                if ok:
-                    bij[s] = t
-                    used.add(t)
-                    if backtrack(idx + 1, used):
-                        return True
-                    del bij[s]
-                    used.discard(t)
-            return False
+    def fits(s, bij):
+        t = bij[s]
+        for i in range(level[s] + 1) if level[s] else ():
+            (e1, nd1), (e2, nd2) = a.uset.faces[(s, i)], b.uset.faces[(t, i)]
+            if e1 != e2 or bij.get(nd1) != nd2 or a.part[(s, i)] != b.part[(t, i)]:
+                return False
+        return True
 
-        return backtrack(0, set())
-
-    if extend(0):
-        return dict(bij)
-    return None
+    bij = next(fc.backtrack(level, options, fits), None)
+    return None if bij is None else dict(bij)

@@ -166,31 +166,21 @@ def coprod_identity(cat, a: CoprodObj) -> CoprodMor:
 
 
 def coprod_iso(cat, a: CoprodObj, b: CoprodObj):
-    """Component bijection + componentwise isomorphism, or None."""
+    """Component bijection + componentwise isomorphism, or None: the first
+    assignment i -> (j, m) that :func:`fc.backtrack` finds."""
     if len(a) != len(b):
         return None
-    used = [False] * len(b)
-    assign = [None] * len(a)
 
-    def bt(i):
-        if i == len(a):
-            return True
-        for j in range(len(b)):
-            if used[j]:
-                continue
-            for m in cat.hom(a.components[i], b.components[j]):
-                if cat.is_iso(m):
-                    assign[i] = (j, m)
-                    used[j] = True
-                    if bt(i + 1):
-                        return True
-                    used[j] = False
-        return False
+    def options(i, assign):
+        used = {j for j, _ in assign.values()}
+        return ((j, m) for j in range(len(b)) if j not in used
+                for m in cat.hom(a.components[i], b.components[j]) if cat.is_iso(m))
 
-    if bt(0):
-        return CoprodMor(a, b, tuple(j for j, _ in assign),
-                         tuple(m for _, m in assign))
-    return None
+    assign = next(fc.backtrack(range(len(a)), options), None)
+    if assign is None:
+        return None
+    return CoprodMor(a, b, tuple(j for j, _ in assign.values()),
+                     tuple(m for _, m in assign.values()))
 
 
 def coprod_pullback(site: Site, f: CoprodMor, g: CoprodMor):

@@ -7,7 +7,9 @@ methods are called by the language and are exempt.  A second scan requires
 every parameter with a default to be passed by some call in that corpus.
 A third requires every local a library def assigns to be read somewhere in
 that def.  A fourth requires every attribute the library stores on an
-object other than `self` to be read somewhere in that corpus.
+object other than `self` to be read somewhere in that corpus.  A fifth
+rejects a nested def that calls itself: exhaustive searches go through
+`fincat.backtrack`.
 """
 
 import ast
@@ -58,9 +60,7 @@ def test_every_library_def_is_referenced():
 
 
 # Defaulted parameters that no call site passes but that stay, with why.
-KEPT_DEFAULTS = {
-    ("find_isomorphism", "max_nodes"): "a safety bound on the backtracking search",
-}
+KEPT_DEFAULTS = {}
 
 
 def defaulted_params():
@@ -205,3 +205,31 @@ def test_every_stored_attribute_is_read():
                     for path in sorted(LIBRARY.glob("*.py"))
                     for attr, line in stored_attributes(parse(path)) if attr not in read)
     assert not unread, "attributes stored but never read: " + ", ".join(unread)
+
+
+def recursive_nested_defs(tree):
+    """(name, line) of each def nested in another def whose body calls it
+    by bare name."""
+    out = []
+
+    def visit(node, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if nested and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                                  and n.func.id == child.name for n in ast.walk(child)):
+                    out.append((child.name, child.lineno))
+                visit(child, True)
+            else:
+                visit(child, nested)
+
+    visit(tree, False)
+    return out
+
+
+def test_no_hand_written_recursive_search():
+    """A nested def that recurses on itself is a private copy of the
+    depth-first walk `fincat.backtrack` already is."""
+    found = sorted("%s (%s:%d)" % (name, path.relative_to(ROOT), line)
+                   for path in sorted(LIBRARY.glob("*.py"))
+                   for name, line in recursive_nested_defs(parse(path)))
+    assert not found, "recursive nested defs, use fincat.backtrack: " + ", ".join(found)
