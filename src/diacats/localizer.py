@@ -8,6 +8,12 @@ closure engine is monotone on a finite lattice, records provenance per
 admitted member, and never claims completeness: it computes a sound
 under-approximation of the smallest localizer restricted to the universe.
 
+(L3), the one rule that reads the site's covers, is resolved on demand
+(`L3Triangles`): a triangle's comma maps are resolved only while its
+conclusion is not a member, family by family up to the first that fails,
+and the resolutions persist across passes.  A closure's `skipped_l3` is
+exact all the same: its first read finishes the resolution.
+
 Comma fibers are resolved up to isomorphism: the auxiliary comma diagram is
 translated onto a universe object by label-respecting isomorphism search;
 membership of the translated morphism is what the rules consult
@@ -16,6 +22,7 @@ membership of the translated morphism is what the rules consult
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -154,6 +161,13 @@ class MorClass:
     provenance: dict = field(default_factory=dict)
     rules: dict = None  # the instance tables of the closure that derived it
 
+    @functools.cached_property
+    def skipped_l3(self):
+        """The L3 triangles with a k none of whose cover families resolves,
+        in triangle order: exact, computed on first read by finishing the
+        resolution from the caches of `rules`."""
+        return self.rules["L3"].complete()[1]
+
     def admit(self, mid, why):
         if mid not in self.members:
             self.members.add(mid)
@@ -284,70 +298,115 @@ def cover_families(site: Site, x: str, refine_bound: int = 2):
     return [list(f) for f in fams]
 
 
-def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
-                 translator: ShapeTranslator = None):
-    """Triangles (w over D3) with per-(k, cover) comma morphisms resolved
-    in the universe.
+class L3Triangles:
+    """The (L3) triangles of a universe, resolved on demand.
 
-    Returns (instances, skipped): an instance is (w, p2, [(k, [(family,
-    [comma mids])])]); skipped records triangles whose commas are missing.
+    A triangle is a composable pair (w, p2) with p1 = p2 w, in the order of
+    w and then of p2 among the morphisms out of tgt(w).  Each object k of
+    D3 = tgt(p2) and each member U_i of a cover family of its label give
+    w_k : p1 x_{/D3} (k, U_i) -> p2 x_{/D3} (k, U_i), resolved to a universe
+    id (or None) the first time a test reads it.  Two caches persist across
+    reads: the translated comma products per (morphism id, k, member) and
+    the resolved ids per (w, p2, k, member).
 
-    A comma product depends on one universe morphism, not on the triangle:
-    each `p x_{/D3} (k, U_member)` is built and translated once per
-    (morphism id, k, member) and kept as its `dg.comma_rows` in universe
-    names.  w_k is resolved only when both commas translate, by one pass of
-    `dg.induced_rows` that emits the universe index key in order: no dict,
-    functor, diagram morphism or sort is built, no diagram keyed, per map.
+    A comma product depends on one universe morphism, not on the triangle,
+    and is kept as its `dg.comma_rows` in universe names.  w_k is resolved
+    only when both commas translate, by one pass of `dg.induced_rows` that
+    emits the universe index key in order: no dict, functor, diagram
+    morphism or sort is built, no diagram keyed, per map.
     """
-    translator = translator or ShapeTranslator(u)
-    site = u.site
-    families, commas = {}, {}
 
-    def comma(mid, k, member):
+    def __init__(self, u: DiagramUniverse, refine_bound: int = 2,
+                 translator: ShapeTranslator = None):
+        self.u, self.refine_bound = u, refine_bound
+        self.translator = translator or ShapeTranslator(u)
+        self.covers_of, self.commas, self.resolved = {}, {}, {}
+        by_src = {}
+        for mid, um in u.morphisms.items():
+            by_src.setdefault(um.src, []).append(mid)
+        self.triangles = [(wid, p2id) for wid, wm in u.morphisms.items()
+                          for p2id in by_src.get(wm.tgt, ())]
+
+    def __iter__(self):
+        return iter(self.triangles)
+
+    def covers(self, p2id):
+        """[(k, cover families of its label)] over the objects k of
+        D3 = tgt(p2), in order."""
+        oid = self.u.morphisms[p2id].tgt
+        if oid not in self.covers_of:
+            d3 = self.u.objects[oid]
+            self.covers_of[oid] = [
+                (k, cover_families(self.u.site, d3.labels.ob(k), self.refine_bound))
+                for k in d3.shape.objects]
+        return self.covers_of[oid]
+
+    def resolve(self, wid, p2id, k, member):
+        """The universe id of w_k for the cover member U_i, or None."""
+        key = (wid, p2id, k, member)
+        if key not in self.resolved:
+            u = self.u
+            self.resolved[key] = _induced_mid(
+                u, u.morphisms[wid].mor, self._comma(u.comp[(p2id, wid)], k, member),
+                self._comma(p2id, k, member))
+        return self.resolved[key]
+
+    def _comma(self, mid, k, member):
         key = (mid, k, member)
-        if key not in commas:
-            commas[key] = _translated_comma(u, translator, u.morphisms[mid].mor,
-                                            k, member)
-        return commas[key]
+        if key not in self.commas:
+            self.commas[key] = _translated_comma(self.u, self.translator,
+                                                 self.u.morphisms[mid].mor, k, member)
+        return self.commas[key]
 
-    instances, skipped = [], []
-    by_src = {}
-    for mid, um in u.morphisms.items():
-        by_src.setdefault(um.src, []).append((mid, um))
-    for wid, wm in u.morphisms.items():
-        for p2id, p2m in by_src.get(wm.tgt, []):
-            p1id = u.comp[(p2id, wid)]
-            d3 = p2m.mor.tgt
-            resolved = {}
-            all_ok = True
+    def chosen(self, wid, p2id, members):
+        """((k, family), ...) naming, at each k of D3 in order, the first
+        cover family whose w_k all resolve to ids in `members`, or None at
+        the first k with no such family.  A family is resolved member by
+        member up to its first id that is None or not in `members`."""
+        out = []
+        for k, fams in self.covers(p2id):
+            fam = next((fam for fam in fams if all(
+                self.resolve(wid, p2id, k, x) in members for x in fam)), None)
+            if fam is None:
+                return None
+            out.append((k, tuple(fam)))
+        return tuple(out)
+
+    def complete(self):
+        """(instances, skipped): every triangle resolved to the end.  An
+        instance is (w, p2, [(k, [(family, [comma ids])])]) over the
+        families whose members all resolve; skipped holds the triangles
+        with a k where none does."""
+        instances, skipped = [], []
+        for wid, p2id in self.triangles:
             per_k = []
-            for k in d3.shape.objects:
-                label = d3.labels.ob(k)
-                if label not in families:
-                    families[label] = cover_families(site, label, refine_bound)
-                fam_entries = []
-                for fam in families[label]:
+            for k, fams in self.covers(p2id):
+                entries = []
+                for fam in fams:
                     mids = []
-                    for member in fam:
-                        if (k, member) not in resolved:
-                            resolved[(k, member)] = _induced_mid(
-                                u, wm.mor, comma(p1id, k, member),
-                                comma(p2id, k, member))
-                        mid = resolved[(k, member)]
+                    for x in fam:
+                        mid = self.resolve(wid, p2id, k, x)
                         if mid is None:
                             break
                         mids.append(mid)
                     else:
-                        fam_entries.append((fam, mids))
-                if not fam_entries:
-                    all_ok = False
+                        entries.append((fam, mids))
+                if not entries:
+                    skipped.append((wid, p2id))
                     break
-                per_k.append((k, fam_entries))
-            if all_ok:
-                instances.append((wid, p2id, per_k))
+                per_k.append((k, entries))
             else:
-                skipped.append((wid, p2id))
-    return instances, skipped
+                instances.append((wid, p2id, per_k))
+        return instances, skipped
+
+
+def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
+                 translator: ShapeTranslator = None):
+    """The resolver of `L3Triangles` run to completion: (instances,
+    skipped) as in `L3Triangles.complete`.  The closure does not call it;
+    it resolves each triangle on demand, only while its conclusion is not
+    yet a member."""
+    return L3Triangles(u, refine_bound, translator).complete()
 
 
 def _translated_comma(u, translator, p, k, member):
@@ -442,14 +501,12 @@ def adjunction_instances(u: DiagramUniverse):
 
 
 def _rule_tables(u: DiagramUniverse, trunc: int, refine_bound: int):
-    """The instance table of each rule family, and the skipped L3 triangles."""
+    """The instance table of each rule family; L3's is its resolver."""
     translator = ShapeTranslator(u)
     ws1, ws2, ws3 = ws_instances(u)
-    l2s = l2_instances(u, translator)
-    l3s, skipped = l3_instances(u, refine_bound, translator)
-    return {"WS1": ws1, "L4": l4_instances(u, trunc), "L2": l2s,
+    return {"WS1": ws1, "L4": l4_instances(u, trunc), "L2": l2_instances(u, translator),
             "HTP": homotopy_classes(u), "ADJ": adjunction_instances(u),
-            "WS2": ws2, "WS3": ws3, "L3": l3s}, skipped
+            "WS2": ws2, "WS3": ws3, "L3": L3Triangles(u, refine_bound, translator)}
 
 
 def _derive(w: MorClass, rules: dict):
@@ -458,7 +515,9 @@ def _derive(w: MorClass, rules: dict):
     family in the closure's order: WS1, L4, L2, ADJ, WS2, WS3, L3, HTP.
 
     `rules` may hold only some families.  Membership is read live: a caller
-    that admits each derivation as it comes sees it in the ones after.
+    that admits each derivation as it comes sees it in the ones after.  An
+    L3 triangle is resolved only while its conclusion is not a member, and
+    a triangle that fails is tried again on the next call.
     """
     m = w.members
     for mid in rules.get("WS1", ()):
@@ -488,18 +547,12 @@ def _derive(w: MorClass, rules: dict):
             yield p, ("WS3", s, sp_), (p, s, sp_)
         if sp_ in m and s not in m:
             yield s, ("WS3-section", p, sp_), (p, s, sp_)
-    for wid, p2id, per_k in rules.get("L3", ()):
-        if wid in m:
-            continue
-        chosen = []
-        for k, fam_entries in per_k:
-            fam = next((fam for fam, mids in fam_entries
-                        if all(x in m for x in mids)), None)
-            if fam is None:
-                break
-            chosen.append((k, tuple(fam)))
-        else:
-            yield wid, ("L3", p2id, tuple(chosen)), (wid, p2id, per_k)
+    l3 = rules.get("L3", ())
+    for wid, p2id in l3:
+        if wid not in m:
+            chosen = l3.chosen(wid, p2id, m)
+            if chosen is not None:
+                yield wid, ("L3", p2id, chosen), (wid, p2id, chosen)
     for mids in rules.get("HTP", {}).values():
         reps = [x for x in mids if x in m]
         for x in mids:
@@ -527,8 +580,8 @@ def check_L2(w: MorClass, u: DiagramUniverse):
 
 
 def check_L3(w: MorClass, u: DiagramUniverse, refine_bound: int = 2):
-    instances, skipped = l3_instances(u, refine_bound)
-    return [("L3",) + inst[:2] for _, _, inst in _derive(w, {"L3": instances})], skipped
+    l3 = L3Triangles(u, refine_bound)
+    return [("L3",) + inst[:2] for _, _, inst in _derive(w, {"L3": l3})], l3.complete()[1]
 
 
 def check_L4(w: MorClass, u: DiagramUniverse, trunc: int = 3):
@@ -546,9 +599,10 @@ def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
     Monotone on a finite lattice, so termination is guaranteed; the result
     is a sound under-approximation of the smallest localizer restricted to
     the universe, with one provenance entry per member.  It carries the
-    instance tables it was derived from and the skipped L3 triangles."""
+    instance tables it was derived from; `skipped_l3` finishes the L3
+    resolution from their caches when first read."""
     w = seed.copy()
-    w.rules, w.skipped_l3 = _rule_tables(u, trunc, refine_bound)
+    w.rules = _rule_tables(u, trunc, refine_bound)
     admitted = True
     while admitted:
         admitted = [mid for mid, why, _ in _derive(w, w.rules) if w.admit(mid, why)]
@@ -559,23 +613,29 @@ def replay_provenance(w: MorClass, u: DiagramUniverse):
     """Re-check every record of a closure (or of its copy) against the
     instance tables it was derived from (WS2 against the composition table
     its instances come from): the instance it names must be in the tables
-    and its premises must be members.  A SEED record is accepted.  Returns
-    the members whose record fails, or names no rule or instance."""
+    and its premises must be members.  An L3 record's comma ids are read
+    from its resolver (resolved there by the closure that wrote it) and
+    must be members recorded before it.  A SEED record is accepted.
+    Returns the members whose record fails, or names no rule or instance."""
     rules, m, comp = w.rules, w.members, u.comp.get
+    rank = {x: i for i, x in enumerate(w.provenance)}
     ident, l2, ws3 = (set(rules[r]) for r in ("WS1", "L2", "WS3"))
     l4 = {(mid, how, tuple(certs)) for mid, how, certs in rules["L4"]}
     adj = {(mid, pname) for mid, _, pname in rules["ADJ"]}
     partner = {(pid, mid) for mid, pid, _ in rules["ADJ"]}
-    l3 = {(wid, p2id): per_k for wid, p2id, per_k in rules["L3"]}
+    l3 = rules["L3"]
     root = {x: r for r, mids in rules["HTP"].items() for x in mids}
 
     def l3_holds(mid, p2id, chosen):
-        """Each k of the triangle named once, with one of its families
-        whose comma ids are all members."""
-        fams = {k: {tuple(fam): mids for fam, mids in entries}
-                for k, entries in l3[mid, p2id]}
-        return sorted(k for k, _ in chosen) == sorted(fams) and all(
-            fam in fams[k] and set(fams[k][fam]) <= m for k, fam in chosen)
+        """A triangle with each k of D3 named once, with one of its cover
+        families whose comma ids are members admitted before mid, or
+        members with no record.  Membership alone would not do: the
+        identity family's comma map is often mid itself."""
+        fams, before = dict(l3.covers(p2id)), rank[mid]
+        return (p2id, mid) in u.comp and sorted(k for k, _ in chosen) == sorted(fams) \
+            and all(list(fam) in fams[k] and all(
+                rank.get(c, -1) < before and c in m
+                for c in (l3.resolve(mid, p2id, k, x) for x in fam)) for k, fam in chosen)
 
     holds = {
         "SEED": lambda mid: True,

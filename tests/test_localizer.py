@@ -528,16 +528,111 @@ def test_l3_instances_match_per_triangle_reference(make):
 @pytest.mark.parametrize("make", [poset_subuniverse, span_universe,
                                   pseudocircle_universe])
 def test_closure_matches_reference_l3(make, monkeypatch):
+    """The closure, resolving L3 on demand, admits, records (order
+    included) and skips what the frozen closure does on the frozen
+    per-triangle L3 table: unseeded, seeded with the first three morphisms
+    and, on the pseudocircle, seeded with each morphism alone (two of which
+    admit by L3 through the {U, V} cover)."""
     u = make()
+    seeds = [lc.MorClass(), seeded_with_first_three(u)]
+    if make is pseudocircle_universe:
+        seeds += [lc.MorClass({mid}, {mid: ("SEED",)}) for mid in u.morphisms]
+    got = [lc.closure_fixpoint(seed, u) for seed in seeds]
+    table = reference_l3_instances(u)
+    monkeypatch.setattr(lc, "l3_instances", lambda u, refine_bound, translator: table)
+    for seed, w in zip(seeds, got):
+        ref = reference_closure_fixpoint(seed, u)
+        assert list(w.provenance.items()) == list(ref.provenance.items())
+        assert w.members == ref.members and w.skipped_l3 == ref.skipped_l3
+        assert lc.replay_provenance(w, u) == []
+    if make is pseudocircle_universe:
+        assert sum(why[0] == "L3" for w in got for why in w.provenance.values()) == 2
+
+
+def test_l3_resolves_only_open_triangles(monkeypatch):
+    """Criterion 08's unseeded closure resolves w_k only for triangles whose
+    conclusion is not a member, up to the first failing family: 38,450
+    induced maps where the full table needs 87,186.  The first read of
+    `skipped_l3` resolves the rest from the same caches; a second read
+    resolves nothing."""
+    u = lc.poset_universe(TS, 3)
+    real, calls = dg.induced_rows, Counter()
+
+    def counting(*args):
+        calls["induced"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(dg, "induced_rows", counting)
     w = lc.closure_fixpoint(lc.MorClass(), u)
-    monkeypatch.setattr(lc, "l3_instances",
-                        lambda u, refine_bound, translator:
-                        reference_l3_instances(u, refine_bound))
-    ref = lc.closure_fixpoint(lc.MorClass(), u)
-    assert w.members == ref.members
-    assert w.provenance == ref.provenance
-    assert w.skipped_l3 == ref.skipped_l3
-    assert not lc.replay_provenance(w, u)
+    assert calls["induced"] == 38450
+    assert w.skipped_l3 == [] and calls["induced"] == 87186
+    assert w.skipped_l3 == [] and calls["induced"] == 87186
+
+
+def reference_l3_records(instances, members):
+    """The L3 derivations the eager table gives for a fixed class."""
+    out = []
+    for wid, p2id, per_k in instances:
+        if wid in members:
+            continue
+        chosen = []
+        for k, entries in per_k:
+            fam = next((fam for fam, mids in entries if set(mids) <= members), None)
+            if fam is None:
+                break
+            chosen.append((k, tuple(fam)))
+        else:
+            out.append((wid, ("L3", p2id, tuple(chosen))))
+    return out
+
+
+@pytest.mark.parametrize("make", [pseudocircle_universe, poset_subuniverse],
+                         ids=["pseudocircle", "poset_sub"])
+def test_derive_retries_a_failed_l3_triangle(make):
+    """One rule table, two calls of `_derive`: a triangle missing one comma
+    id in the first is admitted in the second, once that id is a member,
+    with the record the eager table gives; the rest match it too."""
+    u = make()
+    instances, _ = lc.l3_instances(u)
+    rules = {"L3": lc.L3Triangles(u)}
+    wid, p2id, premises = next(
+        (wid, p2id, sorted(ids)) for wid, p2id, per_k in instances
+        for ids in [{x for _, entries in per_k for x in entries[-1][1]}]
+        if len(ids) > 1 and wid not in ids)
+    admitted = []
+    for members in (set(premises[:-1]), set(premises)):
+        got = [(mid, why) for mid, why, _ in lc._derive(lc.MorClass(members), rules)]
+        assert got == reference_l3_records(instances, members)
+        admitted.append((wid, p2id) in {(mid, why[1]) for mid, why in got})
+    assert admitted == [False, True]
+
+
+def test_replay_rejects_tampered_l3_records(monkeypatch):
+    """An honest L3 record through the pseudocircle's {U, V} cover replays;
+    its family swapped for the other family of that k (whose comma map is
+    the member itself), a k dropped, or a comma id taken out of the members
+    is each reported, from the resolver's caches: no comma is built."""
+    u = pseudocircle_universe()
+    for seed in u.morphisms:
+        w = lc.closure_fixpoint(lc.MorClass({seed}, {seed: ("SEED",)}), u)
+        l3 = [(mid, why) for mid, why in w.provenance.items() if why[0] == "L3"]
+        if l3:
+            break
+    mid, (_, p2id, chosen) = l3[0]
+    k, fam = chosen[0]
+    fams = dict(w.rules["L3"].covers(p2id))[k]
+    other = next(tuple(f) for f in fams if tuple(f) != fam)
+    calls = Counter()
+    monkeypatch.setattr(dg, "comma_fiber_product", lambda *args: calls.update(["comma"]))
+    assert lc.replay_provenance(w, u) == []
+    swapped, dropped, removed = w.copy(), w.copy(), w.copy()
+    swapped.provenance[mid] = ("L3", p2id, ((k, other),) + chosen[1:])
+    dropped.provenance[mid] = ("L3", p2id, chosen[1:])
+    removed.members.discard(w.rules["L3"].resolve(mid, p2id, k, fam[-1]))
+    assert lc.replay_provenance(swapped, u) == [mid]
+    assert lc.replay_provenance(dropped, u) == [mid]
+    assert mid in lc.replay_provenance(removed, u)
+    assert calls == Counter()
 
 
 def test_l3_builds_each_comma_once(monkeypatch):
