@@ -2,7 +2,9 @@
 checkers, emit JSON reports (and optional DOT exports).
 
 Exit codes: 0 = all checks pass, 1 = a property violation, 2 = input or
-schema error.  Identical inputs and flags produce byte-identical reports.
+schema error (a record with a missing key or a wrong type, or an id its
+category or universe does not have).  Identical inputs and flags produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ def _load_site(spec):
     return io.decode_site(_load_json(spec))
 
 
+def _member_ids(path, u, what):
+    """The set of universe morphism ids listed in the JSON file at `path`
+    (empty without one)."""
+    return set(io.decode_ids(_load_json(path), u.morphisms, what)) if path else set()
+
+
 def _emit(args, payload):
     text = io.dumps(payload)
     if args.out:
@@ -91,18 +99,7 @@ def cmd_nerve(args):
 
 
 def cmd_groth(args):
-    site = _load_site(args.site)
-    data = _load_json(args.functor)
-    base = io.decode_fincat(data["base"])
-    obs = {a: io.decode_diagram(d, site, a) for a, d in data["objects"].items()}
-    mos = {}
-    for mid, m in data["morphisms"].items():
-        alpha = fc.FinFunctor("a", obs[base.dom(mid)].shape,
-                              obs[base.cod(mid)].shape,
-                              m["alpha"]["obj"], m["alpha"]["mor"])
-        mos[mid] = dg.DiaMor(obs[base.dom(mid)], obs[base.cod(mid)],
-                             alpha, m["f"]).validate()
-    F = dg.DiaFunctor(base, obs, mos).validate()
+    F = io.decode_dia_functor(_load_json(args.functor), _load_site(args.site))
     gro, proj, _ = dg.grothendieck_construction(F)
     ok, _ = fc.is_opfibration(proj)
     _emit_dot(args, gro.shape)
@@ -124,16 +121,7 @@ def cmd_int_amalg(args):
 
 
 def cmd_hocolim(args):
-    site = _load_site(args.site)
-    data = _load_json(args.functor)
-    shape = io.decode_fincat(data["shape"])
-    obs = {a: io.decode_split(d, site, a) for a, d in data["objects"].items()}
-    mos = {}
-    for mid, m in data["morphisms"].items():
-        val = {s: (tuple(v[0]), v[1]) for s, v in m["val"].items()}
-        mos[mid] = sp.SplitMor(obs[shape.dom(mid)], obs[shape.cod(mid)],
-                               val, m["part"]).validate()
-    xd = ht.SplitDiagram(shape, obs, mos).validate()
+    xd = io.decode_split_functor(_load_json(args.functor), _load_site(args.site))
     diag, _ = ht.hocolim_bk(xd, args.trunc)
     _emit(args, {"command": "hocolim", "levels": [len(l) for l in diag.levels],
                  "object": io.encode_split(diag)})
@@ -141,13 +129,7 @@ def cmd_hocolim(args):
 
 
 def cmd_holim(args):
-    data = _load_json(args.functor)
-    shape = io.decode_fincat(data["shape"])
-    obs = {a: io.decode_simpset(d, a) for a, d in data["objects"].items()}
-    mos = {}
-    for mid, m in data["morphisms"].items():
-        val = {s: (tuple(v[0]), v[1]) for s, v in m["val"].items()}
-        mos[mid] = sp.SimpMap(obs[shape.dom(mid)], obs[shape.cod(mid)], val).validate()
+    shape, obs, mos = io.decode_simp_functor(_load_json(args.functor))
     h = ht.holim_end(shape, obs, mos, args.trunc)
     _emit(args, {"command": "holim", "levels": [len(l) for l in h.levels],
                  "object": io.encode_simpset(h)})
@@ -156,7 +138,8 @@ def cmd_holim(args):
 
 def cmd_cech(args):
     site = _load_site(args.site)
-    u, aug = sp.cech_cover(site, args.family, args.trunc)
+    family = io.decode_ids(args.family, [m.id for m in site.cat.morphisms], "--family")
+    u, aug = sp.cech_cover(site, family, args.trunc)
     _emit(args, {"command": "cech", "levels": [len(l) for l in u.levels],
                  "object": io.encode_split(u)})
     return 0
@@ -181,20 +164,14 @@ def cmd_homology(args):
 
 
 def cmd_quasi_iso(args):
-    data = _load_json(args.map)
-    src = io.decode_simpset(data["src"], "src")
-    tgt = io.decode_simpset(data["tgt"], "tgt")
-    val = {s: (tuple(v[0]), v[1]) for s, v in data["val"].items()}
-    f = sp.SimpMap(src, tgt, val).validate()
-    v = at.quasi_iso(f)
+    v = at.quasi_iso(io.decode_simp_map(_load_json(args.map)))
     _emit(args, {"command": "quasi-iso", "report": io.quasi_iso_report(v)})
     return 0 if v.ok else 1
 
 
 def cmd_localizer_check(args):
     u = io.decode_universe(_load_json(args.universe))
-    members = set(_load_json(args.weq)) if args.weq else set()
-    w = lc.MorClass(members)
+    w = lc.MorClass(_member_ids(args.weq, u, "--weq"))
     ws = lc.check_ws(w, u)
     l2, l2_missing = lc.check_L2(w, u)
     l3, l3_skipped = lc.check_L3(w, u, args.refine_bound)
@@ -208,8 +185,7 @@ def cmd_localizer_check(args):
 
 def cmd_localizer_closure(args):
     u = io.decode_universe(_load_json(args.universe))
-    seed_ids = set(_load_json(args.seed_file)) if args.seed_file else set()
-    seed = lc.MorClass(seed_ids)
+    seed = lc.MorClass(_member_ids(args.seed_file, u, "--seed-file"))
     for mid in seed.members:
         seed.provenance[mid] = ("SEED",)
     w = lc.closure_fixpoint(seed, u, args.trunc, args.refine_bound)
@@ -224,7 +200,7 @@ def cmd_localizer_closure(args):
 
 def cmd_localize(args):
     cat = io.decode_fincat(_load_json(args.cat))
-    w = set(_load_json(args.weq))
+    w = set(io.decode_ids(_load_json(args.weq), [m.id for m in cat.morphisms], "--weq"))
     lc_ = fr.localize_fractions(cat, w)
     _emit(args, io.encode_localized(lc_))
     return 0
@@ -242,14 +218,14 @@ def cmd_tw(args):
 def cmd_limits(args):
     cat = io.decode_fincat(_load_json(args.cat))
     if args.product:
-        a, b = args.product
+        a, b = io.decode_ids(args.product, cat.objects, "--product")
         res = fc.product(cat, a, b)
         _emit(args, {"command": "limits", "product": list(args.product),
                      "result": None if res is None else
                      {"apex": res[0], "legs": res[1]}})
         return 0
     if args.pullback:
-        f, g = args.pullback
+        f, g = io.decode_ids(args.pullback, [m.id for m in cat.morphisms], "--pullback")
         res = fc.pullback(cat, f, g)
         _emit(args, {"command": "limits", "pullback": list(args.pullback),
                      "result": None if res is None else

@@ -12,11 +12,13 @@ the first witness in that order.
 
 The builders here (products, categories of elements, commas, fibers,
 twisted arrows, posets, the terminal category) return categories correct
-by construction and do not re-check their axioms: :func:`keyed_category`
-fills the identities and composition table of those whose morphisms are
-keyed by their ends and data, :func:`elements` those of categories of
-elements.  :func:`validate_category` checks raw input, and
-:meth:`FinCat.validate` checks any category assembled by hand.
+by construction and do not re-check their axioms.  :func:`keyed_category`
+fills the identities and composition table of every one of them whose
+morphisms are keyed by their ends and data; :func:`elements` lists the
+objects and arrows of a category of elements and hands them to it.  A
+pullback is the two-leg :func:`wide_pullback`.  :func:`validate_category`
+checks raw input, and :meth:`FinCat.validate` checks any category assembled
+by hand.
 """
 
 from __future__ import annotations
@@ -250,29 +252,21 @@ def elements(name, fibers, out, act, comp, identity, ofmt, mfmt):
     object (c, x) gets the id `ofmt(c, x)`; a morphism
     (c, x, f) : (c, x) -> (cod f, F(f)(x)) gets `mfmt(c, f, src id, tgt id)`,
     and (g, F(f)(x)) o (f, x) = (g o f, x).  Ids are inserted in the order
-    of `fibers` and `out`.  Returns (category, okey[(c, x)], mkey[(c, x, f)]).
+    of `fibers` and `out`; :func:`keyed_category` fills the identities and
+    the composition table.  Returns (category, okey[(c, x)], mkey[(c, x, f)]).
     """
-    objs, okey = [], {}
-    for c, xs in fibers:
-        for x in xs:
-            oid = ofmt(c, x)
-            okey[(c, x)] = oid
-            objs.append(oid)
-    mors, mkey, ident, targets = [], {}, {}, []
+    okey = {(c, x): ofmt(c, x) for c, xs in fibers for x in xs}
+    base_of = {oid: c for (c, _), oid in okey.items()}
+    arrows, mkey = [], {}
     for (c, x), oid in okey.items():
         for f, c2 in out[c]:
-            x2 = act(f, x)
-            oid2 = okey[(c2, x2)]
-            mid = mfmt(c, f, oid, oid2)
-            mkey[(c, x, f)] = mid
-            mors.append(Mor(mid, oid, oid2))
-            targets.append((c2, x2))
-        ident[oid] = mkey[(c, x, identity[c])]
-    table = {}
-    for ((c, x, f), mid), (c2, x2) in zip(mkey.items(), targets):
-        for g, _ in out[c2]:
-            table[(mkey[(c2, x2, g)], mid)] = mkey[(c, x, comp[(g, f)])]
-    return FinCat(name, objs, mors, ident, table), okey, mkey
+            oid2 = okey[(c2, act(f, x))]
+            mid = mkey[(c, x, f)] = mfmt(c, f, oid, oid2)
+            arrows.append((oid, oid2, (f,), mid))
+    cat = keyed_category(name, list(okey.values()), arrows,
+                         lambda g, f: (comp[(g[0], f[0])],),
+                         lambda oid: (identity[base_of[oid]],))[0]
+    return cat, okey, mkey
 
 
 def keyed_category(name, objects, arrows, compose, identity):
@@ -745,19 +739,8 @@ def pullback(C: FinCat, f: str, g: str):
     """Pullback of the cospan dom f -> cod f <- dom g; cod f == cod g."""
     if C.cod(f) != C.cod(g):
         raise DomCodMismatch("pullback needs a cospan")
-    J = poset_category("cospan", ["l", "m", "r"],
-                       lambda x, y: x == y or y == "m")
-    D = FinFunctor("D", J, C,
-                   {"l": C.dom(f), "m": C.cod(f), "r": C.dom(g)},
-                   {J.id_of("l"): C.id_of(C.dom(f)),
-                    J.id_of("m"): C.id_of(C.cod(f)),
-                    J.id_of("r"): C.id_of(C.dom(g)),
-                    "l<=m": f, "r<=m": g})
-    res = limit_cone(D)
-    if res is None:
-        return None
-    apex, legs = res
-    return apex, legs["l"], legs["r"]
+    res = wide_pullback(C, [f, g], C.cod(f))
+    return None if res is None else (res[0], *res[1])
 
 
 def wide_pullback(C: FinCat, legs, x: str):

@@ -250,10 +250,7 @@ def counit_fiber_check(d: dg.DiaObj, trunc: int):
             _, oid1, phi1 = key_of_oid[o1]
             n1, tv1 = translate(oid1, phi1)
             mmap[fmid] = mkey_e[(n1, tv1, op_of[g])]
-        try:
-            iso = fc.verify_isomorphism(fc.FinFunctor("cmp", fib, el, omap, mmap))
-        except Exception:
-            iso = False
+        iso = fc.verify_isomorphism(fc.FinFunctor("cmp", fib, el, omap, mmap))
         ext = fc.detect_extremal(slice_cat)
         out.append((i, iso, ext["initial"]))
     return out
@@ -344,21 +341,12 @@ class SplitDiagram:
         return self
 
 
-def _chain_decode(nerve_set: sp.SimpSet, cat: fc.FinCat, value):
-    """Expand a nerve value into the actual chain (with identities)."""
+def _first_arrow(nerve_set: sp.SimpSet, cat: fc.FinCat, value):
+    """The first arrow of the chain a nerve value of level >= 1 stands for:
+    the first stored arrow unless the degeneracy repeats the first object."""
     epi, nd = value
     x0, ms = nerve_set.chain_of[nd]
-    n = len(epi) - 1
-    objs = [x0]
-    for m in ms:
-        objs.append(cat.cod(m))
-    full = []
-    for j in range(1, n + 1):
-        if epi[j] == epi[j - 1]:
-            full.append(cat.id_of(objs[epi[j]]))
-        else:
-            full.append(ms[epi[j] - 1])
-    return (x0, tuple(full))
+    return ms[0] if epi[1] else cat.id_of(x0)
 
 
 def hocolim_bk(xd: SplitDiagram, trunc: int):
@@ -388,9 +376,7 @@ def hocolim_bk(xd: SplitDiagram, trunc: int):
         cv, v = e
         cv2 = ner.apply(sp.mt_delta(i, n), cv)
         if i == 0:
-            x0, full = _chain_decode(ner, cat, cv)
-            f = xd.mo[full[0]]
-            return (cv2, f.map_value(v))
+            return (cv2, xd.mo[_first_arrow(ner, cat, cv)].map_value(v))
         return (cv2, v)
 
     def hdegen(n, m, j, e):
@@ -412,8 +398,7 @@ def hocolim_bk(xd: SplitDiagram, trunc: int):
     def hpart(n, m, i, e):
         cv, v = e
         if i == 0:
-            x0, full = _chain_decode(ner, cat, cv)
-            return xd.mo[full[0]].map_value_part(v)[1]
+            return xd.mo[_first_arrow(ner, cat, cv)].map_value_part(v)[1]
         return scat.id_of(label(e))
 
     def vpart(n, m, j, e):
@@ -458,9 +443,7 @@ def fiber_product_split(site: Site, f_leg: str, x: sp.SplitSimpObj, aug,
     for lev, ids in enumerate(x.levels):
         for s in ids:
             label[s] = apex(s)[0]
-            for i in range(lev + 1):
-                if lev == 0:
-                    break
+            for i in range(lev + 1 if lev else 0):
                 nd2 = x.uset.faces[(s, i)][1]
                 a1, la1, lx1 = apex(s)
                 a2, la2, lx2 = apex(nd2)

@@ -3,15 +3,19 @@
 Schemas: fincat.v1, site.v1, diagram.v1, simp.v1, ssimp.v1, universe.v1,
 localized.v1, plus the homology report.  Encoders are deterministic
 (sorted keys, canonical list orders) so that identical inputs produce
-byte-identical reports.
+byte-identical reports.  Decoders (of these schemas, of the functor and
+map records the CLI reads, and of id lists) report a missing key, a wrong
+type or an unknown id as a SchemaError.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from . import diagram as dg
 from . import fincat as fc
+from . import homotopy as ht
 from . import simplicial as sp
 from .errors import SchemaError
 from .site import Site
@@ -19,6 +23,27 @@ from .site import Site
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
+
+
+@contextmanager
+def _schema(name):
+    """Report a missing key, a wrong type or a short record inside the
+    block as a SchemaError on `name`."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise SchemaError("malformed %s: %s" % (name, exc))
+
+
+def decode_ids(data, known, what):
+    """A list of ids, each one of `known`, as given on the command line or
+    in a JSON file."""
+    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+        raise SchemaError("%s: expected a list of ids, got %r" % (what, data))
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise SchemaError("%s: unknown ids %s" % (what, ", ".join(map(repr, unknown))))
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +62,10 @@ def encode_fincat(c: fc.FinCat) -> dict:
 
 
 def decode_fincat(data: dict, name="C") -> fc.FinCat:
-    try:
+    with _schema("fincat.v1"):
         if data.get("schema", "fincat.v1") != "fincat.v1":
             raise SchemaError("expected fincat.v1, got %r" % data.get("schema"))
         return fc.validate_category(data, name)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("malformed fincat.v1: %s" % exc)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +83,7 @@ def encode_site(s: Site) -> dict:
 
 
 def decode_site(data: dict, name="S") -> Site:
-    try:
+    with _schema("site.v1"):
         if data.get("schema", "site.v1") != "site.v1":
             raise SchemaError("expected site.v1, got %r" % data.get("schema"))
         cat = decode_fincat(data["fincat"], name)
@@ -68,8 +91,6 @@ def decode_site(data: dict, name="S") -> Site:
                           for x, fams in data.get("covers", {}).items()},
                     data.get("trivial_topology", False),
                     data.get("extensive_topology", False))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("malformed site.v1: %s" % exc)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +108,19 @@ def encode_diagram(d: dg.DiaObj) -> dict:
 
 
 def decode_diagram(data: dict, site: Site, name="D") -> dg.DiaObj:
-    try:
+    with _schema("diagram.v1"):
         if data.get("schema", "diagram.v1") != "diagram.v1":
             raise SchemaError("expected diagram.v1, got %r" % data.get("schema"))
         shape = decode_fincat(data["shape"], name + ".shape")
         labels = fc.FinFunctor("lbl", shape, site.cat,
                                data["labels"]["obj"], data["labels"]["mor"])
         return dg.DiaObj(shape, labels, name).validate()
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("malformed diagram.v1: %s" % exc)
+
+
+def _dia_mor(m, src: dg.DiaObj, tgt: dg.DiaObj) -> dg.DiaMor:
+    """The diagram morphism {alpha: {obj, mor}, f} from src to tgt."""
+    alpha = fc.FinFunctor("alpha", src.shape, tgt.shape, m["alpha"]["obj"], m["alpha"]["mor"])
+    return dg.DiaMor(src, tgt, alpha, m["f"]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +137,22 @@ def encode_simpset(x: sp.SimpSet) -> dict:
     }
 
 
+def _value(v):
+    """The simplex value of an [epi, nd] record."""
+    return tuple(v[0]), v[1]
+
+
 def _simpset(data: dict, name) -> sp.SimpSet:
     """The SimpSet of a simp.v1 record, not yet validated."""
     if data.get("schema", "simp.v1") != "simp.v1":
         raise SchemaError("expected simp.v1, got %r" % data.get("schema"))
-    faces = {(s, i): (tuple(epi), nd)
-             for s, i, epi, nd in data.get("faces", [])}
+    faces = {(s, i): _value((epi, nd)) for s, i, epi, nd in data.get("faces", [])}
     return sp.SimpSet(data["trunc"], data["levels"], faces, name)
 
 
 def decode_simpset(data: dict, name="X") -> sp.SimpSet:
-    try:
+    with _schema("simp.v1"):
         return _simpset(data, name).validate()
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("malformed simp.v1: %s" % exc)
 
 
 def encode_split(x: sp.SplitSimpObj) -> dict:
@@ -138,15 +165,63 @@ def encode_split(x: sp.SplitSimpObj) -> dict:
 
 
 def decode_split(data: dict, site: Site, name="X") -> sp.SplitSimpObj:
-    try:
+    with _schema("ssimp.v1"):
         if data.get("schema", "ssimp.v1") != "ssimp.v1":
             raise SchemaError("expected ssimp.v1, got %r" % data.get("schema"))
         # SplitSimpObj.validate validates the underlying SimpSet first
         uset = _simpset(data["simp"], name)
         part = {(s, i): p for s, i, p in data.get("part", [])}
         return sp.SplitSimpObj(site.cat, uset, data["label"], part, name).validate()
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("malformed ssimp.v1: %s" % exc)
+
+
+# ---------------------------------------------------------------------------
+# maps and functors as the CLI reads them
+
+
+def _simp_map(rec: dict, src, tgt) -> sp.SimpMap:
+    return sp.SimpMap(src, tgt, {s: _value(v) for s, v in rec["val"].items()}).validate()
+
+
+def _split_mor(rec: dict, src, tgt) -> sp.SplitMor:
+    val = {s: _value(v) for s, v in rec["val"].items()}
+    return sp.SplitMor(src, tgt, val, rec["part"]).validate()
+
+
+def decode_simp_map(data: dict) -> sp.SimpMap:
+    """A simplicial map with its ends: {src: simp.v1, tgt: simp.v1, val}."""
+    with _schema("map"):
+        return _simp_map(data, decode_simpset(data["src"], "src"),
+                         decode_simpset(data["tgt"], "tgt"))
+
+
+def _functor(data: dict, shape_key, ob, mor):
+    """(shape, objects, maps) of {shape_key: fincat.v1, objects, morphisms}:
+    `ob(record, name)` decodes the value at each object of the shape and
+    `mor(record, src, tgt)` the map at each morphism."""
+    shape = decode_fincat(data[shape_key])
+    obs = {a: ob(data["objects"][a], a) for a in shape.objects}
+    return shape, obs, {m.id: mor(data["morphisms"][m.id], obs[m.dom], obs[m.cod])
+                        for m in shape.morphisms}
+
+
+def decode_simp_functor(data: dict):
+    """A diagram of simplicial sets, as (shape, objects, maps)."""
+    with _schema("simp functor"):
+        return _functor(data, "shape", decode_simpset, _simp_map)
+
+
+def decode_split_functor(data: dict, site: Site) -> ht.SplitDiagram:
+    """A strict diagram of split objects ({val, part} per map)."""
+    with _schema("split functor"):
+        return ht.SplitDiagram(*_functor(data, "shape", lambda d, a: decode_split(d, site, a),
+                                         _split_mor)).validate()
+
+
+def decode_dia_functor(data: dict, site: Site) -> dg.DiaFunctor:
+    """A strict functor into diagrams ({alpha, f} per map)."""
+    with _schema("diagram functor"):
+        return dg.DiaFunctor(*_functor(data, "base", lambda d, a: decode_diagram(d, site, a),
+                                       _dia_mor)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +251,7 @@ def encode_universe(u) -> dict:
 
 def decode_universe(data: dict):
     from .localizer import DiagramUniverse
-    try:
+    with _schema("universe.v1"):
         if data.get("schema") != "universe.v1":
             raise SchemaError("expected universe.v1, got %r" % data.get("schema"))
         site = decode_site(data["site"])
@@ -186,14 +261,9 @@ def decode_universe(data: dict):
         for d in dias:
             u.add_object(d)
         for m in data.get("morphisms", []):
-            src, tgt = dias[m["src"]], dias[m["tgt"]]
-            alpha = fc.FinFunctor("alpha", src.shape, tgt.shape,
-                                  m["alpha"]["obj"], m["alpha"]["mor"])
-            u.add_morphism(dg.DiaMor(src, tgt, alpha, m["f"]).validate())
+            u.add_morphism(_dia_mor(m, dias[m["src"]], dias[m["tgt"]]))
         u.close_composition()
         return u.validate()
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SchemaError("malformed universe.v1: %s" % exc)
 
 
 # ---------------------------------------------------------------------------

@@ -613,12 +613,14 @@ def replay_provenance(w: MorClass, u: DiagramUniverse):
     """Re-check every record of a closure (or of its copy) against the
     instance tables it was derived from (WS2 against the composition table
     its instances come from): the instance it names must be in the tables
-    and its premises must be members.  An L3 record's comma ids are read
-    from its resolver (resolved there by the closure that wrote it) and
-    must be members recorded before it.  A SEED record is accepted.
-    Returns the members whose record fails, or names no rule or instance."""
-    rules, m, comp = w.rules, w.members, u.comp.get
-    rank = {x: i for i, x in enumerate(w.provenance)}
+    and its premises must be members recorded before it.  The records are
+    walked in order against one growing set: it starts with the members
+    that have no record, and a record's member joins it after its check.
+    An L3 record's comma ids are read from its resolver (resolved there by
+    the closure that wrote it).  A SEED record is accepted.  Returns the
+    members whose record fails, or names no rule or instance."""
+    rules, comp = w.rules, u.comp.get
+    m = w.members - w.provenance.keys()
     ident, l2, ws3 = (set(rules[r]) for r in ("WS1", "L2", "WS3"))
     l4 = {(mid, how, tuple(certs)) for mid, how, certs in rules["L4"]}
     adj = {(mid, pname) for mid, _, pname in rules["ADJ"]}
@@ -628,14 +630,12 @@ def replay_provenance(w: MorClass, u: DiagramUniverse):
 
     def l3_holds(mid, p2id, chosen):
         """A triangle with each k of D3 named once, with one of its cover
-        families whose comma ids are members admitted before mid, or
-        members with no record.  Membership alone would not do: the
-        identity family's comma map is often mid itself."""
-        fams, before = dict(l3.covers(p2id)), rank[mid]
+        families whose comma ids are earlier members.  Membership alone
+        would not do: the identity family's comma map is often mid itself."""
+        fams = dict(l3.covers(p2id))
         return (p2id, mid) in u.comp and sorted(k for k, _ in chosen) == sorted(fams) \
             and all(list(fam) in fams[k] and all(
-                rank.get(c, -1) < before and c in m
-                for c in (l3.resolve(mid, p2id, k, x) for x in fam)) for k, fam in chosen)
+                l3.resolve(mid, p2id, k, x) in m for x in fam) for k, fam in chosen)
 
     holds = {
         "SEED": lambda mid: True,
@@ -659,7 +659,13 @@ def replay_provenance(w: MorClass, u: DiagramUniverse):
         except (IndexError, KeyError, TypeError, ValueError):  # no such rule or instance
             return False
 
-    return [mid for mid, why in w.provenance.items() if not valid(mid, why)]
+    failed = []
+    for mid, why in w.provenance.items():
+        if not valid(mid, why):
+            failed.append(mid)
+        if mid in w.members:
+            m.add(mid)
+    return failed
 
 
 # ---------------------------------------------------------------------------

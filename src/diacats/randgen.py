@@ -8,6 +8,7 @@ from __future__ import annotations
 from . import diagram as dg
 from . import fincat as fc
 from . import simplicial as sp
+from .errors import DiacatsError
 from .site import Site
 
 
@@ -51,7 +52,7 @@ def random_diaobj(rng, site: Site, max_objects=4, name=None):
             continue
         try:
             lab = fc.FinFunctor("S", shape, cat, omap, mmap).validate()
-        except Exception:
+        except DiacatsError:
             continue
         return dg.DiaObj(shape, lab, name or "rand").validate()
     raise RuntimeError("could not sample a labeled diagram")
@@ -148,17 +149,13 @@ def random_dia_functor(rng, site: Site, max_base=3, max_shape=2, name="F"):
                for a in base.objects}
         mos = {base.id_of(a): dg.DiaMor.identity(obs[a]) for a in base.objects}
         nonid = [m for m in base.morphisms if not base.is_identity(m.id)]
-        covers = [m for m in nonid
-                  if not any(base.comp(g.id, f.id) == m.id
-                             for f in nonid for g in nonid
-                             if f.cod == g.dom and g.id != m.id and f.id != m.id)]
         ok = True
-        for m in covers:
-            cand = random_diamor(rng, obs[base.dom(m.id)], obs[base.cod(m.id)])
+        for mid in fc.generators(base):
+            cand = random_diamor(rng, obs[base.dom(mid)], obs[base.cod(mid)])
             if cand is None:
                 ok = False
                 break
-            mos[m.id] = cand
+            mos[mid] = cand
         if not ok:
             continue
         for m in nonid:
@@ -181,6 +178,6 @@ def random_dia_functor(rng, site: Site, max_base=3, max_shape=2, name="F"):
             continue
         try:
             return dg.DiaFunctor(base, obs, mos, name).validate()
-        except Exception:
+        except DiacatsError:
             continue
     raise RuntimeError("could not sample a strict diagram functor")

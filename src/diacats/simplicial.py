@@ -11,6 +11,12 @@ and all structure maps are derived from the stored face data of the
 nondegenerate simplices.  Degeneracies never move labels, so a split
 object only stores a label per nondegenerate simplex and a label part
 per (simplex, face index).
+
+A construction given by its full levels and elementary face and
+degeneracy maps (standard simplices, products and the diagonal, Cech
+objects, Hom into a split object) goes through :func:`from_full_levels`,
+and :func:`with_labels` attaches carriers and face parts.  Maps between
+tensors go through :func:`tensor_map`.
 """
 
 from __future__ import annotations
@@ -264,9 +270,7 @@ class SplitSimpObj:
             for s in ids:
                 if self.label.get(s) not in self.scat.objects:
                     raise InvalidSimplicial("missing label at %r" % s)
-                for i in range(k + 1):
-                    if k == 0:
-                        break
+                for i in range(k + 1 if k else 0):
                     p = self.part.get((s, i))
                     if p is None:
                         raise InvalidSimplicial("missing part at (%r,%d)" % (s, i))
@@ -322,9 +326,7 @@ class SimpMap:
                 w = self.val.get(s)
                 if w is None or self.tgt.value_level(w) != k:
                     raise InvalidSimplicial("map misses simplex %r" % s)
-                for i in range(k + 1):
-                    if k == 0:
-                        break
+                for i in range(k + 1 if k else 0):
                     a = self.tgt.apply(mt_delta(i, k), w)
                     b = self.map_value(self.src.faces[(s, i)])
                     if a != b:
@@ -369,9 +371,7 @@ class SplitMor:
                 m = scat.mor(p)
                 if m.dom != self.src.label[s] or m.cod != self.tgt.label[w[1]]:
                     raise InvalidSimplicial("split map part endpoints wrong at %r" % s)
-                for i in range(k + 1):
-                    if k == 0:
-                        break
+                for i in range(k + 1 if k else 0):
                     a, pa = self.tgt.apply_with_part(mt_delta(i, k), w)
                     pa_tot = scat.comp(pa, p)
                     vv = self.src.uset.faces[(s, i)]
@@ -480,19 +480,12 @@ def with_labels(scat, built, label_fn, part_fn):
 
 
 def delta_simpset(n, trunc, name=None):
-    """Standard simplex Delta_n, truncated."""
-    levels = [[] for _ in range(trunc + 1)]
-    for k in range(min(n, trunc) + 1):
-        levels[k] = ["(%s)" % ",".join(map(str, t))
-                     for t in itertools.combinations(range(n + 1), k + 1)]
-    faces = {}
-    for k in range(1, min(n, trunc) + 1):
-        for t in itertools.combinations(range(n + 1), k + 1):
-            sid = "(%s)" % ",".join(map(str, t))
-            for i in range(k + 1):
-                sub = t[:i] + t[i + 1:]
-                faces[(sid, i)] = (mt_id(k - 1), "(%s)" % ",".join(map(str, sub)))
-    return SimpSet(trunc, levels, faces, name or ("D%d" % n))
+    """Standard simplex Delta_n, truncated: level k is every monotone
+    [k] -> [n], the strictly increasing ones nondegenerate with ids "(0,1)"."""
+    return from_full_levels(
+        trunc, [all_monotone(k, n) for k in range(trunc + 1)],
+        lambda k, i, t: t[:i] + t[i + 1:], lambda k, j, t: t[:j + 1] + t[j:],
+        lambda k, t: "(%s)" % ",".join(map(str, t)), name or ("D%d" % n))[0]
 
 
 def boundary_delta(n, trunc, name=None):
@@ -512,9 +505,7 @@ def subcomplex(x: SimpSet, keep_nds, name="A"):
         changed = False
         for s in list(keep):
             k = x.level_of[s]
-            for i in range(k + 1):
-                if k == 0:
-                    break
+            for i in range(k + 1 if k else 0):
                 nd = x.faces[(s, i)][1]
                 if nd not in keep:
                     keep.add(nd)
@@ -622,18 +613,25 @@ def tensor_value(kx: SplitSimpObj, u, w):
     return kx.elem_canon[(n, (u, w))]
 
 
+def tensor_map(g: SimpMap, f: SplitMor, ga: SplitSimpObj, gb: SplitSimpObj,
+               name) -> SplitMor:
+    """g tensor f : K tensor A -> L tensor B for g : K -> L and f : A -> B,
+    between the tensors `ga` and `gb` built by :func:`tensor`.  The pair
+    (u, v) goes to (g u, f v) with the part of f."""
+    val, part = {}, {}
+    for ids in ga.levels:
+        for sid in ids:
+            u, v = ga.nd_elem[sid][1]
+            w, p = f.map_value_part(v)
+            val[sid] = tensor_value(gb, g.map_value(u), w)
+            part[sid] = p
+    return SplitMor(ga, gb, val, part, name)
+
+
 def tensor_mor(k: SimpSet, f: SplitMor, ka=None, kb=None, name=None) -> SplitMor:
     """K tensor f : K tensor A -> K tensor B."""
-    ka = ka or tensor(k, f.src)
-    kb = kb or tensor(k, f.tgt)
-    val, part = {}, {}
-    for lev, ids in enumerate(ka.levels):
-        for sid in ids:
-            u, v = ka.nd_elem[sid][1]
-            w, p = f.map_value_part(v)
-            val[sid] = tensor_value(kb, u, w)
-            part[sid] = p
-    return SplitMor(ka, kb, val, part, name or ("K(x)%s" % f.name))
+    return tensor_map(SimpMap.identity(k), f, ka or tensor(k, f.src),
+                      kb or tensor(k, f.tgt), name or ("K(x)%s" % f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +778,7 @@ def pushout_along_split(f: SplitMor, g: SplitMor, name=None):
                 continue
             levels[k].append(bpre + s)
             label[bpre + s] = b.label[s]
-            for i in range(k + 1):
-                if k == 0:
-                    break
+            for i in range(k + 1 if k else 0):
                 (v, p) = b.uset.faces[(s, i)], b.part[(s, i)]
                 faces[(bpre + s, i)], part[(bpre + s, i)] = route_b_value(v, p)
     sset = SimpSet(trunc, levels, faces, name or "P")
@@ -791,17 +787,10 @@ def pushout_along_split(f: SplitMor, g: SplitMor, name=None):
                                for l in c.levels for s in l},
                     {s: scat.id_of(c.label[s]) for l in c.levels for s in l},
                     "in_C")
-    bval, bpart = {}, {}
-    for l in b.levels:
-        for s in l:
-            if s in fimg:
-                w, q = g.map_value_part(a.nd_value(fimg[s]))
-                bval[s] = (w[0], cpre + w[1])
-                bpart[s] = q
-            else:
-                bval[s] = (mt_id(b.uset.level_of[s]), bpre + s)
-                bpart[s] = scat.id_of(b.label[s])
-    in_b = SplitMor(b, p_obj, bval, bpart, "in_B")
+    routed = {s: route_b_value(b.nd_value(s), scat.id_of(b.label[s]))
+              for l in b.levels for s in l}
+    in_b = SplitMor(b, p_obj, {s: v for s, (v, _) in routed.items()},
+                    {s: p for s, (_, p) in routed.items()}, "in_B")
     return p_obj, in_b, in_c
 
 
@@ -813,45 +802,25 @@ def pushout_product(l: SimpSet, k: SimpSet, f: SplitMor, name=None):
     la = tensor(l, f.src)
     ka = tensor(k, f.src)
     lb = tensor(l, f.tgt)
-    lb_mor = tensor_mor(l, f, la, lb)
-    # inclusion L tensor A -> K tensor A: pair elements are shared
-    val, part = {}, {}
-    for lev, ids in enumerate(la.levels):
-        for sid in ids:
-            u, v = la.nd_elem[sid][1]
-            val[sid] = tensor_value(ka, u, v)
-            part[sid] = la.scat.id_of(la.label[sid])
-    incl = SplitMor(la, ka, val, part, "L(x)A->K(x)A")
-    p_obj, in_ka, in_lb = pushout_along_split(incl, lb_mor, name or "pp")
     kb = tensor(k, f.tgt)
-    cval, cpart = {}, {}
-    for lev, ids in enumerate(p_obj.levels):
-        for sid in ids:
-            if sid.startswith("C:"):
-                u, v = lb.nd_elem[sid[2:]][1]
-                cval[sid] = tensor_value(kb, u, v)
-                cpart[sid] = p_obj.scat.id_of(p_obj.label[sid])
-            else:
-                u, v = ka.nd_elem[sid[2:]][1]
-                w, p = f.map_value_part(v)
-                cval[sid] = tensor_value(kb, u, w)
-                cpart[sid] = p
-    return p_obj, SplitMor(p_obj, kb, cval, cpart, "pp-cmp")
+    incl = inclusion_map(l, k)
+    p_obj, _, _ = pushout_along_split(
+        tensor_map(incl, SplitMor.identity(f.src), la, ka, "L(x)A->K(x)A"),
+        tensor_mor(l, f, la, lb), name or "pp")
+    # P's simplices are "C:" + an id of L tensor B or "B:" + one of K tensor A
+    legs = {"C:": tensor_map(incl, SplitMor.identity(f.tgt), lb, kb, "L(x)B->K(x)B"),
+            "B:": tensor_mor(k, f, ka, kb)}
+    sids = [sid for ids in p_obj.levels for sid in ids]
+    return p_obj, SplitMor(p_obj, kb, {s: legs[s[:2]].val[s[2:]] for s in sids},
+                           {s: legs[s[:2]].part[s[2:]] for s in sids}, "pp-cmp")
 
 
 def prism_inclusion(n, e, scat, s, trunc):
     """Lambda_e(Delta_n x Delta_1) tensor s -> (Delta_n x Delta_1) tensor s."""
     horn, prod, _ = prism_horn(n, e, trunc)
     xs = constant_split(scat, s, trunc)
-    hx = tensor(horn, xs)
-    px = tensor(prod, xs)
-    val, part = {}, {}
-    for lev, ids in enumerate(hx.levels):
-        for sid in ids:
-            u, v = hx.nd_elem[sid][1]
-            val[sid] = tensor_value(px, u, v)
-            part[sid] = scat.id_of(hx.label[sid])
-    return SplitMor(hx, px, val, part, "prism%d,%d" % (n, e))
+    return tensor_map(inclusion_map(horn, prod), SplitMor.identity(xs), tensor(horn, xs),
+                      tensor(prod, xs), "prism%d,%d" % (n, e))
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +832,9 @@ def cech_cover(site, family, trunc, name=None):
     common single object X), with its augmentation to the constant X.
 
     Level n is the (n+1)-fold fiber power of u U^(i) over X, so level 0 is
-    the coproduct itself.  Requires every leg to be a monomorphism so that
+    the coproduct itself: one simplex "U(i_0,...,i_n)" per index tuple,
+    nondegenerate when no two adjacent indices agree.  A face drops an
+    index, a degeneracy repeats one.  Requires every leg to be a monomorphism so that
     the canonical wide pullbacks give a genuinely split presentation.
     """
     cat = site.cat
@@ -898,42 +869,21 @@ def cech_cover(site, family, trunc, name=None):
             raise LimitAbsent("no unique projection between fiber powers")
         return h
 
-    levels = [[] for _ in range(trunc + 1)]
-    faces, label, part = {}, {}, {}
-    tup_of = {}
     r = range(len(family))
-
-    def tup_id(t):
-        return "U(%s)" % ",".join(map(str, t))
-
-    for n in range(trunc + 1):
-        for t in itertools.product(r, repeat=n + 1):
-            if any(t[i] == t[i + 1] for i in range(n)):
-                continue
-            sid = tup_id(t)
-            tup_of[sid] = t
-            levels[n].append(sid)
-            label[sid] = apex_of(t)[0]
-            for i in range(n + 1):
-                if n == 0:
-                    break
-                epi, red = collapse_runs(t[:i] + t[i + 1:])
-                faces[(sid, i)] = (epi, tup_id(red))
-                part[(sid, i)] = proj(t, red)
-    sset = SimpSet(trunc, levels, faces, name or "Cech")
-    u = SplitSimpObj(site.cat, sset, label, part, name or "Cech")
-    u.tuple_of = tup_of
+    built = from_full_levels(
+        trunc, [list(itertools.product(r, repeat=n + 1)) for n in range(trunc + 1)],
+        lambda n, i, t: t[:i] + t[i + 1:], lambda n, j, t: t[:j + 1] + t[j:],
+        lambda n, t: "U(%s)" % ",".join(map(str, t)), name or "Cech")
+    u, _, _, elem_of = with_labels(cat, built, lambda t: apex_of(t)[0],
+                                   lambda n, i, t: proj(t, t[:i] + t[i + 1:]))
+    u.tuple_of = {sid: t for sid, (_, t) in elem_of.items()}
     target = constant_split(cat, x, trunc, "c(%s)" % x)
     vtx = target.levels[0][0]
     aug_val, aug_part = {}, {}
-    for n, ids in enumerate(u.levels):
-        for sid in ids:
-            aug_val[sid] = ((0,) * (n + 1), vtx)
-            t = tup_of[sid]
-            t0 = t[0]
-            apx, legmap = apex_of((t0,))
-            leg = legmap[family[t0]]
-            aug_part[sid] = cat.comp(family[t0], cat.comp(leg, proj(t, (t0,))))
+    for sid, (n, t) in elem_of.items():
+        aug_val[sid] = ((0,) * (n + 1), vtx)
+        leg = apex_of(t[:1])[1][family[t[0]]]
+        aug_part[sid] = cat.comp(family[t[0]], cat.comp(leg, proj(t, t[:1])))
     return u, SplitMor(u, target, aug_val, aug_part, "aug")
 
 
@@ -1063,13 +1013,8 @@ def nerve_labeled(c: fc.FinCat, labels: fc.FinFunctor, trunc: int,
         for sid in ids:
             x0, ms = uset.chain_of[sid]
             label[sid] = labels.ob(x0)
-            for i in range(lev + 1):
-                if lev == 0:
-                    break
-                if i == 0:
-                    part[(sid, i)] = labels.mo(ms[0])
-                else:
-                    part[(sid, i)] = scat.id_of(labels.ob(x0))
+            for i in range(lev + 1 if lev else 0):
+                part[(sid, i)] = scat.id_of(label[sid]) if i else labels.mo(ms[0])
     obj = SplitSimpObj(scat, uset, label, part, name or ("N(%s)" % c.name))
     obj.chain_of = uset.chain_of
     return obj

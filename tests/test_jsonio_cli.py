@@ -298,3 +298,80 @@ def test_console_entrypoint_runs():
          "--trunc", "3"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert '"ok": true' in proc.stdout
+
+
+def malformed_inputs(tmp_path):
+    """Command lines whose input misses a key, has the wrong type or names an
+    id its category or universe does not have, each by one change to a
+    valid input."""
+    ps, ts = fx.pseudocircle_site(), fx.terminal_site()
+    pt = dg.point_dia(ps.cat, "{a}")
+    groth = {"base": io.encode_fincat(fc.terminal_category()),
+             "objects": {"*": io.encode_diagram(pt)},
+             "morphisms": {"id_*": {"alpha": {"obj": {"*": "*"}, "mor": {"id_*": "id_*"}},
+                                    "f": {"*": "{a}<={a}"}}}}
+    x = sp.constant_split(ts.cat, "*", 2)
+    vals = {s: [list(sp.mt_id(k)), s] for k, l in enumerate(x.levels) for s in l}
+    hocolim = {"shape": io.encode_fincat(fc.terminal_category()),
+               "objects": {"*": io.encode_split(x)},
+               "morphisms": {"id_*": {"val": vals, "part": {s: "id_*" for s in vals}}}}
+    holim = {"shape": io.encode_fincat(fc.terminal_category()),
+             "objects": {"*": io.encode_simpset(x.uset)},
+             "morphisms": {"id_*": {"val": vals}}}
+    d2, bd2 = sp.delta_simpset(2, 3), sp.boundary_delta(2, 3)
+    qmap = {"src": io.encode_simpset(bd2), "tgt": io.encode_simpset(d2),
+            "val": {s: [list(v[0]), v[1]] for s, v in sp.inclusion_map(bd2, d2).val.items()}}
+
+    def write(name, data, *path):
+        data = json.loads(json.dumps(data))
+        cur = data
+        for key in path[:-1]:
+            cur = cur[key]
+        if path:
+            del cur[path[-1]]
+        f = tmp_path / name
+        f.write_text(json.dumps(data))
+        return str(f)
+
+    cat = write("c1.json", io.encode_fincat(fc.chain_category(1)))
+    uni = write("u.json", io.encode_universe(lc.poset_universe(ts, 2)))
+    return {
+        "groth-no-base": ["groth", "--site", "pseudocircle", "--functor",
+                          write("g1.json", groth, "base")],
+        "groth-no-alpha": ["groth", "--site", "pseudocircle", "--functor",
+                           write("g2.json", groth, "morphisms", "id_*", "alpha")],
+        "hocolim-no-part": ["hocolim", "--site", "terminal", "--functor",
+                            write("h1.json", hocolim, "morphisms", "id_*", "part")],
+        "hocolim-no-map": ["hocolim", "--site", "terminal", "--functor",
+                           write("h2.json", hocolim, "morphisms", "id_*")],
+        "holim-no-shape": ["holim", "--functor", write("l1.json", holim, "shape")],
+        "holim-no-val": ["holim", "--functor", write("l2.json", holim, "morphisms", "id_*", "val")],
+        "quasi-iso-no-src": ["quasi-iso", "--map", write("q.json", qmap, "src")],
+        "localize-weq-not-a-list": ["localize", "--cat", cat, "--weq", write("w1.json", 3)],
+        "localize-weq-unknown-id": ["localize", "--cat", cat, "--weq", write("w2.json", ["zzz"])],
+        "limits-pullback-unknown-id": ["limits", "--cat", cat, "--pullback", "0<=1", "zzz"],
+        "limits-product-unknown-id": ["limits", "--cat", cat, "--product", "0", "zzz"],
+        "closure-seed-unknown-id": ["localizer-closure", "--universe", uni,
+                                    "--seed-file", write("s1.json", ["zzz"])],
+        "check-weq-not-a-list": ["localizer-check", "--universe", uni,
+                                 "--weq", write("s2.json", {"m0": 1})],
+        "cech-unknown-leg": ["cech", "--site", "pseudocircle", "--family", "zzz"],
+    }
+
+
+MALFORMED = ["groth-no-base", "groth-no-alpha", "hocolim-no-part", "hocolim-no-map",
+             "holim-no-shape", "holim-no-val", "quasi-iso-no-src",
+             "localize-weq-not-a-list", "localize-weq-unknown-id",
+             "limits-pullback-unknown-id", "limits-product-unknown-id",
+             "closure-seed-unknown-id", "check-weq-not-a-list", "cech-unknown-leg"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
+    """Exit 2 with `input error:` on stderr, not a traceback (exit 1 is a
+    property violation)."""
+    argv = malformed_inputs(tmp_path)
+    assert sorted(argv) == sorted(MALFORMED)
+    assert run_cli(argv[case]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err

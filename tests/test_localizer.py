@@ -401,6 +401,17 @@ def test_replay_provenance_rejects_forged_instances(rule):
     assert lc.replay_provenance(forged, u) == [mid]
 
 
+def test_replay_rejects_a_record_that_uses_its_own_member():
+    """m6 = id o m6, and both are members, but m6 is not a member before its
+    own record: every rule's premises must be recorded earlier."""
+    u = lc.poset_universe(fx.terminal_site(), 2)
+    w = lc.closure_fixpoint(lc.MorClass(), u)
+    assert "m6" in w.members and lc.replay_provenance(w, u) == []
+    forged = w.copy()
+    forged.provenance["m6"] = ("WS2-compose", "m6", u.identity[u.morphisms["m6"].tgt])
+    assert lc.replay_provenance(forged, u) == ["m6"]
+
+
 @pytest.mark.parametrize("record", [(), ("WS1", "m0"), ("HTP",), ("L3", "m0", [["x"]]),
                                     ("NO-SUCH-RULE",)])
 def test_replay_provenance_reports_malformed_records(record):

@@ -12,6 +12,7 @@ categories with non-identity isomorphisms and idempotents, random
 pseudocircle diagrams, and random simplicial sets and split objects.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -718,6 +719,43 @@ def test_random_objects_draw_as_before(monkeypatch):
     got = [encode(seed) for seed in range(40)]
     monkeypatch.setattr(rg, "_sample_boundary", reference_sample_boundary)
     assert got == [encode(seed) for seed in range(40)]
+
+
+# sha256 of the draws below, taken with the generator search written out
+# in `random_dia_functor` before it read `fincat.generators`
+DIAGRAM_DRAWS = {
+    "terminal": "2a68c3fbd7e32b4f9042cfceaa71e24e7a8a90641855f7c097f4c92c7a7052fe",
+    "sierpinski": "219b349bd05aaed0ca075754f38fd41f81e38315ab6cd058536bc5c8ea4d9679",
+    "pseudocircle": "0f215a231b65d83292fb2b598b78db2d8b32e60e4840606b9c853c66a44d2305",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAM_DRAWS))
+def test_random_diagrams_draw_as_before(name):
+    """`random_diaobj` then `random_dia_functor` from one generator, seeds
+    0-59: the same diagrams, functors and morphisms as before."""
+    def cat_key(c):
+        return (c.name, c.objects, tuple((m.id, m.dom, m.cod) for m in c.morphisms),
+                sorted(c.identity.items()), sorted(c.compose_table.items()))
+
+    def dia_key(d):
+        return (d.name, cat_key(d.shape), sorted(d.labels.object_map.items()),
+                sorted(d.labels.morphism_map.items()))
+
+    def functor_key(F):
+        return (cat_key(F.base), [(a, dia_key(d)) for a, d in sorted(F.ob.items())],
+                [(mid, sorted(m.shape_map.object_map.items()),
+                  sorted(m.shape_map.morphism_map.items()), sorted(m.label_transf.items()))
+                 for mid, m in sorted(F.mo.items())])
+
+    site = {"terminal": fx.terminal_site, "sierpinski": fx.sierpinski_site,
+            "pseudocircle": fx.pseudocircle_site}[name]()
+    h = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(seed)
+        h.update(repr(dia_key(rg.random_diaobj(rng, site, 4))).encode())
+        h.update(repr(functor_key(rg.random_dia_functor(rng, site))).encode())
+    assert h.hexdigest() == DIAGRAM_DRAWS[name]
 
 
 def test_split_isomorphic_matches_reference():
