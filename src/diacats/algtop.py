@@ -213,19 +213,15 @@ class ChainComplex:
 
 
 def chain_complex(x: sp.SimpSet) -> ChainComplex:
-    """Normalized complex on nondegenerate simplices; degenerate face
-    values contribute zero, signs alternate."""
+    """Normalized complex on nondegenerate simplices, written from the face
+    rows: degenerate faces contribute zero, signs alternate."""
     boundaries = [[]]
     for k in range(1, x.trunc + 1):
-        row = {s: i for i, s in enumerate(x.levels[k - 1])}
-        flat = sp.mt_id(k - 1)
         cols = []
-        for s in x.levels[k]:
+        for row in x.face_rows(k):
             col, sign = {}, 1
-            for i in range(k + 1):
-                epi, nd = x.faces[(s, i)]
-                if epi == flat:
-                    r = row[nd]
+            for r in row:
+                if r >= 0:
                     v = col.get(r, 0) + sign
                     if v:
                         col[r] = v

@@ -21,6 +21,7 @@ tensors go through :func:`tensor_map`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (
@@ -110,11 +111,14 @@ class SimpSet:
     """
 
     def __init__(self, trunc, levels, faces, name="X"):
+        self._index_levels(trunc, levels, name)
+        self.faces = dict(faces)
+
+    def _index_levels(self, trunc, levels, name):
         self.trunc = trunc
         self.levels = [tuple(l) for l in levels]
         while len(self.levels) < trunc + 1:
             self.levels.append(())
-        self.faces = dict(faces)
         self.name = name
         self.level_of = {}
         for k, ids in enumerate(self.levels):
@@ -152,6 +156,15 @@ class SimpSet:
             e = mt_comp(e2, e)
             m = self.level_of[nd]
         return (e, nd), steps
+
+    def face_rows(self, k):
+        """Per k-simplex, the index of each face d_i in level k-1, or a
+        negative number where d_i is degenerate."""
+        row = {s: i for i, s in enumerate(self.levels[k - 1])}
+        flat = mt_id(k - 1)
+        return [tuple(row[nd] if epi == flat else -1
+                      for epi, nd in (self.faces[(s, i)] for i in range(k + 1)))
+                for s in self.levels[k]]
 
     def full_level(self, n):
         """Every simplex of level n as a value, canonically ordered."""
@@ -946,60 +959,102 @@ def chain_image(functor: fc.FinFunctor, chain):
     return tuple(epi), chain_id((functor.ob(x0), tuple(kept)))
 
 
-def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> SimpSet:
-    """The nerve of a finite category, truncated.  Nondegenerate
-    k-simplices are the chains of k composable non-identity morphisms.
+class Nerve(SimpSet):
+    """The nerve of a finite category, stored by the face rows of its
+    integer chains.
 
-    Chains are listed as integer tuples (start object, arrow numbers), each
-    extended along the non-identity out-arrows of its last object.  d_0
-    drops the first arrow, d_k the last, and an inner d_i composes arrows
-    i and i+1; that face is degenerate exactly when the composite is an
-    identity, and its epi then repeats vertex i-1.  A chain's string id and
-    its `chain_of` value extend its parent's by one arrow."""
+    `face_rows(k)[j]` gives, for d_0 .. d_k of the j-th k-chain, the index
+    of the face in level k-1, or ~r when the face is degenerate onto the
+    r-th (k-2)-chain; its epi then repeats vertex i-1.  The last entry is
+    the chain's parent, `arrows[k][j]` the number of its last arrow.  The
+    string-keyed `faces` and `chain_of` are written from the rows on first
+    read, in level order."""
+
+    def __init__(self, trunc, levels, rows, arrows, mids, objects, name):
+        self._index_levels(trunc, levels, name)
+        self.rows, self.arrows, self.mids, self.objects = rows, arrows, mids, objects
+
+    def face_rows(self, k):
+        return self.rows[k]
+
+    @functools.cached_property
+    def faces(self):
+        faces = {}
+        for k in range(1, self.trunc + 1):
+            flat = tuple(range(k))
+            degenerate = {i: flat[:i] + flat[i - 1:k - 1] for i in range(1, k)}
+            below, two_below = self.levels[k - 1], self.levels[k - 2]
+            for sid, row in zip(self.levels[k], self.rows[k]):
+                for i, r in enumerate(row):
+                    faces[(sid, i)] = ((flat, below[r]) if r >= 0
+                                       else (degenerate[i], two_below[~r]))
+        return faces
+
+    @functools.cached_property
+    def chain_of(self):
+        chain_of = {sid: (x, ()) for sid, x in zip(self.levels[0], self.objects)}
+        for k in range(1, self.trunc + 1):
+            below = self.levels[k - 1]
+            for sid, row, m in zip(self.levels[k], self.rows[k], self.arrows[k]):
+                x0, ms = chain_of[below[row[-1]]]
+                chain_of[sid] = (x0, ms + (self.mids[m],))
+        return chain_of
+
+
+def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> Nerve:
+    """The nerve of a finite category, truncated.  Nondegenerate
+    k-simplices are the chains of k composable non-identity morphisms,
+    each extended along the non-identity out-arrows of its last object, so
+    the children of a chain are consecutive and the q-th extends it by the
+    q-th out-arrow.
+
+    A chain ch.m of length k finds its face rows from its parent's: for
+    i < k-1, d_i is d_i(ch) extended by m (a degenerate face stays
+    degenerate, one level lower); d_{k-1} extends ch[:-1] by m o m_{k-1},
+    or is degenerate onto ch[:-1] when that composite is an identity; d_k
+    is ch.  A chain's string id extends its parent's by one arrow."""
     onum = {x: n for n, x in enumerate(c.objects)}
     mids = [m.id for m in c.morphisms]
     num = {mid: n for n, mid in enumerate(mids)}
     cod = [onum[m.cod] for m in c.morphisms]
     ident = {num[i] for i in c.identity.values()}
     steps = [[] for _ in c.objects]
+    rank = {}
     for n, m in enumerate(c.morphisms):
         if n not in ident:
+            rank[n] = len(steps[onum[m.dom]])
             steps[onum[m.dom]].append(n)
     table = c.compose_table
-    comp = {(f, g): num[table[(mids[g], mids[f])]]
-            for f in range(len(mids)) if f not in ident
-            for g in steps[cod[f]]} if trunc > 1 else {}
-    chains = [[(n,) for n in range(len(c.objects))]]
+    # after[f][q]: the rank of steps[cod f][q] o f among the out-arrows of
+    # dom f, or -1 when that composite is an identity
+    after = [[rank.get(num[table[(mids[g], mids[f])]], -1) for g in steps[cod[f]]]
+             if f in rank and trunc > 1 else [] for f in range(len(mids))]
     levels = [[chain_id((x, ())) for x in c.objects]]
-    chain_of = {sid: (x, ()) for sid, x in zip(levels[0], c.objects)}
+    rows, arrows, first = [[]], [[]], []
     for k in range(1, trunc + 1):
-        lev, ids = [], []
-        for ch, sid in zip(chains[k - 1], levels[k - 1]):
-            x0, ms = chain_of[sid]
-            for m in steps[cod[ch[-1]] if k > 1 else ch[0]]:
-                lev.append(ch + (m,))
-                ids.append(sid[:-1] + "|" + mids[m] + ")")
-                chain_of[ids[-1]] = (x0, ms + (mids[m],))
-        chains.append(lev)
+        ids, lev, arr, starts = [], [], [], []
+        for p, sid in enumerate(levels[k - 1]):
+            starts.append(len(ids))
+            if k == 1:
+                kids = steps[p]
+                faces = [[cod[m] for m in kids]]
+            else:
+                a, row = arrows[k - 1][p], rows[k - 1][p]
+                kids, n = steps[cod[a]], len(steps[cod[a]])
+                bases = [first[k - 2][r] if r >= 0 else ~first[k - 3][~r] for r in row[:-1]]
+                faces = [range(b, b + n) if b >= 0 else range(b, b - n, -1) for b in bases]
+                last = first[k - 2][row[-1]]
+                faces.append([last + g if g >= 0 else ~row[-1] for g in after[a]])
+            stem = sid[:-1] + "|"
+            ids.extend([stem + mids[m] + ")" for m in kids])
+            arr.extend(kids)
+            lev.extend(zip(*faces, itertools.repeat(p, len(kids))))
+        first.append(starts)
         levels.append(ids)
-    id_of = {ch: sid for lev, ids in zip(chains, levels)
-             for ch, sid in zip(lev, ids)}
-    faces = {}
-    for k in range(1, trunc + 1):
-        flat = tuple(range(k))
-        degenerate = {i: flat[:i] + flat[i - 1:k - 1] for i in range(1, k)}
-        for ch, sid in zip(chains[k], levels[k]):
-            faces[(sid, 0)] = (flat, id_of[(cod[ch[1]],) + ch[2:]])
-            for i in range(1, k):
-                g = comp[(ch[i], ch[i + 1])]
-                if g in ident:
-                    faces[(sid, i)] = (degenerate[i], id_of[ch[:i] + ch[i + 2:]])
-                else:
-                    faces[(sid, i)] = (flat, id_of[ch[:i] + (g,) + ch[i + 2:]])
-            faces[(sid, k)] = (flat, id_of[ch[:-1]])
-    sset = SimpSet(trunc, levels, faces, name or ("N(%s)" % c.name))
-    sset.chain_of = chain_of
-    return sset
+        rows.append(lev)
+        arrows.append(arr)
+    return Nerve(trunc, levels, rows, arrows, mids, list(c.objects),
+                 name or ("N(%s)" % c.name))
 
 
 def nerve_labeled(c: fc.FinCat, labels: fc.FinFunctor, trunc: int,

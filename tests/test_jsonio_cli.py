@@ -10,6 +10,7 @@ from diacats import cli
 from diacats import diagram as dg
 from diacats import fincat as fc
 from diacats import fixtures as fx
+from diacats import fractions as fr
 from diacats import jsonio as io
 from diacats import localizer as lc
 from diacats import simplicial as sp
@@ -154,6 +155,52 @@ def test_cli_compare_golden(tmp_path, check, seed):
     assert run_cli(["compare", check, "--seed", seed, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_GOLDEN[(check, seed)]
 
+
+# sha256 of (stdout, stderr, CSV) of `nerve` and `homology --csv` below,
+# recorded at the commit before a nerve's faces were written from integer
+# face rows.
+EMPTY = hashlib.sha256(b"").hexdigest()
+NERVE_HOMOLOGY_GOLDEN = {
+    "nerve": ("2eb12f1a92f7ce5a89855c677ecc12eb792fce5fca39f309c05edb3f760f155b",
+              EMPTY, None),
+    "homology": ("6faa236a664e7fb24cddcef86feafee3184198f8bc8f9147ca73e452dec1701a",
+                 EMPTY,
+                 "9e1ea742983a4cc33add6ed1a5c94d68367dbffb6828b9933479b94d117712ad"),
+}
+
+
+def test_cli_nerve_and_homology_independent_of_hash_seed(tmp_path):
+    """`nerve` on the localized [2] (every arrow an isomorphism, so inner
+    faces of its chains are degenerate) over the terminal site, and
+    `homology --csv` on the nerve of Z/4: reports and CSV are pinned byte
+    for byte under three string hash seeds."""
+    site = fx.terminal_site()
+    c = fc.chain_category(2)
+    shape = fr.localized_as_fincat(fr.localize_fractions(c, {m.id for m in c.morphisms}))
+    dia = tmp_path / "d.json"
+    dia.write_text(io.dumps(io.encode_diagram(dg.DiaObj(
+        shape, fc.FinFunctor.constant(shape, site.cat, "*"), "iso3").validate())))
+    z4 = ["g%d" % i for i in range(4)]
+    cyclic = fc.FinCat("Z/4", ["*"], [fc.Mor(g, "*", "*") for g in z4], {"*": "g0"},
+                       {(z4[a], z4[b]): z4[(a + b) % 4]
+                        for a in range(4) for b in range(4)}).validate()
+    simp = tmp_path / "n.json"
+    simp.write_text(io.dumps(io.encode_simpset(sp.nerve_of_category(cyclic, 4))))
+    csv = tmp_path / "b.csv"
+    commands = {"nerve": ["nerve", "--dia", str(dia), "--site", "terminal", "--trunc", "3"],
+                "homology": ["homology", "--simp", str(simp), "--csv", str(csv)]}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    for seed in (0, 1, 2):
+        for name, argv in commands.items():
+            csv.unlink(missing_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "diacats.cli", *argv], capture_output=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src))
+            assert proc.returncode == 0
+            got = tuple(hashlib.sha256(data).hexdigest() if data is not None else None
+                        for data in (proc.stdout, proc.stderr,
+                                     csv.read_bytes() if csv.exists() else None))
+            assert got == NERVE_HOMOLOGY_GOLDEN[name], (name, seed)
 
 def test_cli_cech_and_limits(tmp_path):
     out = tmp_path / "r.json"
