@@ -24,13 +24,11 @@ from .errors import InvalidSimplicial
 def snf(matrix):
     """Exact integer Smith normal form of a matrix given as a list of rows.
 
-    Returns (invariant_factors, rank) as :func:`snf_sparse`, which does the
-    elimination on the matrix's columns.  The input is not modified.
+    Returns (invariant_factors, rank) as :func:`snf_sparse`, run on the rows
+    as sparse vectors: the transpose has the same invariant factors.  The
+    input is not modified.
     """
-    rows = [list(map(int, row)) for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    return snf_sparse([{i: row[j] for i, row in enumerate(rows) if row[j]}
-                       for j in range(ncols)])
+    return snf_sparse([{j: v for j, v in enumerate(map(int, row)) if v} for row in matrix])
 
 
 def snf_sparse(columns):
@@ -185,29 +183,24 @@ def _snf_exact(columns):
 class ChainComplex:
     """Normalized chain complex of a truncated simplicial set: per degree k
     the count of nondegenerate k-simplices and the boundary matrix from
-    degree k (as sparse columns over row indices of degree k-1)."""
+    degree k, stored by rows: `rows[k][r]` is {k-simplex j: coefficient}
+    for the r-th (k-1)-simplex."""
 
     trunc: int
     ranks: list
-    boundaries: list  # boundaries[k]: list of column dicts, degree k -> k-1
+    rows: list
 
     def boundary_dense(self, k):
-        cols = self.boundaries[k]
-        m = self.ranks[k - 1]
-        out = [[0] * len(cols) for _ in range(m)]
-        for j, c in enumerate(cols):
-            for r, v in c.items():
-                out[r][j] = v
-        return out
+        return [[row.get(j, 0) for j in range(self.ranks[k])] for row in self.rows[k]]
 
     def validate(self):
         for k in range(2, self.trunc + 1):
-            for c in self.boundaries[k]:
+            for row in self.rows[k - 1]:
                 acc = {}
-                for r, v in c.items():
-                    for r2, v2 in self.boundaries[k - 1][r].items():
-                        acc[r2] = acc.get(r2, 0) + v * v2
-                if any(x != 0 for x in acc.values()):
+                for r, v in row.items():
+                    for j, w in self.rows[k][r].items():
+                        acc[j] = acc.get(j, 0) + v * w
+                if any(acc.values()):
                     raise InvalidSimplicial("dd != 0 in degree %d" % k)
         return self
 
@@ -215,22 +208,22 @@ class ChainComplex:
 def chain_complex(x: sp.SimpSet) -> ChainComplex:
     """Normalized complex on nondegenerate simplices, written from the face
     rows: degenerate faces contribute zero, signs alternate."""
-    boundaries = [[]]
+    rows = [[]]
     for k in range(1, x.trunc + 1):
-        cols = []
-        for row in x.face_rows(k):
-            col, sign = {}, 1
-            for r in row:
+        level = [{} for _ in x.levels[k - 1]]
+        for j, faces in enumerate(x.face_rows(k)):
+            sign = 1
+            for r in faces:
                 if r >= 0:
-                    v = col.get(r, 0) + sign
+                    row = level[r]
+                    v = row.get(j, 0) + sign
                     if v:
-                        col[r] = v
+                        row[j] = v
                     else:
-                        del col[r]
+                        del row[j]
                 sign = -sign
-            cols.append(col)
-        boundaries.append(cols)
-    return ChainComplex(x.trunc, [len(l) for l in x.levels], boundaries)
+        rows.append(level)
+    return ChainComplex(x.trunc, [len(l) for l in x.levels], rows)
 
 
 @dataclass
@@ -263,17 +256,11 @@ class HomologySummary:
 
 
 def homology_of_complex(cc: ChainComplex, valid_range=None) -> HomologySummary:
-    """Betti numbers and torsion from the SNF of each boundary matrix.  The
-    SNF runs on the coboundary d_k^T, which has the same invariant factors
-    and rank; a nerve's d_k has far more columns than rows."""
+    """Betti numbers and torsion from the SNF of each boundary matrix's
+    rows, i.e. of the coboundary d_k^T, which has the same invariant
+    factors and rank; a nerve's d_k has far more columns than rows."""
     maxdeg = min(cc.trunc - 1 if valid_range is None else valid_range, cc.trunc)
-    snfs = {}
-    for k in range(1, min(maxdeg + 1, cc.trunc) + 1):
-        rows = [{} for _ in range(cc.ranks[k - 1])]
-        for j, c in enumerate(cc.boundaries[k]):
-            for r, v in c.items():
-                rows[r][j] = v
-        snfs[k] = snf_sparse(rows)
+    snfs = {k: snf_sparse(cc.rows[k]) for k in range(1, min(maxdeg + 1, cc.trunc) + 1)}
     betti, torsion = {}, {}
     for k in range(maxdeg + 1):
         _, rk = snfs.get(k, ([], 0))
@@ -300,21 +287,18 @@ def pi0(x: sp.SimpSet) -> int:
 
 
 def chain_map(f: sp.SimpMap):
-    """Induced map of normalized complexes; degenerate images map to 0."""
-    src, tgt = f.src, f.tgt
-    tindex = [dict((s, i) for i, s in enumerate(l)) for l in tgt.levels]
-    cols = []
-    for k in range(min(src.trunc, tgt.trunc) + 1):
-        level = []
+    """Induced map of normalized complexes, by rows: per target k-simplex,
+    the source k-simplices sent onto it; degenerate images map to 0."""
+    rows = []
+    for k in range(min(f.src.trunc, f.tgt.trunc) + 1):
         flat = sp.mt_id(k)
-        for s in src.levels[k]:
+        level = {t: {} for t in f.tgt.levels[k]}
+        for j, s in enumerate(f.src.levels[k]):
             epi, nd = f.val[s]
             if epi == flat:
-                level.append({tindex[k][nd]: 1})
-            else:
-                level.append({})
-        cols.append(level)
-    return cols
+                level[nd][j] = 1
+        rows.append(list(level.values()))
+    return rows
 
 
 @dataclass
@@ -341,28 +325,18 @@ def quasi_iso(f: sp.SimpMap) -> QuasiIsoVerdict:
     # the cone can be built one degree above the source truncation when the
     # target is truncated deeper: cone_k only needs C_{k-1} of the source
     trunc = min(f.src.trunc + 1, f.tgt.trunc)
-    cone_ranks = [ccy.ranks[0]]
-    cone_boundaries = [[]]
-    # basis order in cone_k: C_{k-1}(X) first, then C_k(Y)
+    cone_ranks, cone_rows = [ccy.ranks[0]], [[]]
+    # basis of cone_k: C_{k-1}(X) first, then C_k(Y).  A row of d_k is a
+    # simplex of C_{k-2}(X), giving -d_X, or of C_{k-1}(Y), giving f and
+    # then d_Y shifted past C_{k-1}(X); the two column ranges are disjoint.
     for k in range(1, trunc + 1):
-        cone_ranks.append(ccx.ranks[k - 1] + ccy.ranks[k])
-        yoff = ccx.ranks[k - 2] if k >= 2 else 0
-        cols = []
-        for j in range(ccx.ranks[k - 1]):
-            col = {}
-            if k >= 2:
-                for r, v in ccx.boundaries[k - 1][j].items():
-                    col[r] = -v
-            for r, v in fmap[k - 1][j].items():
-                col[yoff + r] = col.get(yoff + r, 0) + v
-            cols.append({r: v for r, v in col.items() if v})
-        for j in range(ccy.ranks[k]):
-            col = {}
-            for r, v in ccy.boundaries[k][j].items():
-                col[yoff + r] = v
-            cols.append(col)
-        cone_boundaries.append(cols)
-    cone = ChainComplex(trunc, cone_ranks, cone_boundaries)
+        xoff = ccx.ranks[k - 1]
+        cone_ranks.append(xoff + ccy.ranks[k])
+        rows = [{j: -v for j, v in row.items()} for row in ccx.rows[k - 1]]
+        rows += [{**image, **{xoff + j: v for j, v in dy.items()}}
+                 for image, dy in zip(fmap[k - 1], ccy.rows[k])]
+        cone_rows.append(rows)
+    cone = ChainComplex(trunc, cone_ranks, cone_rows)
     hs = homology_of_complex(cone, valid_range=trunc - 1)
     bad = [k for k in range(min(trunc - 1, hs.valid_range) + 1)
            if hs.betti.get(k, 0) != 0 or hs.torsion.get(k)]

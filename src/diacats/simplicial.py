@@ -107,7 +107,8 @@ class SimpSet:
     """Truncated simplicial set, stored by nondegenerate simplices.
 
     `levels[k]` lists nondegenerate simplex ids (globally unique strings);
-    `faces[(s, i)]` is the value of d_i(s) as a pair (epi, nd).
+    `faces[(s, i)]` is the value of d_i(s) as a pair (epi, nd);
+    `level_of[s]`, built on first read, is the level of s.
     """
 
     def __init__(self, trunc, levels, faces, name="X"):
@@ -120,12 +121,16 @@ class SimpSet:
         while len(self.levels) < trunc + 1:
             self.levels.append(())
         self.name = name
-        self.level_of = {}
+
+    @functools.cached_property
+    def level_of(self):
+        level_of = {}
         for k, ids in enumerate(self.levels):
             for s in ids:
-                if s in self.level_of:
+                if s in level_of:
                     raise InvalidSimplicial("duplicate simplex id %r" % s)
-                self.level_of[s] = k
+                level_of[s] = k
+        return level_of
 
     def nd_value(self, s):
         return (mt_id(self.level_of[s]), s)
@@ -181,14 +186,15 @@ class SimpSet:
         return sum(len(l) for l in self.levels)
 
     def validate(self):
+        level_of = self.level_of
         for (s, i), v in self.faces.items():
-            k = self.level_of[s]
+            k = level_of[s]
             if not (0 <= i <= k) or k == 0:
                 raise InvalidSimplicial("face index %d invalid at %r" % (i, s))
             epi, nd = v
-            if len(epi) != k or nd not in self.level_of:
+            if len(epi) != k or nd not in level_of:
                 raise InvalidSimplicial("malformed face value at (%r,%d)" % (s, i))
-            if not mt_is_epi(epi) or max(epi) != self.level_of[nd]:
+            if not mt_is_epi(epi) or max(epi) != level_of[nd]:
                 raise InvalidSimplicial("face value epi malformed at (%r,%d)" % (s, i))
         for k in range(1, self.trunc + 1):
             for s in self.levels[k]:

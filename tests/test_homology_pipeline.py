@@ -2,13 +2,16 @@
 against the code it replaced.
 
 `reference_chain_complex` keeps the earlier two-pass loop (a fresh identity
-epi per face, a second dict to drop zeros), `reference_homology` the
-elimination of each boundary matrix by its columns, and
-`reference_int_simpset` the earlier element-category builder that applied
-every operator twice.  The pipeline must give equal boundaries, equal
-summaries and the same element category, insertion order included.
+epi per face, a second dict to drop zeros) that wrote each boundary matrix
+by columns, `reference_cone` the mapping cone of `quasi_iso` written by
+columns, `reference_homology` the elimination of each boundary matrix by
+its columns, and `reference_int_simpset` the earlier element-category
+builder that applied every operator twice.  The pipeline's rows must be
+the transposed reference columns, and it must give equal summaries and the
+same element category, insertion order included.
 """
 
+import copy
 import random
 
 import pytest
@@ -22,6 +25,7 @@ from diacats import fixtures as fx
 from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
+from diacats.errors import InvalidSimplicial
 
 TRUNC = 2
 PS = fx.pseudocircle_site()
@@ -44,11 +48,53 @@ def reference_chain_complex(x):
     return boundaries
 
 
+def reference_cone(f):
+    """The ranks and columns of the mapping cone of f: cone_k is C_{k-1}(X)
+    then C_k(Y), and d(x, y) = (-dx, f x + dy)."""
+    tindex = [dict((s, i) for i, s in enumerate(l)) for l in f.tgt.levels]
+    fmap = [[{tindex[k][nd]: 1} if epi == sp.mt_id(k) else {}
+             for epi, nd in (f.val[s] for s in f.src.levels[k])]
+            for k in range(min(f.src.trunc, f.tgt.trunc) + 1)]
+    bx, by = reference_chain_complex(f.src), reference_chain_complex(f.tgt)
+    rx, ry = [len(l) for l in f.src.levels], [len(l) for l in f.tgt.levels]
+    trunc = min(f.src.trunc + 1, f.tgt.trunc)
+    ranks, boundaries = [ry[0]], [[]]
+    for k in range(1, trunc + 1):
+        ranks.append(rx[k - 1] + ry[k])
+        yoff = rx[k - 2] if k >= 2 else 0
+        cols = []
+        for j in range(rx[k - 1]):
+            col = {}
+            if k >= 2:
+                for r, v in bx[k - 1][j].items():
+                    col[r] = -v
+            for r, v in fmap[k - 1][j].items():
+                col[yoff + r] = col.get(yoff + r, 0) + v
+            cols.append({r: v for r, v in col.items() if v})
+        for j in range(ry[k]):
+            cols.append({yoff + r: v for r, v in by[k][j].items()})
+        boundaries.append(cols)
+    return ranks, boundaries
+
+
+def transpose(cols, nrows):
+    rows = [{} for _ in range(nrows)]
+    for j, c in enumerate(cols):
+        for r, v in c.items():
+            rows[r][j] = v
+    return rows
+
+
+def transposed(ranks, boundaries):
+    """Per degree, the rows of the reference columns."""
+    return [[]] + [transpose(boundaries[k], ranks[k - 1]) for k in range(1, len(boundaries))]
+
+
 def reference_homology(cc, valid_range=None):
     """Betti numbers and torsion from the SNF of each boundary matrix's
     columns (the boundary side)."""
     vr = cc.trunc - 1 if valid_range is None else valid_range
-    snfs = [([], 0)] + [at.snf_sparse(cc.boundaries[k])
+    snfs = [([], 0)] + [at.snf_sparse(transpose(cc.rows[k], cc.ranks[k]))
                         for k in range(1, cc.trunc + 1)] + [([], 0)]
     betti, torsion = {}, {}
     maxdeg = min(vr, cc.trunc)
@@ -114,7 +160,8 @@ def gadget_bases():
 
 
 def assert_same_boundaries(x):
-    assert at.chain_complex(x).boundaries == reference_chain_complex(x)
+    cc = at.chain_complex(x)
+    assert cc.rows == transposed(cc.ranks, reference_chain_complex(x))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -131,7 +178,7 @@ def test_chain_complex_matches_reference_on_poset_nerves(seed):
 def test_chain_complex_rp2_entry_is_two():
     x = rp2()
     assert_same_boundaries(x)
-    assert at.chain_complex(x).boundaries[2] == [{0: 2}]
+    assert at.chain_complex(x).rows[2] == transpose([{0: 2}], 1)
 
 
 def test_chain_complex_drops_cancelling_faces():
@@ -143,18 +190,21 @@ def test_chain_complex_drops_cancelling_faces():
              ("s", 2): ((0, 1), "f")}
     x = sp.SimpSet(2, [["x", "y"], ["e", "f"], ["s"]], faces, "cancel").validate()
     assert_same_boundaries(x)
-    assert at.chain_complex(x).boundaries[2] == [{1: 1}]
+    assert at.chain_complex(x).rows[2] == transpose([{1: 1}], 2)
+
+
+def test_validate_rejects_a_flipped_entry_of_d2():
+    """dd = 0 is checked row by row: one sign flipped in d_2 of the nerve
+    of [2] breaks it."""
+    cc = at.chain_complex(sp.nerve_of_category(fc.chain_category(2), 2)).validate()
+    row = next(row for row in cc.rows[2] if row)
+    j = next(iter(row))
+    row[j] = -row[j]
+    with pytest.raises(InvalidSimplicial, match="dd != 0 in degree 2"):
+        cc.validate()
 
 
 # --- the coboundary ---------------------------------------------------------
-
-
-def transpose(cols, nrows):
-    rows = [{} for _ in range(nrows)]
-    for j, c in enumerate(cols):
-        for r, v in c.items():
-            rows[r][j] = v
-    return rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +230,30 @@ def test_homology_matches_boundary_side_on_torsion_bases(label):
         assert repr(at.homology_of_complex(cc)) == repr(reference_homology(cc))
 
 
-def test_homology_matches_boundary_side_on_quasi_iso_cones(monkeypatch):
+def test_homology_hands_the_stored_rows_to_snf(monkeypatch):
+    """`homology` eliminates the chain complex's own row lists, with no
+    transposed copy, and `snf_sparse` leaves them unmodified."""
+    complexes, seen = [], []
+    real_chain_complex, real_snf = at.chain_complex, at.snf_sparse
+
+    def chain_complex(x):
+        complexes.append(real_chain_complex(x))
+        return complexes[-1]
+
+    def snf_sparse(rows):
+        seen.append((rows, copy.deepcopy(rows)))
+        return real_snf(rows)
+
+    monkeypatch.setattr(at, "chain_complex", chain_complex)
+    monkeypatch.setattr(at, "snf_sparse", snf_sparse)
+    nerve = sp.nerve_of_category(ht.int_simpset(rp2(), TRUNC)[0], TRUNC)
+    assert repr(at.homology(nerve)) == GOLDEN["RP2"][1]
+    [cc] = complexes
+    assert [id(rows) for rows, _ in seen] == [id(rows) for rows in cc.rows[1:]]
+    assert all(rows == before for rows, before in seen)
+
+
+def cone_maps():
     rng = random.Random(3)
     d = sp.delta_simpset(3, 3)
     maps = [sp.inclusion_map(sp.boundary_delta(2, 4), sp.delta_simpset(2, 4)),
@@ -192,6 +265,20 @@ def test_homology_matches_boundary_side_on_quasi_iso_cones(monkeypatch):
         m = rg.random_diamor(rng, rg.random_diaobj(rng, PS, 3), rg.random_diaobj(rng, PS, 3))
         if m is not None:
             maps.append(dg.nerve_mor(m, 3).underlying())
+    return maps
+
+
+def collapsed_circle():
+    """The boundary of Delta_2 sent to a point: f's one degree-0 row holds
+    all three vertices, no edge has a nondegenerate image, and H_1 = Z is
+    lost."""
+    src, tgt = sp.boundary_delta(2, 3), sp.delta_simpset(0, 3)
+    return sp.SimpMap(src, tgt, {s: ((0,) * (k + 1), tgt.levels[0][0])
+                                 for k, l in enumerate(src.levels) for s in l})
+
+
+def test_homology_matches_boundary_side_on_quasi_iso_cones(monkeypatch):
+    maps = cone_maps()
     cones, real = [], at.homology_of_complex
 
     def record(cc, valid_range=None):
@@ -204,6 +291,24 @@ def test_homology_matches_boundary_side_on_quasi_iso_cones(monkeypatch):
     assert len(cones) == len(maps)
     for cc, vr in cones:
         assert repr(real(cc, vr)) == repr(reference_homology(cc, vr))
+
+
+def test_cone_rows_are_the_transposed_reference_cone(monkeypatch):
+    maps = cone_maps() + [collapsed_circle().validate()]
+    cones, real = [], at.homology_of_complex
+
+    def record(cc, valid_range=None):
+        cones.append(cc)
+        return real(cc, valid_range)
+
+    monkeypatch.setattr(at, "homology_of_complex", record)
+    verdicts = [at.quasi_iso(f) for f in maps]
+    assert not verdicts[-1]
+    assert len(cones) == len(maps)
+    for f, cc in zip(maps, cones):
+        ranks, boundaries = reference_cone(f)
+        assert cc.ranks == ranks
+        assert cc.rows == transposed(ranks, boundaries)
 
 
 # --- int_simpset ------------------------------------------------------------

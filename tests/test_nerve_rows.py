@@ -1,11 +1,12 @@
-"""A nerve's boundary columns come from the face rows of its integer chains.
+"""A nerve's boundary matrices come from the face rows of its integer chains.
 
 `nerve_of_category` finds each chain's face rows from its parent's, and
 writes the string-keyed `faces` and `chain_of` only when they are read.
-The differential test compares the rows-built columns with those of a
+The differential test compares the rows-built boundaries with those of a
 plain `SimpSet` built from the same nerve's materialized faces; the
-laziness pin checks that homology reads neither view, and that a later
-first read still gives the earlier construction's values in its order.
+laziness pin checks that homology reads neither view nor `level_of`, and
+that a later first read still gives the earlier construction's values in
+its order.
 """
 
 import random
@@ -32,7 +33,7 @@ def categories_with_isomorphisms():
 
 
 def assert_rows_match_faces(cat, trunc):
-    """Compare both ways of writing the columns; returns the number of
+    """Compare both ways of writing the boundaries; returns the number of
     degenerate faces the rows mark."""
     nerve = sp.nerve_of_category(cat, trunc)
     rows = [nerve.face_rows(k) for k in range(1, trunc + 1)]
@@ -42,7 +43,7 @@ def assert_rows_match_faces(cat, trunc):
         [tuple(r if r >= 0 else -1 for r in row) for row in lev] for lev in rows]
     ref = at.chain_complex(plain)
     assert built.ranks == ref.ranks
-    assert built.boundaries == ref.boundaries
+    assert built.rows == ref.rows
     return sum(r < 0 for lev in rows for row in lev for r in row)
 
 
@@ -69,6 +70,7 @@ def test_homology_builds_neither_faces_nor_chain_of():
         nerve = sp.nerve_of_category(cat, trunc)
         assert at.homology(nerve).valid_range == trunc - 1
         assert "faces" not in vars(nerve) and "chain_of" not in vars(nerve)
+        assert "level_of" not in vars(nerve)
         ref = reference_nerve(cat, trunc)
         assert list(nerve.chain_of.items()) == list(ref.chain_of.items())
         assert "faces" not in vars(nerve)

@@ -26,6 +26,17 @@ def test_simplicial_identities_checked():
         sp.SimpSet(3, d2.levels, bad_faces).validate()
 
 
+@pytest.mark.parametrize("levels, faces", [
+    ([["v", "v"]], {}),
+    ([["v", "w"], ["v"]], {("v", 0): ((0,), "w"), ("v", 1): ((0,), "w")}),
+])
+def test_duplicate_simplex_id_rejected_by_validate(levels, faces):
+    """An id listed twice, in one level or in two: `level_of` is built on
+    first read, and validate reads it even when there are no faces."""
+    with pytest.raises(InvalidSimplicial, match="duplicate simplex id 'v'"):
+        sp.SimpSet(len(levels) - 1, levels, faces).validate()
+
+
 def test_reconstruct_level_counts():
     rng = random.Random(7)
     for _ in range(5):
