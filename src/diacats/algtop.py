@@ -31,13 +31,14 @@ def snf(matrix):
     return snf_sparse([{j: v for j, v in enumerate(map(int, row)) if v} for row in matrix])
 
 
-def snf_sparse(columns):
+def snf_sparse(columns, skip=(), claimed=None):
     """Exact integer Smith normal form of a sparse matrix.
 
     `columns` is a list of {row: value} dicts; the input is not modified.
     Returns (invariant_factors, rank): the nonzero diagonal entries
-    d_1 | d_2 | ... (all positive) and their count.  Elimination runs in
-    two phases:
+    d_1 | d_2 | ... (all positive) and their count.  The column indices in
+    `skip` are left out; the rows claimed by +-1 pivots are added to
+    `claimed` when a set is passed.  Elimination runs in two phases:
 
     1. Unit phase.  The columns are reduced left to right by their lowest
        row against earlier columns whose lowest entry is +-1, as in the
@@ -48,13 +49,27 @@ def snf_sparse(columns):
        Schur complement of the claimed block, which is triangular with a
        +-1 diagonal and so unimodular; :func:`_snf_exact` eliminates it.
 
-    The result is exact: ``[1] * claimed`` followed by the residual's
+    The result is exact: a 1 per claimed row, followed by the residual's
     invariant factors.  Boundary matrices of nerves have almost only unit
     pivots, so the residual is small.
+
+    Clearing (the "twist" of Chen and Kerber, "Persistent homology
+    computation with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus,
+    "Clear and compress", 2014).  Run on the rows of d_k, i.e. on the
+    coboundary d_k^T, a +-1 pivot at row j ends a reduced column that is
+    an integer cocycle c = +-e_j + (terms at rows below j).  Since
+    d_{k+1}^T d_k^T = (d_k d_{k+1})^T = 0, column j of d_{k+1}^T is an
+    integer combination of the columns of lower index, so skipping it
+    changes neither the rank nor the invariant factors.  A residual pivot
+    v with |v| > 1 makes only v times that column such a combination, a
+    rational one, so residual rows are never claimed: skipping their
+    columns could change the torsion.
     """
     pivots = {}  # claimed row -> reduced column whose lowest entry is +-1
     residual = []
-    for c in columns:
+    for ci, c in enumerate(columns):
+        if ci in skip:
+            continue
         col = dict(c)
         while col:
             low = max(col)
@@ -79,6 +94,8 @@ def snf_sparse(columns):
                 for rr in p:
                     if rr != r and rr in pivots:
                         heapq.heappush(heap, -rr)
+    if claimed is not None:
+        claimed.update(pivots)
     factors, rank = _snf_exact([col for col in residual if col])
     return [1] * len(pivots) + factors, len(pivots) + rank
 
@@ -258,9 +275,18 @@ class HomologySummary:
 def homology_of_complex(cc: ChainComplex, valid_range=None) -> HomologySummary:
     """Betti numbers and torsion from the SNF of each boundary matrix's
     rows, i.e. of the coboundary d_k^T, which has the same invariant
-    factors and rank; a nerve's d_k has far more columns than rows."""
+    factors and rank; a nerve's d_k has far more columns than rows.
+
+    The degrees are reduced in increasing order, and each skips the
+    columns of the k-simplices the degree below claimed as +-1 pivots
+    (clearing, see :func:`snf_sparse`): their reduced columns are integer
+    cocycles, so those columns are integer combinations of the others.
+    Non-unit pivots claim nothing."""
     maxdeg = min(cc.trunc - 1 if valid_range is None else valid_range, cc.trunc)
-    snfs = {k: snf_sparse(cc.rows[k]) for k in range(1, min(maxdeg + 1, cc.trunc) + 1)}
+    snfs, claimed = {}, set()
+    for k in range(1, min(maxdeg + 1, cc.trunc) + 1):
+        skip, claimed = claimed, set()
+        snfs[k] = snf_sparse(cc.rows[k], skip, claimed)
     betti, torsion = {}, {}
     for k in range(maxdeg + 1):
         _, rk = snfs.get(k, ([], 0))

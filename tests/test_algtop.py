@@ -43,6 +43,46 @@ def test_snf_sparse_matches_exact_loop(dense_cols):
     assert cols == before
 
 
+# The boundary of Delta_3, a 2-sphere: vertices 0..3, edges 01 02 03 12 13
+# 23 and triangles 012 013 023 123, in that order, with d[abc] = bc - ac + ab.
+# The rows of d_1 (one per vertex) and of d_2 (one per edge), as
+# `ChainComplex.rows` holds them.
+SPHERE_D1 = [{0: -1, 1: -1, 2: -1}, {0: 1, 3: -1, 4: -1},
+             {1: 1, 3: 1, 5: -1}, {2: 1, 4: 1, 5: 1}]
+SPHERE_D2 = [{0: 1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: -1},
+             {0: 1, 3: 1}, {1: 1, 3: -1}, {2: 1, 3: 1}]
+
+
+def test_snf_sparse_claims_the_rows_of_its_unit_pivots():
+    """Vertices 0, 1 and 2 end at -1 on the edges 03, 13 and 23; vertex 3
+    reduces to zero.  In the second matrix the middle column ends at -1
+    only after reduction, and the pivots 3 and 2 claim nothing."""
+    claimed = set()
+    assert at.snf_sparse(SPHERE_D1, claimed=claimed) == ([1, 1, 1], 3)
+    assert claimed == {2, 4, 5}
+    claimed = set()
+    assert at.snf_sparse([{0: 1}, {0: 1, 1: -1}, {1: 2, 2: 3}],
+                         claimed=claimed) == ([1, 1, 3], 3)
+    assert claimed == {0, 1}
+    claimed = set()
+    assert at.snf_sparse([{0: 2}], claimed=claimed) == ([2], 1)
+    assert claimed == set()
+
+
+def test_snf_sparse_skipping_the_claimed_columns_keeps_the_result():
+    """Degree 2 of the sphere skips the edges degree 1 claimed: the same
+    factors and rank, from three columns instead of six."""
+    cc = at.ChainComplex(2, [4, 6, 4], [[], SPHERE_D1, SPHERE_D2]).validate()
+    claimed = set()
+    at.snf_sparse(cc.rows[1], claimed=claimed)
+    again = set()
+    assert at.snf_sparse(cc.rows[2], skip=claimed, claimed=again) == ([1, 1, 1], 3)
+    assert at.snf_sparse(cc.rows[2]) == ([1, 1, 1], 3)
+    assert again == {1, 2, 3}
+    assert repr(at.homology_of_complex(cc, valid_range=2)) == \
+        "Homology(<=2: H0=Z^1, H1=Z^0, H2=Z^1)"
+
+
 def test_snf_divisibility_chain():
     rng = random.Random(1)
     for _ in range(40):

@@ -5,10 +5,11 @@ against the code it replaced.
 epi per face, a second dict to drop zeros) that wrote each boundary matrix
 by columns, `reference_cone` the mapping cone of `quasi_iso` written by
 columns, `reference_homology` the elimination of each boundary matrix by
-its columns, and `reference_int_simpset` the earlier element-category
-builder that applied every operator twice.  The pipeline's rows must be
-the transposed reference columns, and it must give equal summaries and the
-same element category, insertion order included.
+its columns with no clearing across degrees, and `reference_int_simpset`
+the earlier element-category builder that applied every operator twice.
+The pipeline's rows must be the transposed reference columns, and it must
+give equal summaries and the same element category, insertion order
+included.
 """
 
 import copy
@@ -26,6 +27,8 @@ from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats.errors import InvalidSimplicial
+
+from test_nerve_rows import categories_with_isomorphisms
 
 TRUNC = 2
 PS = fx.pseudocircle_site()
@@ -134,13 +137,14 @@ def reference_int_simpset(k, trunc=None, name=None):
     return cat, okey, mkey
 
 
-def rp2():
+def rp2(trunc=TRUNC):
     """RP^2 with one vertex v, one edge a and one triangle s:
     d0 s = d2 s = a and d1 s = s0 v."""
     v, a = ((0,), "v"), ((0, 1), "a")
     faces = {("a", 0): v, ("a", 1): v,
              ("s", 0): a, ("s", 1): ((0, 0), "v"), ("s", 2): a}
-    return sp.SimpSet(TRUNC, [["v"], ["a"], ["s"]], faces, "RP2").validate()
+    levels = [["v"], ["a"], ["s"]] + [[] for _ in range(trunc - 2)]
+    return sp.SimpSet(trunc, levels, faces, "RP2").validate()
 
 
 def torsion_bases():
@@ -222,27 +226,49 @@ def test_snf_of_transpose_matches_minor_oracle(dense_cols):
     assert rank == len(factors)
 
 
+def complexes_handed_over(monkeypatch, run):
+    """Every complex, with its valid range, that `run()` hands to
+    `homology_of_complex`."""
+    seen, real = [], at.homology_of_complex
+
+    def record(cc, valid_range=None):
+        seen.append((cc, valid_range))
+        return real(cc, valid_range)
+
+    monkeypatch.setattr(at, "homology_of_complex", record)
+    run()
+    monkeypatch.setattr(at, "homology_of_complex", real)
+    assert seen
+    return seen
+
+
+def assert_boundary_side_agrees(complexes):
+    for cc, vr in complexes:
+        assert repr(at.homology_of_complex(cc, vr)) == repr(reference_homology(cc, vr))
+
+
 @pytest.mark.parametrize("label", ["RP2", "RP2xD1", "RP2xRP2"])
 def test_homology_matches_boundary_side_on_torsion_bases(label):
     base = torsion_bases()[label]
     for x in (base, sp.nerve_of_category(ht.int_simpset(base, TRUNC)[0], TRUNC)):
-        cc = at.chain_complex(x)
-        assert repr(at.homology_of_complex(cc)) == repr(reference_homology(cc))
+        assert_boundary_side_agrees([(at.chain_complex(x), None)])
 
 
 def test_homology_hands_the_stored_rows_to_snf(monkeypatch):
     """`homology` eliminates the chain complex's own row lists, with no
-    transposed copy, and `snf_sparse` leaves them unmodified."""
-    complexes, seen = [], []
+    transposed copy, and `snf_sparse` leaves them unmodified.  Each degree
+    skips exactly the rows the degree below claimed."""
+    complexes, seen, clearing = [], [], []
     real_chain_complex, real_snf = at.chain_complex, at.snf_sparse
 
     def chain_complex(x):
         complexes.append(real_chain_complex(x))
         return complexes[-1]
 
-    def snf_sparse(rows):
+    def snf_sparse(rows, skip=(), claimed=None):
         seen.append((rows, copy.deepcopy(rows)))
-        return real_snf(rows)
+        clearing.append((set(skip), claimed))
+        return real_snf(rows, skip, claimed)
 
     monkeypatch.setattr(at, "chain_complex", chain_complex)
     monkeypatch.setattr(at, "snf_sparse", snf_sparse)
@@ -251,6 +277,10 @@ def test_homology_hands_the_stored_rows_to_snf(monkeypatch):
     [cc] = complexes
     assert [id(rows) for rows, _ in seen] == [id(rows) for rows in cc.rows[1:]]
     assert all(rows == before for rows, before in seen)
+    skips = [skip for skip, _ in clearing]
+    claims = [claimed for _, claimed in clearing]
+    assert skips == [set()] + claims[:-1]
+    assert all(claims)
 
 
 def cone_maps():
@@ -279,36 +309,114 @@ def collapsed_circle():
 
 def test_homology_matches_boundary_side_on_quasi_iso_cones(monkeypatch):
     maps = cone_maps()
-    cones, real = [], at.homology_of_complex
-
-    def record(cc, valid_range=None):
-        cones.append((cc, valid_range))
-        return real(cc, valid_range)
-
-    monkeypatch.setattr(at, "homology_of_complex", record)
-    for f in maps:
-        at.quasi_iso(f)
+    cones = complexes_handed_over(monkeypatch, lambda: [at.quasi_iso(f) for f in maps])
     assert len(cones) == len(maps)
-    for cc, vr in cones:
-        assert repr(real(cc, vr)) == repr(reference_homology(cc, vr))
+    assert_boundary_side_agrees(cones)
 
 
 def test_cone_rows_are_the_transposed_reference_cone(monkeypatch):
     maps = cone_maps() + [collapsed_circle().validate()]
-    cones, real = [], at.homology_of_complex
-
-    def record(cc, valid_range=None):
-        cones.append(cc)
-        return real(cc, valid_range)
-
-    monkeypatch.setattr(at, "homology_of_complex", record)
-    verdicts = [at.quasi_iso(f) for f in maps]
+    verdicts = []
+    cones = complexes_handed_over(monkeypatch,
+                                  lambda: verdicts.extend(at.quasi_iso(f) for f in maps))
     assert not verdicts[-1]
     assert len(cones) == len(maps)
-    for f, cc in zip(maps, cones):
+    for f, (cc, _) in zip(maps, cones):
         ranks, boundaries = reference_cone(f)
         assert cc.ranks == ranks
         assert cc.rows == transposed(ranks, boundaries)
+
+
+# --- clearing ---------------------------------------------------------------
+#
+# `homology_of_complex` skips, in each degree's rows, the columns the degree
+# below claimed as +-1 pivots; `reference_homology` eliminates every column
+# of every boundary matrix.
+
+
+@pytest.mark.parametrize("label", ["D0xD0", "D0xD1", "D0xD2", "D1xD1", "D1xD2"])
+def test_homology_matches_boundary_side_on_gadget_bases(label):
+    base = gadget_bases()[label]
+    for x in (base, sp.nerve_of_category(ht.int_simpset(base, TRUNC)[0], TRUNC)):
+        assert_boundary_side_agrees([(at.chain_complex(x), None)])
+
+
+def test_homology_matches_boundary_side_on_nerve_rows_inputs():
+    """The categories of test_nerve_rows at their nerve levels."""
+    cats = [(rg.random_poset(random.Random(seed), 5), 4) for seed in range(10)]
+    cats += [(ht.int_simpset(rg.random_simpset(random.Random(seed), 2, 4), 2)[0], 3)
+             for seed in range(3)]
+    cats += [(cat, 4) for cat in categories_with_isomorphisms()]
+    assert_boundary_side_agrees([(at.chain_complex(sp.nerve_of_category(cat, trunc)), None)
+                                 for cat, trunc in cats])
+
+
+def criterion_01_companion():
+    rng = random.Random(1)
+    for _ in range(25):
+        x = rg.random_split_terminal(rng, 3, 8)
+        at.quasi_iso(ht.comparison_to_simp(x, 2, 2, budget=500_000)[0].underlying())
+
+
+def criterion_03():
+    rng = random.Random(3)
+    for want in [1, 2, 2, 2, 3, 3, 3, 3, 2, 3]:
+        F = rg.random_dia_functor(rng, PS, want, 2)
+        while len(F.base.objects) != want:
+            F = rg.random_dia_functor(rng, PS, want, 2)
+        at.homology(dg.nerve(dg.grothendieck_construction(F)[0], 4).uset)
+        at.homology(ht.hocolim_bk(dg.nerve_diagram(F, 4), 4)[0].uset)
+
+
+def criterion_06():
+    for cat in (fx.fence_poset(), fx.cone_poset(), fc.chain_category(2), PS.cat):
+        at.homology(sp.nerve_of_category(cat, 4))
+
+
+def criterion_07():
+    ts = fx.terminal_site()
+    at.homology(sp.hom_into(ts, "*", sp.cech_cover(ts, ["id_*", "id_*"], 6)[0]))
+
+
+def criterion_11_companion():
+    for n in range(3):
+        for m in range(3):
+            prod = sp.simpset_product(sp.delta_simpset(n, 2), sp.delta_simpset(m, 2))[0]
+            at.homology(sp.nerve_of_category(ht.int_simpset(prod, 2)[0], 2))
+
+
+@pytest.mark.parametrize("run", [criterion_01_companion, criterion_03, criterion_06,
+                                 criterion_07, criterion_11_companion],
+                         ids=lambda run: run.__name__)
+def test_homology_matches_boundary_side_on_acceptance_inputs(monkeypatch, run):
+    """The homology and quasi-iso calls of the acceptance criteria that
+    reach a verdict, with their inputs."""
+    assert_boundary_side_agrees(complexes_handed_over(monkeypatch, run))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.integers(0, 2 ** 32), hst.integers(3, 4), hst.integers(2, 8))
+def test_homology_matches_boundary_side_on_random_simpsets(seed, trunc, size):
+    """Random simplicial sets, and their products with RP^2, which have
+    torsion in H_1 below the top degree and so non-unit pivots that must
+    not clear."""
+    x = rg.random_simpset(random.Random(seed), trunc, size)
+    y = sp.simpset_product(x, rp2(trunc))[0]
+    assert at.homology(y).torsion[1]
+    assert_boundary_side_agrees([(at.chain_complex(x), None), (at.chain_complex(y), None)])
+
+
+def test_non_unit_pivots_clear_nothing():
+    """The circle (the boundary of Delta_2) times RP^2 at truncation 3:
+    H_2 = H_1(S^1) (x) H_1(RP^2) = Z/2 by Kunneth.  Reducing degree 2 meets
+    a pivot 2; skipping that 2-simplex's column in degree 3 as well would
+    lose a generator of im d_3 and report H_2 = Z/2 + Z/2."""
+    x = sp.simpset_product(sp.boundary_delta(2, 3), rp2(3))[0]
+    cc = at.chain_complex(x)
+    assert 2 in at.snf_sparse(cc.rows[2])[0]
+    h = at.homology_of_complex(cc)
+    assert repr(h) == "Homology(<=2: H0=Z^1, H1=Z^1+Z/2, H2=Z^0+Z/2)"
+    assert repr(h) == repr(reference_homology(cc))
 
 
 # --- int_simpset ------------------------------------------------------------
