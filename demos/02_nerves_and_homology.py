@@ -33,7 +33,7 @@ print("d0 part (moves the carrier):", nv.part[(edge, 0)])
 
 # split reconstruction: every level decomposes over surjections
 print("\nlevel 2 of N(fence, S) reconstructs as",
-      len(nv.reconstruct_level(2)), "components")
+      len(nv.full_level(2)), "components")
 
 # Smith normal form drives everything
 print("\nsnf [[2,4],[6,8]] =", at.snf([[2, 4], [6, 8]]))

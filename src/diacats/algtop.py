@@ -7,7 +7,6 @@ degree range in which the truncated computation is trustworthy.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,22 +80,17 @@ def snf_sparse(columns, skip=(), claimed=None):
                     residual.append(col)
                 break
             _add_multiple(col, -col[low] * p[low], p)
+    order = sorted(pivots, reverse=True) if residual else ()
     for col in residual:
-        # a pivot column has no row above its claimed one, so clearing the
-        # claimed rows from the highest down never refills a cleared one
-        heap = [-r for r in col if r in pivots]
-        heapq.heapify(heap)
-        while heap:
-            r = -heapq.heappop(heap)
-            if col.get(r):
+        # a pivot column has no row above its claimed one, so one pass over
+        # the claimed rows from the highest down never refills a cleared one
+        for r in order:
+            if r in col:
                 p = pivots[r]
                 _add_multiple(col, -col[r] * p[r], p)
-                for rr in p:
-                    if rr != r and rr in pivots:
-                        heapq.heappush(heap, -rr)
     if claimed is not None:
         claimed.update(pivots)
-    factors, rank = _snf_exact([col for col in residual if col])
+    factors, rank = _snf_exact(residual)
     return [1] * len(pivots) + factors, len(pivots) + rank
 
 
@@ -111,78 +105,36 @@ def _add_multiple(col, q, other):
 
 
 def _snf_exact(columns):
-    """Invariant factors of a sparse integer matrix by general pivoting.
+    """Invariant factors of a sparse integer matrix by Euclidean steps.
 
-    The residual phase of :func:`snf_sparse`.  Each step picks a pivot of
-    least absolute value (ties broken by least fill-in) and eliminates with
-    integer quotients until the pivot divides its row and column.  Because
-    the pivot row is cleared before the pivot column, clearing the column
-    is a pure row operation that touches the pivot column only.
+    The residual phase of :func:`snf_sparse`; the input is not modified.
+    Each step takes an entry v of least absolute value, at row r of column
+    c.  Column operations leave every other column its remainder mod v at
+    row r.  Once row r is clear elsewhere, row operations, which then touch
+    column c only, leave column c its remainder mod v.  A nonzero remainder
+    is a smaller pivot for the next step; v is retired with its row and
+    column once it stands alone.  The retired pivots are then brought into
+    a divisibility chain by gcd/lcm.
     """
-    cols = {ci: dict(c) for ci, c in enumerate(columns) if c}
-    rows = {}
-    for ci, c in cols.items():
-        for r in c:
-            rows.setdefault(r, set()).add(ci)
+    cols = [dict(c) for c in columns if c]
     factors = []
-
-    def entry_add(ci, r, v):
-        c = cols.setdefault(ci, {})
-        nv = c.get(r, 0) + v
-        if nv:
-            c[r] = nv
-            rows.setdefault(r, set()).add(ci)
-        elif r in c:
-            del c[r]
-            rows[r].discard(ci)
-            if not rows[r]:
-                del rows[r]
-
     while cols:
-        pivot, best = None, None
-        for ci, c in cols.items():
-            for r, v in c.items():
-                score = (abs(v), (len(rows[r]) - 1) * (len(c) - 1))
-                if best is None or score < best:
-                    best, pivot = score, (ci, r)
-            if best is not None and best == (1, 0):
-                break
-        ci, r = pivot
-        v = cols[ci][r]
-        progress = False
-        for cj in list(rows[r]):
-            if cj == ci:
-                continue
-            w = cols[cj][r]
-            q = w // v
-            if q:
-                for rr, vv in list(cols[ci].items()):
-                    entry_add(cj, rr, -q * vv)
-            if cols.get(cj, {}).get(r, 0) != 0:
-                progress = True  # nonzero remainder; smaller pivot exists now
-        for cj in [c for c in list(cols) if not cols[c]]:
-            del cols[cj]
-        if progress:
-            continue
-        bad = [rr for rr in cols[ci] if rr != r and cols[ci][rr] % v != 0]
-        if bad:
-            # row operation: only the pivot-column entry changes because the
-            # pivot row is already clear elsewhere
-            for rr in bad:
-                cols[ci][rr] %= v
-                if cols[ci][rr] == 0:
-                    del cols[ci][rr]
-                    rows[rr].discard(ci)
-                    if not rows[rr]:
-                        del rows[rr]
-            continue
-        # fully divisible: retire the pivot row and column
-        for rr in list(cols[ci]):
-            rows[rr].discard(ci)
-            if not rows[rr]:
-                del rows[rr]
-        del cols[ci]
-        factors.append(abs(v))
+        _, ci, r = min((abs(v), ci, r) for ci, c in enumerate(cols) for r, v in c.items())
+        col = cols[ci]
+        v = col[r]
+        for other in cols:
+            if other is not col and r in other:
+                # |other[r]| >= |v|, so the quotient is never 0
+                _add_multiple(other, -(other[r] // v), col)
+        if not any(r in other for other in cols if other is not col):
+            for rr in [rr for rr in col if rr != r]:
+                col[rr] %= v
+                if not col[rr]:
+                    del col[rr]
+            if len(col) == 1:
+                factors.append(abs(v))
+                col.clear()
+        cols = [c for c in cols if c]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if factors[j] % factors[i] != 0:

@@ -5,8 +5,6 @@ construction, nerves, and Hom-diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fincat as fc
 from . import simplicial as sp
 from .errors import (

@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
     TargetMismatch,
     DomCodMismatch,
     EndpointMismatch,
@@ -869,7 +870,9 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
 
     With labels = (F, G), functors out of c and out of d into one category,
     only isomorphisms iso with G o iso = F on objects and morphisms count.
-    Returns a FinFunctor witnessing c ~= d, or None.
+    Returns a FinFunctor witnessing c ~= d, or None when there is none.
+    Raises BudgetExceeded once `max_nodes` nodes are spent: an unfinished
+    search proves nothing.
     """
     if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
         return None
@@ -894,9 +897,11 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
     budget = [max_nodes]
 
     def visit():
-        """Count one node of the search; False once `max_nodes` are spent."""
+        """Count one node of the search; raise once `max_nodes` are spent."""
         budget[0] -= 1
-        return budget[0] >= 0
+        if budget[0] < 0:
+            raise BudgetExceeded("isomorphism search needs more than %d nodes" % max_nodes)
+        return True
 
     def feasible(x, part):
         y = part[x]
@@ -926,14 +931,14 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
                     return False
         return visit()
 
-    if not visit():
-        return None
+    visit()
     flat = [f for x in c.objects for y in c.objects for f in c.hom(x, y)]
     for omap in backtrack(xs, lambda x, part: [y for y in dgroups[cc[x]]
                                                if y not in part.values()], feasible):
         if any(len(c.hom(x, y)) != len(d.hom(omap[x], omap[y]))
-               for x in c.objects for y in c.objects) or not visit():
+               for x in c.objects for y in c.objects):
             continue
+        visit()
         mmap = next(backtrack(flat, images, consistent), None)
         if mmap is not None:
             try:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import algtop as at
 from . import diagram as dg
 from . import fincat as fc
 from . import simplicial as sp

@@ -686,10 +686,14 @@ POSET_SHAPES = {
 
 
 def poset_shapes(max_objects: int = 3):
-    """Canonical posets on up to `max_objects` elements, up to isomorphism."""
+    """Canonical posets on up to `max_objects` elements, up to isomorphism.
+    Raises ValueError beyond the largest size the table covers."""
+    if max_objects > max(POSET_SHAPES):
+        raise ValueError("poset shapes are tabulated up to %d elements, not %d"
+                         % (max(POSET_SHAPES), max_objects))
     out = []
     for n in range(max_objects + 1):
-        for name, rels in POSET_SHAPES.get(n, []):
+        for name, rels in POSET_SHAPES[n]:
             above = {x: set(up) for x, up in rels}
             objs = [x for x, _ in rels]
             out.append(fc.poset_category(

@@ -269,17 +269,6 @@ class SplitSimpObj:
     def full_level(self, n):
         return self.uset.full_level(n)
 
-    def reconstruct_level(self, n):
-        """Level n as the canonical list of (m, epi, nd) component triples."""
-        if n > self.trunc:
-            raise TruncationExceeded("level %d beyond truncation %d" % (n, self.trunc))
-        out = []
-        for m in range(n + 1):
-            for e in all_epis(n, m):
-                for nd in self.levels[m]:
-                    out.append((m, e, nd))
-        return out
-
     def size(self):
         return self.uset.size()
 

@@ -167,7 +167,7 @@ def test_nerve_split_decomposition_against_chain_enumeration():
     shape = d.shape
     for n in range(4):
         chains = [c for c in _all_chains(shape, n)]
-        assert len(nv.reconstruct_level(n)) == len(chains)
+        assert len(nv.full_level(n)) == len(chains)
 
 
 def _all_chains(cat, n):

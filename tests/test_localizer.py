@@ -175,6 +175,18 @@ def reference_l3_instances(u, refine_bound=2):
     return instances, skipped
 
 
+def test_poset_shapes_refuse_an_uncovered_size():
+    """Sizes 0-3 list 1, 1, 2 and 5 new shapes; size 4 is not tabulated and
+    raises, naming the largest covered size, rather than answer the <= 3
+    list."""
+    assert [len(lc.poset_shapes(n)) for n in range(4)] == [1, 2, 4, 9]
+    assert [c.name for c in lc.poset_shapes(3)][:4] == ["E0", "P1", "C2", "D2"]
+    with pytest.raises(ValueError, match="up to 3 elements"):
+        lc.poset_shapes(4)
+    with pytest.raises(ValueError, match="up to 3 elements"):
+        lc.poset_universe(TS, 4)
+
+
 def test_universe_builder_closed_and_dedup():
     u = small_universe()
     u.validate()

@@ -9,7 +9,8 @@ A third requires every local a library def assigns to be read somewhere in
 that def.  A fourth requires every attribute the library stores on an
 object other than `self` to be read somewhere in that corpus.  A fifth
 rejects a nested def that calls itself: exhaustive searches go through
-`fincat.backtrack`.
+`fincat.backtrack`.  A sixth requires every name a library module imports
+to be read in that module.
 """
 
 import ast
@@ -233,3 +234,36 @@ def test_no_hand_written_recursive_search():
                    for path in sorted(LIBRARY.glob("*.py"))
                    for name, line in recursive_nested_defs(parse(path)))
     assert not found, "recursive nested defs, use fincat.backtrack: " + ", ".join(found)
+
+
+def unused_imports(tree, exported=()):
+    """(name, line) for each name an import binds that the module never
+    reads.  `from __future__` imports and the names in `exported` (the
+    package's `__all__`) are exempt."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    out.append((name, node.lineno))
+    return out
+
+
+def test_every_import_is_read():
+    """An import that its module never reads is dead code."""
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = parse(path)
+        exported = ()
+        if path.name == "__init__.py":
+            exported = next(ast.literal_eval(n.value) for n in tree.body
+                            if isinstance(n, ast.Assign)
+                            and [getattr(t, "id", None) for t in n.targets] == ["__all__"])
+        unused += ["%s (%s:%d)" % (name, path.relative_to(ROOT), line)
+                   for name, line in unused_imports(tree, exported)]
+    assert not unused, "imports never read: " + ", ".join(sorted(unused))

@@ -26,7 +26,7 @@ from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats import site as st
-from diacats.errors import EndpointMismatch, InvalidFunctor, InvalidNatTransf
+from diacats.errors import BudgetExceeded, EndpointMismatch, InvalidFunctor, InvalidNatTransf
 
 PS = fx.pseudocircle_site()
 
@@ -604,18 +604,23 @@ def test_find_isomorphism_with_labels_matches_reference():
 
 
 def test_max_nodes_bounds_the_search():
-    """A tiny bound gives None where the default bound finds the
-    isomorphism, and each bound finds it exactly when the former search
-    did: the bound counts the same nodes."""
+    """A tiny bound raises where the default bound finds the isomorphism,
+    and each bound finds it exactly when the former search did, raising
+    where that search gave None: the bound counts the same nodes."""
     rng = random.Random(5)
     for c in (ht.t_delta_op(1), cyclic_group(3), fx.pseudocircle_site().cat):
         d = relabeled(c, rng)
         assert fc.find_isomorphism(c, d) is not None
-        assert fc.find_isomorphism(c, d, max_nodes=2) is None
+        with pytest.raises(BudgetExceeded):
+            fc.find_isomorphism(c, d, max_nodes=2)
         for bound in range(40):
-            got = fc.find_isomorphism(c, d, max_nodes=bound)
             ref = reference_find_isomorphism(c, d, max_nodes=bound)
-            assert (got and functor_key(got)) == (ref and functor_key(ref)), (c, bound)
+            if ref is None:
+                with pytest.raises(BudgetExceeded):
+                    fc.find_isomorphism(c, d, max_nodes=bound)
+            else:
+                got = fc.find_isomorphism(c, d, max_nodes=bound)
+                assert functor_key(got) == functor_key(ref), (c, bound)
 
 
 def test_all_dia_mors_and_two_morphisms_match_reference():

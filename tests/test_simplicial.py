@@ -37,22 +37,22 @@ def test_duplicate_simplex_id_rejected_by_validate(levels, faces):
         sp.SimpSet(len(levels) - 1, levels, faces).validate()
 
 
-def test_reconstruct_level_counts():
+def test_full_level_counts():
     rng = random.Random(7)
     for _ in range(5):
         x = rg.random_split_terminal(rng, 3, 6)
         nd = nondeg_counts(x)
         for n in range(4):
             expected = sum(math.comb(n, m) * nd[m] for m in range(n + 1))
-            assert len(x.reconstruct_level(n)) == expected
+            assert len(x.full_level(n)) == expected
 
 
-def test_reconstruct_level_examples():
+def test_full_level_examples():
     const = sp.constant_split(TS.cat, "*", 3).validate()
-    assert len(const.reconstruct_level(2)) == 1
+    assert len(const.full_level(2)) == 1
     c1 = fc.chain_category(1)
     nv = sp.nerve_labeled(c1, fc.FinFunctor.constant(c1, TS.cat, "*"), 3).validate()
-    assert len(nv.reconstruct_level(1)) == 3
+    assert len(nv.full_level(1)) == 3
 
 
 def test_tensor_unit_and_coproduct():
