@@ -435,21 +435,13 @@ class NatTransf:
 
 def all_functors(source: FinCat, target: FinCat):
     """Every functor source -> target: object images in product order, then
-    the non-identity morphisms' images by :func:`backtrack`.  A composable
-    pair of non-identities is checked once it and its composite are set."""
+    the non-identity morphisms' images by :func:`backtrack`, checked by
+    :func:`functoriality`."""
     mors = [m.id for m in source.morphisms if not source.is_identity(m.id)]
-    rank = {m: k for k, m in enumerate(mors)}
-    checks = {m: [] for m in mors}
-    for (g, f), h in source.compose_table.items():
-        if g in rank and f in rank:
-            checks[max((g, f, h), key=lambda n: rank.get(n, -1))].append((g, f, h))
-    tc = target.compose_table
+    fits = functoriality(source, target, mors)
 
     def images(m, _):
         return target.hom(omap[source.dom(m)], omap[source.cod(m)])
-
-    def fits(m, mmap):
-        return all(tc[(mmap[g], mmap[f])] == mmap[h] for g, f, h in checks[m])
 
     results = []
     for objs in itertools.product(target.objects, repeat=len(source.objects)):
@@ -458,6 +450,20 @@ def all_functors(source: FinCat, target: FinCat):
         for mmap in backtrack(mors, images, fits, ids):
             results.append(FinFunctor("F", source, target, omap, dict(mmap)))
     return results
+
+
+def functoriality(source: FinCat, target: FinCat, mors):
+    """`fits` for a :func:`backtrack` of morphism images source -> target
+    over the non-identity morphisms `mors`, in that order, with the
+    identities' images already set: a composable pair of `mors` is checked
+    against its composite once the last of the three is placed."""
+    rank = {m: k for k, m in enumerate(mors)}
+    checks = {m: [] for m in mors}
+    for (g, f), h in source.compose_table.items():
+        if g in rank and f in rank:
+            checks[max((g, f, h), key=lambda n: rank.get(n, -1))].append((g, f, h))
+    tc = target.compose_table
+    return lambda m, mmap: all(tc[(mmap[g], mmap[f])] == mmap[h] for g, f, h in checks[m])
 
 
 def by_later_end(c: FinCat, mors):
@@ -866,7 +872,9 @@ def _canon_colors(colors):
 
 def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
                      labels=None):
-    """Backtracking isomorphism search guided by WL colour refinement.
+    """Backtracking isomorphism search guided by WL colour refinement:
+    objects first, each pair's hom-set sizes compared once both are placed,
+    then the non-identity morphisms, checked by :func:`functoriality`.
 
     With labels = (F, G), functors out of c and out of d into one category,
     only isomorphisms iso with G o iso = F on objects and morphisms count.
@@ -893,7 +901,7 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
         return None
     xs = sorted(c.objects, key=lambda x: (len(cgroups[cc[x]]), cc[x], x))
     # the nodes counted against max_nodes: the root, each object placed, the
-    # root of each morphism search and each morphism placed
+    # root of each morphism search and each non-identity morphism placed
     budget = [max_nodes]
 
     def visit():
@@ -905,46 +913,26 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
 
     def feasible(x, part):
         y = part[x]
-        for x2, y2 in part.items():
-            if x2 != x and (len(c.hom(x, x2)) != len(d.hom(y, y2)) or
-                            len(c.hom(x2, x)) != len(d.hom(y2, y))):
-                return False
-        return visit()
+        return all(len(c.hom(x, x2)) == len(d.hom(y, y2)) and
+                   len(c.hom(x2, x)) == len(d.hom(y2, y)) for x2, y2 in part.items()) \
+            and visit()
 
     def images(f, mmap):
-        cands = [d.id_of(omap[c.dom(f)])] if c.is_identity(f) else \
-            d.hom(omap[c.dom(f)], omap[c.cod(f)])
-        return [g for g in cands if g not in mmap.values()
+        return [g for g in d.hom(omap[c.dom(f)], omap[c.cod(f)]) if g not in mmap.values()
                 and (labels is None or G.mo(g) == F.mo(f))]
-
-    def consistent(f, mmap):
-        m = c.mor(f)
-        for g in mmap:
-            n = c.mor(g)
-            if n.cod == m.dom:
-                h = c.comp(f, g)
-                if h in mmap and d.comp(mmap[f], mmap[g]) != mmap[h]:
-                    return False
-            if m.cod == n.dom:
-                h = c.comp(g, f)
-                if h in mmap and d.comp(mmap[g], mmap[f]) != mmap[h]:
-                    return False
-        return visit()
 
     visit()
     flat = [f for x in c.objects for y in c.objects for f in c.hom(x, y)]
+    mors = [f for f in flat if not c.is_identity(f)]
+    functorial = functoriality(c, d, mors)
     for omap in backtrack(xs, lambda x, part: [y for y in dgroups[cc[x]]
                                                if y not in part.values()], feasible):
-        if any(len(c.hom(x, y)) != len(d.hom(omap[x], omap[y]))
-               for x in c.objects for y in c.objects):
-            continue
         visit()
-        mmap = next(backtrack(flat, images, consistent), None)
+        ids = {c.id_of(x): d.id_of(omap[x]) for x in c.objects}
+        mmap = next(backtrack(mors, images, lambda f, mm: functorial(f, mm) and visit(), ids),
+                    None)
         if mmap is not None:
-            try:
-                return FinFunctor("iso", c, d, dict(omap), dict(mmap)).validate()
-            except InvalidFunctor:
-                return None
+            return FinFunctor("iso", c, d, dict(omap), {f: mmap[f] for f in flat})
     return None
 
 

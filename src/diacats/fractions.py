@@ -34,45 +34,24 @@ def check_left_fractions(c: fc.FinCat, w):
     witnesses = {}
     for wm in sorted(w):
         y, z = c.dom(wm), c.cod(wm)
-        for g in c.morphisms:
-            if g.dom != y:
-                continue
-            found = None
-            for x in c.objects:
-                for cap_f in c.hom(g.cod, x):
-                    if cap_f not in w:
-                        continue
-                    for cap_g in c.hom(z, x):
-                        if c.comp(cap_f, g.id) == c.comp(cap_g, wm):
-                            found = (cap_f, cap_g)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+        for g in c.out(y):
+            found = next(((cap_f, cap_g) for x in c.objects for cap_f in c.hom(c.cod(g), x)
+                          if cap_f in w for cap_g in c.hom(z, x)
+                          if c.comp(cap_f, g) == c.comp(cap_g, wm)), None)
             if found is None:
-                return False, witnesses, ("square", wm, g.id)
-            witnesses[("square", wm, g.id)] = found
+                return False, witnesses, ("square", wm, g)
+            witnesses[("square", wm, g)] = found
     for h in sorted(w):
-        y, z = c.dom(h), c.cod(h)
-        for f in c.morphisms:
-            if f.dom != z:
-                continue
-            for g in c.hom(z, f.cod):
-                if g == f.id:
+        z = c.cod(h)
+        for f in c.out(z):
+            for g in c.hom(z, c.cod(f)):
+                if g == f or c.comp(f, h) != c.comp(g, h):
                     continue
-                if c.comp(f.id, h) != c.comp(g, h):
-                    continue
-                found = None
-                for rho in c.morphisms:
-                    if rho.dom != f.cod or rho.id not in w:
-                        continue
-                    if c.comp(rho.id, f.id) == c.comp(rho.id, g):
-                        found = rho.id
-                        break
+                found = next((rho for rho in c.out(c.cod(f))
+                              if rho in w and c.comp(rho, f) == c.comp(rho, g)), None)
                 if found is None:
-                    return False, witnesses, ("coequalize", h, f.id, g)
-                witnesses[("coequalize", h, f.id, g)] = found
+                    return False, witnesses, ("coequalize", h, f, g)
+                witnesses[("coequalize", h, f, g)] = found
     return True, witnesses, None
 
 

@@ -446,7 +446,11 @@ def _certified(parts, trunc):
 
 def l4_instances(u: DiagramUniverse, trunc: int = 3):
     """Pure-diagram-type morphisms whose slices (or fibers, for
-    fibrations) all carry a sufficient contractibility certificate."""
+    fibrations) all carry a sufficient contractibility certificate.
+
+    `trunc` only sizes the nerve behind a `HomologyPoint` certificate, which
+    is necessary-only and so always rejected: the instances do not depend
+    on it."""
     out = []
     for mid, um in u.morphisms.items():
         m = um.mor
@@ -600,7 +604,8 @@ def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
     is a sound under-approximation of the smallest localizer restricted to
     the universe, with one provenance entry per member.  It carries the
     instance tables it was derived from; `skipped_l3` finishes the L3
-    resolution from their caches when first read."""
+    resolution from their caches when first read.  `trunc` reaches only
+    :func:`l4_instances`, whose instances do not depend on it."""
     w = seed.copy()
     w.rules = _rule_tables(u, trunc, refine_bound)
     admitted = True

@@ -101,16 +101,8 @@ def _refined_by_some_cover(site: Site, y: str, family):
     refines it when every w_j factors through some member.
     """
     cat = site.cat
-    for cov in site.families_of(y):
-        good = True
-        for w in cov:
-            if not any(any(cat.comp(m, h) == w for h in cat.hom(cat.dom(w), d))
-                       for d, m in family):
-                good = False
-                break
-        if good:
-            return True
-    return False
+    return any(all(any(cat.comp(m, h) == w for d, m in family for h in cat.hom(cat.dom(w), d))
+                   for w in cov) for cov in site.families_of(y))
 
 
 # ---------------------------------------------------------------------------

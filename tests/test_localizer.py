@@ -15,6 +15,7 @@ from diacats import jsonio as io
 from diacats import localizer as lc
 from diacats import randgen as rg
 from diacats.errors import LimitAbsent, TargetMismatch
+from test_search import relabeled, transformation_monoid
 
 TS = fx.terminal_site()
 PS = fx.pseudocircle_site()
@@ -328,6 +329,17 @@ def test_translate_finds_label_respecting_isomorphism():
     assert found == oid
     assert iso.object_map == {"x": "y", "y": "x"}
     assert lc.ShapeTranslator(u).translate(d2_labelled("{a}", "{a}")) is None
+
+
+def test_translate_finds_a_relabelled_non_thin_copy():
+    """A constant diagram on a 5-element monoid translates onto the universe
+    object on its relabelled copy."""
+    c = transformation_monoid(3, [(2, 2, 2), (1, 1, 0)])
+    u = lc.DiagramUniverse(TS)
+    oid = u.add_object(constant_dia(relabeled(c, random.Random(1)), "copy"))
+    found, iso = lc.ShapeTranslator(u).translate(constant_dia(c, "M"))
+    assert found == oid
+    assert fc.verify_isomorphism(iso) and iso.target is u.objects[oid].shape
 
 
 def test_check_ws_on_iso_class_and_all():

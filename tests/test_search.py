@@ -10,6 +10,9 @@ same order, the same first witness and the same None.  The inputs are seeded
 random posets, the bundled sites' categories, t_delta_op(1), a few
 categories with non-identity isomorphisms and idempotents, random
 pseudocircle diagrams, and random simplicial sets and split objects.
+`find_isomorphism` is also checked against a brute-force oracle, a
+bijective functor among those `all_functors` lists, on transformation
+monoids, groups, products and labelled diagrams.
 """
 
 import hashlib
@@ -17,6 +20,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from diacats import algtop as at
 from diacats import diagram as dg
@@ -494,18 +499,41 @@ def walking_iso():
                       ("g", "f"): "1a", ("f", "g"): "1b"}).validate()
 
 
-def relabeled(c, rng):
-    """An isomorphic copy of c with shuffled, renamed objects and morphisms."""
+def relabeling(c, rng):
+    """An isomorphism from c onto a copy with shuffled, renamed objects and
+    morphisms."""
     objs = list(c.objects)
     rng.shuffle(objs)
     oname = {x: "o%d" % k for k, x in enumerate(objs)}
     mors = list(c.morphisms)
     rng.shuffle(mors)
     mname = {m.id: "m%d" % k for k, m in enumerate(mors)}
-    return fc.FinCat(c.name + "'", [oname[x] for x in objs],
+    copy = fc.FinCat(c.name + "'", [oname[x] for x in objs],
                      [fc.Mor(mname[m.id], oname[m.dom], oname[m.cod]) for m in mors],
                      {oname[x]: mname[i] for x, i in c.identity.items()},
                      {(mname[g], mname[f]): mname[h] for (g, f), h in c.compose_table.items()})
+    return fc.FinFunctor("relabel", c, copy, oname, mname)
+
+
+def relabeled(c, rng):
+    """An isomorphic copy of c with shuffled, renamed objects and morphisms."""
+    return relabeling(c, rng).target
+
+
+def transformation_monoid(n, gens):
+    """The monoid of self-maps of {0..n-1} generated by `gens` (tuples of
+    images), as a one-object category; g o f is f applied first."""
+    ident = tuple(range(n))
+    els, frontier = [ident], [ident]
+    while frontier:
+        frontier = [b for b in dict.fromkeys(tuple(g[i] for i in a) for a in frontier
+                                             for g in gens) if b not in els]
+        els += frontier
+    name = {e: "t" + "".join(map(str, e)) for e in els}
+    return fc.FinCat("T%s" % "|".join(map(name.get, gens)), ["o"],
+                     [fc.Mor(name[e], "o", "o") for e in els], {"o": name[ident]},
+                     {(name[g], name[f]): name[tuple(g[i] for i in f)]
+                      for g in els for f in els})
 
 
 def small_categories():
@@ -604,23 +632,102 @@ def test_find_isomorphism_with_labels_matches_reference():
 
 
 def test_max_nodes_bounds_the_search():
-    """A tiny bound raises where the default bound finds the isomorphism,
-    and each bound finds it exactly when the former search did, raising
-    where that search gave None: the bound counts the same nodes."""
+    """A tiny bound raises where the default bound finds the isomorphism.
+    Every bound either raises or finds the former search's witness, and the
+    search, which no longer places the identities, finds it within no more
+    nodes than the former one."""
     rng = random.Random(5)
     for c in (ht.t_delta_op(1), cyclic_group(3), fx.pseudocircle_site().cat):
         d = relabeled(c, rng)
-        assert fc.find_isomorphism(c, d) is not None
+        ref = reference_find_isomorphism(c, d)
+        assert functor_key(fc.find_isomorphism(c, d)) == functor_key(ref)
         with pytest.raises(BudgetExceeded):
             fc.find_isomorphism(c, d, max_nodes=2)
+        found = []
         for bound in range(40):
-            ref = reference_find_isomorphism(c, d, max_nodes=bound)
-            if ref is None:
-                with pytest.raises(BudgetExceeded):
-                    fc.find_isomorphism(c, d, max_nodes=bound)
-            else:
+            try:
                 got = fc.find_isomorphism(c, d, max_nodes=bound)
-                assert functor_key(got) == functor_key(ref), (c, bound)
+            except BudgetExceeded:
+                continue
+            assert functor_key(got) == functor_key(ref), (c, bound)
+            found.append(bound)
+        assert found
+        assert reference_find_isomorphism(c, d, max_nodes=found[0] - 1) is None
+
+
+def test_find_isomorphism_checks_each_composite_it_places():
+    """The former search checked a composable pair only when one of its two
+    factors was placed last, and answered None on this 5-element monoid of
+    self-maps of {0, 1, 2}; all_functors finds exactly one isomorphism."""
+    c = transformation_monoid(3, [(2, 2, 2), (1, 1, 0)])
+    d = relabeled(c, random.Random(1))
+    assert len(c.morphisms) == 5
+    assert sum(fc.is_bijective(F) for F in fc.all_functors(c, d)) == 1
+    for a, b in ((c, d), (d, c)):
+        assert fc.verify_isomorphism(fc.find_isomorphism(a, b))
+
+
+def brute_force_isomorphic(c, d, labels=None):
+    """Some functor c -> d of all_functors is bijective and, with labels
+    (F, G), satisfies G o iso = F."""
+    if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
+        return False
+    return any(fc.is_bijective(iso) and (labels is None or
+                                         iso.then(labels[1]).key() == labels[0].key())
+               for iso in fc.all_functors(c, d))
+
+
+def relabeled_dia(d, rng):
+    """d on a relabelled copy of its shape, its labels carried along."""
+    iso = relabeling(d.shape, rng)
+    return dg.DiaObj(iso.target, fc.FinFunctor(
+        "L", iso.target, d.scat, {iso.ob(x): d.labels.ob(x) for x in d.shape.objects},
+        {iso.mo(m): d.labels.mo(m) for m in iso.morphism_map}))
+
+
+T1 = ht.t_delta_op(1)
+SHAPES = [T1, cyclic_group(2), cyclic_group(3), cyclic_group(4), walking_iso()]
+SHAPES += [fc.product_category(c, fc.chain_category(1)) for c in SHAPES]
+LABELLED = [dg.DiaObj(shape, F) for shape in SHAPES[:5] + [fc.chain_category(1)]
+            for F in fc.all_functors(shape, T1)]
+
+
+@hst.composite
+def shape_pairs(draw):
+    """Transformation monoids on 2-3 points and the shapes above; the second
+    of the pair is often a relabelled copy of the first."""
+    def shape():
+        if draw(hst.booleans()):
+            n = draw(hst.integers(2, 3))
+            maps = hst.tuples(*[hst.integers(0, n - 1)] * n)
+            return transformation_monoid(n, draw(hst.lists(maps, min_size=1, max_size=2)))
+        return draw(hst.sampled_from(SHAPES))
+    c = shape()
+    rng = random.Random(draw(hst.integers(0, 2 ** 16)))
+    return c, relabeled(c, rng) if draw(hst.booleans()) else shape()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_pairs())
+def test_find_isomorphism_agrees_with_brute_force(pair):
+    c, d = pair
+    got = fc.find_isomorphism(c, d)
+    assert (got is not None) == brute_force_isomorphic(c, d)
+    assert got is None or fc.verify_isomorphism(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.sampled_from(LABELLED), hst.sampled_from(LABELLED), hst.booleans(),
+       hst.integers(0, 2 ** 16))
+def test_labelled_find_isomorphism_agrees_with_brute_force(d, e, relabel, seed):
+    """Labels into t_delta_op(1), a site category with parallel arrows."""
+    if relabel:
+        e = relabeled_dia(d, random.Random(seed))
+    labels = (d.labels, e.labels)
+    got = fc.find_isomorphism(d.shape, e.shape, labels=labels)
+    assert (got is not None) == brute_force_isomorphic(d.shape, e.shape, labels)
+    assert got is None or (fc.verify_isomorphism(got)
+                           and got.then(e.labels).key() == d.labels.key())
 
 
 def test_all_dia_mors_and_two_morphisms_match_reference():
