@@ -18,7 +18,7 @@ ps = fx.pseudocircle_site()
 # hocolim over the fence of the constant point recovers the fence nerve
 fence = fx.fence_poset()
 x = sp.constant_split(ts.cat, "*", 3)
-diag, bi = ht.hocolim_bk(ht.constant_split_diagram(fence, x), 3)
+diag = ht.hocolim_bk(ht.constant_split_diagram(fence, x), 3)
 print("hocolim(fence, point):", diag)
 print("H:", at.homology(diag.uset))
 
@@ -27,7 +27,7 @@ rng = random.Random(1)
 F = rg.random_dia_functor(rng, ps, 2, 2)
 gro, proj, _ = dg.grothendieck_construction(F)
 h1 = at.homology(dg.nerve(gro, 3).uset)
-h2 = at.homology(ht.hocolim_bk(dg.nerve_diagram(F, 3), 3)[0].uset)
+h2 = at.homology(ht.hocolim_bk(dg.nerve_diagram(F, 3), 3).uset)
 print("\nnerve of int F :", h1)
 print("hocolim of N(F):", h2)
 

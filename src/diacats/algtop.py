@@ -224,7 +224,7 @@ class HomologySummary:
         return "Homology(<=%d: %s)" % (self.valid_range, ", ".join(parts))
 
 
-def homology_of_complex(cc: ChainComplex, valid_range=None) -> HomologySummary:
+def homology_of_complex(cc: ChainComplex) -> HomologySummary:
     """Betti numbers and torsion from the SNF of each boundary matrix's
     rows, i.e. of the coboundary d_k^T, which has the same invariant
     factors and rank; a nerve's d_k has far more columns than rows.
@@ -233,10 +233,11 @@ def homology_of_complex(cc: ChainComplex, valid_range=None) -> HomologySummary:
     columns of the k-simplices the degree below claimed as +-1 pivots
     (clearing, see :func:`snf_sparse`): their reduced columns are integer
     cocycles, so those columns are integer combinations of the others.
-    Non-unit pivots claim nothing."""
-    maxdeg = min(cc.trunc - 1 if valid_range is None else valid_range, cc.trunc)
+    Non-unit pivots claim nothing.  H_k needs the boundaries of degree
+    k + 1, so the summary is valid through degree trunc - 1."""
+    maxdeg = cc.trunc - 1
     snfs, claimed = {}, set()
-    for k in range(1, min(maxdeg + 1, cc.trunc) + 1):
+    for k in range(1, cc.trunc + 1):
         skip, claimed = claimed, set()
         snfs[k] = snf_sparse(cc.rows[k], skip, claimed)
     betti, torsion = {}, {}
@@ -315,9 +316,8 @@ def quasi_iso(f: sp.SimpMap) -> QuasiIsoVerdict:
                  for image, dy in zip(fmap[k - 1], ccy.rows[k])]
         cone_rows.append(rows)
     cone = ChainComplex(trunc, cone_ranks, cone_rows)
-    hs = homology_of_complex(cone, valid_range=trunc - 1)
-    bad = [k for k in range(min(trunc - 1, hs.valid_range) + 1)
-           if hs.betti.get(k, 0) != 0 or hs.torsion.get(k)]
+    hs = homology_of_complex(cone)
+    bad = [k for k in range(trunc) if hs.betti.get(k, 0) != 0 or hs.torsion.get(k)]
     vr = trunc - 2
     if bad:
         return QuasiIsoVerdict(False, vr, "cone homology nonzero in degrees %s" % bad)

@@ -122,7 +122,7 @@ def cmd_int_amalg(args):
 
 def cmd_hocolim(args):
     xd = io.decode_split_functor(_load_json(args.functor), _load_site(args.site))
-    diag, _ = ht.hocolim_bk(xd, args.trunc)
+    diag = ht.hocolim_bk(xd, args.trunc)
     _emit(args, {"command": "hocolim", "levels": [len(l) for l in diag.levels],
                  "object": io.encode_split(diag)})
     return 0
@@ -297,7 +297,7 @@ def _compare_derlocalizer(args, rng):
     trunc = min(args.trunc, 3)
     h1 = at.homology(dg.nerve(gro, trunc).uset)
     xd = dg.nerve_diagram(F, trunc)
-    diag, _ = ht.hocolim_bk(xd, trunc)
+    diag = ht.hocolim_bk(xd, trunc)
     h2 = at.homology(diag.uset)
     ok = (h1.betti == h2.betti and h1.torsion == h2.torsion)
     return ok, {"groth": io.homology_report(h1), "hocolim": io.homology_report(h2)}

@@ -124,38 +124,36 @@ def int_amalg(x: sp.SplitSimpObj, trunc=None) -> IntAmalgResult:
 # size forecasts (exact, computed without building anything)
 
 
+def _chain_counts(weights, a, trunc):
+    """weights . A^k . 1 for k = 0..trunc: chain counts by transfer matrix A."""
+    vec = [1] * len(weights)
+    counts = [sum(weights)]
+    for _ in range(trunc):
+        vec = [sum(x * y for x, y in zip(row, vec)) for row in a]
+        counts.append(sum(w * y for w, y in zip(weights, vec)))
+    return counts
+
+
 def forecast_int_nerve(x: sp.SplitSimpObj, int_trunc: int, nerve_trunc: int):
     """Exact nondegenerate chain counts of the nerve of the category of
     elements of x, per level, without constructing it.
 
     Out-degrees in the element category depend only on the level, so the
     counts follow from a transfer matrix over levels."""
-    full = [len(x.full_level(n)) for n in range(int_trunc + 1)]
     size = int_trunc + 1
     a = [[len(sp.all_monotone(m, n)) - (1 if m == n else 0)
           for m in range(size)] for n in range(size)]
-    counts = [sum(full)]
-    vec = [1] * size
-    for k in range(1, nerve_trunc + 1):
-        vec = [sum(a[n][m] * vec[m] for m in range(size)) for n in range(size)]
-        counts.append(sum(full[n] * vec[n] for n in range(size)))
-    return counts
+    return _chain_counts([len(x.full_level(n)) for n in range(size)], a, nerve_trunc)
 
 
 def forecast_nerve(c: fc.FinCat, trunc: int):
     """Exact nondegenerate chain counts of the nerve of a finite category."""
-    objs = list(c.objects)
-    idx = {x: i for i, x in enumerate(objs)}
-    m = [[0] * len(objs) for _ in objs]
+    idx = {x: i for i, x in enumerate(c.objects)}
+    a = [[0] * len(idx) for _ in idx]
     for mor in c.morphisms:
         if not c.is_identity(mor.id):
-            m[idx[mor.dom]][idx[mor.cod]] += 1
-    counts = [len(objs)]
-    vec = [1] * len(objs)
-    for k in range(1, trunc + 1):
-        vec = [sum(m[i][j] * vec[j] for j in range(len(objs))) for i in range(len(objs))]
-        counts.append(sum(vec))
-    return counts
+            a[idx[mor.dom]][idx[mor.cod]] += 1
+    return _chain_counts([1] * len(idx), a, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -357,68 +355,47 @@ def _first_arrow(nerve_set: sp.SimpSet, cat: fc.FinCat, value):
     return ms[0] if epi[1] else cat.id_of(x0)
 
 
-def hocolim_bk(xd: SplitDiagram, trunc: int):
-    """The Bousfield-Kan homotopy colimit: the diagonal of the bisimplicial
+def hocolim_bk(xd: SplitDiagram, trunc: int) -> sp.SplitSimpObj:
+    """The Bousfield-Kan homotopy colimit, the diagonal of the bisimplicial
     object whose (n, m) part is one copy of X(i_0)_m per length-n chain
-    i_0 -> ... -> i_n, with d_0 transporting along the first arrow.
+    i_0 -> ... -> i_n.  Level n pairs a chain value with an n-value of X
+    at the chain's first object; d_i applies the nerve's face and then X's,
+    d_0 transporting along the first arrow in between.  The part of d_i is
+    X's face part composed with the transport part.
 
-    Returns (diagonal SplitSimpObj, bisimplicial presentation).
+    The result carries `nd_elem` and `elem_canon` as :func:`sp.tensor` does.
     """
     cat = xd.shape
     scat = xd.ob[cat.objects[0]].scat
     ner = sp.nerve_of_category(cat, trunc)
 
-    def chain_start(cv):
-        epi, nd = cv
-        return ner.chain_of[nd][0]
+    def at_start(cv):
+        return xd.ob[ner.chain_of[cv[1]][0]]
 
-    def elems(n, m):
-        out = []
-        for cv in ner.full_level(n):
-            i0 = chain_start(cv)
-            for v in xd.ob[i0].full_level(m):
-                out.append((cv, v))
-        return out
-
-    def hface(n, m, i, e):
+    def face(n, i, e):
+        """(d_i e, its part)."""
         cv, v = e
         cv2 = ner.apply(sp.mt_delta(i, n), cv)
+        p = None
         if i == 0:
-            return (cv2, xd.mo[_first_arrow(ner, cat, cv)].map_value(v))
-        return (cv2, v)
+            v, p = xd.mo[_first_arrow(ner, cat, cv)].map_value_part(v)
+        w, q = at_start(cv2).apply_with_part(sp.mt_delta(i, n), v)
+        return (cv2, w), q if p is None else scat.comp(q, p)
 
-    def hdegen(n, m, j, e):
+    def degen(n, j, e):
         cv, v = e
-        return (ner.apply(sp.mt_sigma(j, n), cv), v)
+        return ner.apply(sp.mt_sigma(j, n), cv), at_start(cv).apply(sp.mt_sigma(j, n), v)
 
-    def vface(n, m, j, e):
-        cv, v = e
-        return (cv, xd.ob[chain_start(cv)].apply(sp.mt_delta(j, m), v))
-
-    def vdegen(n, m, j, e):
-        cv, v = e
-        return (cv, xd.ob[chain_start(cv)].apply(sp.mt_sigma(j, m), v))
-
-    def label(e):
-        cv, v = e
-        return xd.ob[chain_start(cv)].label[v[1]]
-
-    def hpart(n, m, i, e):
-        cv, v = e
-        if i == 0:
-            return xd.mo[_first_arrow(ner, cat, cv)].map_value_part(v)[1]
-        return scat.id_of(label(e))
-
-    def vpart(n, m, j, e):
-        cv, v = e
-        return xd.ob[chain_start(cv)].apply_with_part(sp.mt_delta(j, m), v)[1]
-
-    bi = sp.BisimpSplit(scat, trunc, elems, hface, hdegen, vface, vdegen,
-                        label, hpart, vpart, "X~(%s)" % xd.name)
-    diag, canon, ids, elem_of = sp.diagonal(bi, name="hocolim(%s)" % xd.name)
+    levels = [[(cv, v) for cv in ner.full_level(n) for v in at_start(cv).full_level(n)]
+              for n in range(trunc + 1)]
+    built = sp.from_full_levels(trunc, levels, lambda n, i, e: face(n, i, e)[0], degen,
+                                None, "hocolim(%s)" % xd.name)
+    diag, canon, ids, elem_of = sp.with_labels(
+        scat, built, lambda e: at_start(e[0]).label[e[1][1]],
+        lambda n, i, e: face(n, i, e)[1])
     diag.nd_elem = elem_of
     diag.elem_canon = canon
-    return diag, bi
+    return diag
 
 
 def constant_split_diagram(shape: fc.FinCat, x: sp.SplitSimpObj) -> SplitDiagram:
@@ -493,7 +470,7 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
                     raise LimitAbsent("no unique transport %r along %r" % (nd, m.id))
         mos[m.id] = sp.SplitMor(obs[i], obs[j], val, part, m.id)
     xd = SplitDiagram(shape, obs, mos, "FxX")
-    lhs, _ = hocolim_bk(xd, trunc)
+    lhs = hocolim_bk(xd, trunc)
 
     # right-hand side: N(I, F) x_s X, levelwise jointly-nondegenerate pairs
     nv = dg.nerve(d, trunc)
@@ -629,8 +606,7 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
                 for sid in prod_m.levels[lev]:
                     u, v = elem_m[sid][1]
                     # v is a Delta_m value; push into Delta_k along op
-                    epi, runs = sp.collapse_runs(op[t] for t in _delta_vertices(v))
-                    v2 = (epi, "(%s)" % ",".join(map(str, runs)))
+                    v2 = sp.delta_value(op[t] for t in sp.delta_vertices(v))
                     pair_val = canon_k[(lev, (u, v2))]
                     val[sid] = fam[i].map_value(pair_val)
             out[i] = sp.SimpMap(prod_m, ob[i], val)
@@ -645,13 +621,6 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
     sset, canon, ids, elem_of = sp.from_full_levels(
         trunc, levels, face_fn, degen_fn, None, name)
     return sset
-
-
-def _delta_vertices(v):
-    """Vertex tuple of a Delta_n value ((epi, nd) with nd = '(a,b,..)')."""
-    epi, nd = v
-    verts = tuple(int(t) for t in nd.strip("()").split(","))
-    return tuple(verts[epi[i]] for i in range(len(epi)))
 
 
 def _end_square(shape, ob, mo, slice_nerves, prods, slice_maps, fam, mid, k,

@@ -13,10 +13,11 @@ object only stores a label per nondegenerate simplex and a label part
 per (simplex, face index).
 
 A construction given by its full levels and elementary face and
-degeneracy maps (standard simplices, products and the diagonal, Cech
-objects, Hom into a split object) goes through :func:`from_full_levels`,
-and :func:`with_labels` attaches carriers and face parts.  Maps between
-tensors go through :func:`tensor_map`.
+degeneracy maps (standard simplices, products, Cech objects, Hom into a
+split object, and the Bousfield-Kan diagonal in :mod:`homotopy`) goes
+through :func:`from_full_levels`, and :func:`with_labels` attaches
+carriers and face parts.  Maps between tensors go through
+:func:`tensor_map`.
 """
 
 from __future__ import annotations
@@ -487,19 +488,35 @@ def with_labels(scat, built, label_fn, part_fn):
 # standard simplicial sets
 
 
+def delta_value(verts):
+    """The value of Delta_n on a monotone vertex sequence: the collapse onto
+    the nondegenerate simplex of its distinct vertices, whose id is the
+    vertex tuple written as "(0,1,2)"."""
+    epi, runs = collapse_runs(verts)
+    return epi, "(%s)" % ",".join(map(str, runs))
+
+
+def delta_vertices(v):
+    """The vertex sequence of a Delta_n value; inverse to :func:`delta_value`."""
+    epi, nd = v
+    verts = tuple(int(t) for t in nd.strip("()").split(","))
+    return tuple(verts[i] for i in epi)
+
+
 def delta_simpset(n, trunc, name=None):
     """Standard simplex Delta_n, truncated: level k is every monotone
-    [k] -> [n], the strictly increasing ones nondegenerate with ids "(0,1)"."""
+    [k] -> [n], the strictly increasing ones nondegenerate with the ids of
+    :func:`delta_value`."""
     return from_full_levels(
         trunc, [all_monotone(k, n) for k in range(trunc + 1)],
         lambda k, i, t: t[:i] + t[i + 1:], lambda k, j, t: t[:j + 1] + t[j:],
-        lambda k, t: "(%s)" % ",".join(map(str, t)), name or ("D%d" % n))[0]
+        lambda k, t: delta_value(t)[1], name or ("D%d" % n))[0]
 
 
 def boundary_delta(n, trunc, name=None):
     """The boundary of Delta_n (all proper faces)."""
     full = delta_simpset(n, trunc, name or ("dD%d" % n))
-    top = "(%s)" % ",".join(map(str, range(n + 1)))
+    top = delta_value(range(n + 1))[1]
     return subcomplex(full, [s for l in full.levels for s in l if s != top],
                       name or ("dD%d" % n))
 
@@ -530,8 +547,18 @@ def inclusion_map(a: SimpSet, b: SimpSet) -> SimpMap:
 
 def simpset_product(a: SimpSet, b: SimpSet, name=None):
     """Product simplicial set, normalized (jointly nondegenerate pairs):
-    the diagonal of the external product."""
-    return diagonal(external_product(a, b), name or ("%sx%s" % (a.name, b.name)))
+    level n is every pair of n-values, and each face and degeneracy acts on
+    both coordinates.  Returns the :func:`from_full_levels` 4-tuple."""
+    trunc = min(a.trunc, b.trunc)
+
+    def act(op, e):
+        return a.apply(op, e[0]), b.apply(op, e[1])
+
+    return from_full_levels(
+        trunc, [[(u, v) for u in a.full_level(n) for v in b.full_level(n)]
+                for n in range(trunc + 1)],
+        lambda n, i, e: act(mt_delta(i, n), e), lambda n, j, e: act(mt_sigma(j, n), e),
+        None, name or ("%sx%s" % (a.name, b.name)))
 
 
 def prism_horn(n, e, trunc):
@@ -546,9 +573,7 @@ def prism_horn(n, e, trunc):
     keep = []
     for (lev, elem), sid in ids.items():
         u, v = elem
-        k_vertices = set(int(t) for t in u[1].strip("()").split(","))
-        l_vertices = set(int(t) for t in v[1].strip("()").split(","))
-        if l_vertices == {e} or k_vertices != full_vertex_set:
+        if set(delta_vertices(v)) == {e} or set(delta_vertices(u)) != full_vertex_set:
             keep.append(sid)
     horn = subcomplex(prod, keep, "L%d(D%dxD1)" % (e, n))
     return horn, prod, (canon, ids, elem_of)
@@ -640,100 +665,6 @@ def tensor_mor(k: SimpSet, f: SplitMor, ka=None, kb=None, name=None) -> SplitMor
     """K tensor f : K tensor A -> K tensor B."""
     return tensor_map(SimpMap.identity(k), f, ka or tensor(k, f.src),
                       kb or tensor(k, f.tgt), name or ("K(x)%s" % f.name))
-
-
-# ---------------------------------------------------------------------------
-# bisimplicial presentations and the diagonal
-
-
-class BisimpSplit:
-    """A doubly simplicial presentation: full levels plus elementary
-    structure maps in both directions, with labels on elements.
-
-    `elems(n, m)` lists the elements of bidegree (n, m); horizontal maps
-    act on n, vertical on m.  Parts follow the vertical/horizontal faces.
-    """
-
-    def __init__(self, scat, trunc, elems, hface, hdegen, vface, vdegen,
-                 label, hpart, vpart, name="B"):
-        self.scat = scat
-        self.trunc = trunc
-        self.elems = elems
-        self.hface = hface
-        self.hdegen = hdegen
-        self.vface = vface
-        self.vdegen = vdegen
-        self.label = label
-        self.hpart = hpart
-        self.vpart = vpart
-        self.name = name
-
-    def validate_sample(self):
-        """Spot-check the two simplicial directions and their commutation.
-
-        Structure maps take (n, m, index, element) where (n, m) is the
-        bidegree of the element itself.
-        """
-        t = self.trunc
-        for n in range(1, t + 1):
-            for m in range(1, t + 1):
-                for e in self.elems(n, m):
-                    for i in range(n + 1):
-                        for j in range(m + 1):
-                            a = self.vface(n - 1, m, j, self.hface(n, m, i, e))
-                            b = self.hface(n, m - 1, i, self.vface(n, m, j, e))
-                            if a != b:
-                                raise InvalidSimplicial(
-                                    "bisimplicial commutation fails at %r" % (e,))
-        return self
-
-
-def external_product(a: SimpSet, b: SimpSet):
-    """Set-level external product a [x] b as a bisimplicial presentation."""
-    trunc = min(a.trunc, b.trunc)
-
-    def elems(n, m):
-        return [(u, v) for u in a.full_level(n) for v in b.full_level(m)]
-
-    def hface(n, m, i, e):
-        return (a.apply(mt_delta(i, n), e[0]), e[1])
-
-    def hdegen(n, m, j, e):
-        return (a.apply(mt_sigma(j, n), e[0]), e[1])
-
-    def vface(n, m, j, e):
-        return (e[0], b.apply(mt_delta(j, m), e[1]))
-
-    def vdegen(n, m, j, e):
-        return (e[0], b.apply(mt_sigma(j, m), e[1]))
-
-    return BisimpSplit(None, trunc, elems, hface, hdegen, vface, vdegen,
-                       None, None, None, "%s[x]%s" % (a.name, b.name))
-
-
-def diagonal(bi: BisimpSplit, name=None):
-    """Diagonal split object: level n is the bidegree (n, n) part."""
-    trunc = bi.trunc
-    levels = [list(bi.elems(n, n)) for n in range(trunc + 1)]
-
-    def face_fn(n, i, e):
-        return bi.vface(n - 1, n, i, bi.hface(n, n, i, e))
-
-    def degen_fn(n, j, e):
-        return bi.vdegen(n + 1, n, j, bi.hdegen(n, n, j, e))
-
-    built = from_full_levels(trunc, levels, face_fn, degen_fn, None,
-                             name or ("diag(%s)" % bi.name))
-    if bi.label is None:
-        return built
-
-    def part_fn(n, i, e):
-        p1 = bi.hpart(n, n, i, e)
-        e1 = bi.hface(n, n, i, e)
-        p2 = bi.vpart(n - 1, n, i, e1)
-        return bi.scat.comp(p2, p1)
-
-    return with_labels(bi.scat, built, bi.label, part_fn)
 
 
 # ---------------------------------------------------------------------------

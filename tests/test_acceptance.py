@@ -120,7 +120,7 @@ def test_criterion_03_derlocalizer():
         gro, proj, _ = dg.grothendieck_construction(F)
         assert fc.is_opfibration(proj)[0]
         h1 = at.homology(dg.nerve(gro, 4).uset)
-        diag, _ = ht.hocolim_bk(dg.nerve_diagram(F, 4), 4)
+        diag = ht.hocolim_bk(dg.nerve_diagram(F, 4), 4)
         h2 = at.homology(diag.uset)
         assert h1.valid_range >= 3 and h2.valid_range >= 3
         assert h1.betti == h2.betti and h1.torsion == h2.torsion, (i,)

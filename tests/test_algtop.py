@@ -171,15 +171,17 @@ def test_snf_sparse_claims_the_rows_of_its_unit_pivots():
 
 def test_snf_sparse_skipping_the_claimed_columns_keeps_the_result():
     """Degree 2 of the sphere skips the edges degree 1 claimed: the same
-    factors and rank, from three columns instead of six."""
-    cc = at.ChainComplex(2, [4, 6, 4], [[], SPHERE_D1, SPHERE_D2]).validate()
+    factors and rank, from three columns instead of six.  An empty degree 3
+    makes H_2 = Z a verdict of the complex."""
+    cc = at.ChainComplex(3, [4, 6, 4, 0],
+                         [[], SPHERE_D1, SPHERE_D2, [{} for _ in range(4)]]).validate()
     claimed = set()
     at.snf_sparse(cc.rows[1], claimed=claimed)
     again = set()
     assert at.snf_sparse(cc.rows[2], skip=claimed, claimed=again) == ([1, 1, 1], 3)
     assert at.snf_sparse(cc.rows[2]) == ([1, 1, 1], 3)
     assert again == {1, 2, 3}
-    assert repr(at.homology_of_complex(cc, valid_range=2)) == \
+    assert repr(at.homology_of_complex(cc)) == \
         "Homology(<=2: H0=Z^1, H1=Z^0, H2=Z^1)"
 
 

@@ -93,14 +93,13 @@ def transposed(ranks, boundaries):
     return [[]] + [transpose(boundaries[k], ranks[k - 1]) for k in range(1, len(boundaries))]
 
 
-def reference_homology(cc, valid_range=None):
+def reference_homology(cc):
     """Betti numbers and torsion from the SNF of each boundary matrix's
     columns (the boundary side)."""
-    vr = cc.trunc - 1 if valid_range is None else valid_range
     snfs = [([], 0)] + [at.snf_sparse(transpose(cc.rows[k], cc.ranks[k]))
                         for k in range(1, cc.trunc + 1)] + [([], 0)]
     betti, torsion = {}, {}
-    maxdeg = min(vr, cc.trunc)
+    maxdeg = cc.trunc - 1
     for k in range(maxdeg + 1):
         betti[k] = cc.ranks[k] - snfs[k][1] - snfs[k + 1][1]
         torsion[k] = [d for d in snfs[k + 1][0] if d > 1]
@@ -227,13 +226,12 @@ def test_snf_of_transpose_matches_minor_oracle(dense_cols):
 
 
 def complexes_handed_over(monkeypatch, run):
-    """Every complex, with its valid range, that `run()` hands to
-    `homology_of_complex`."""
+    """Every complex that `run()` hands to `homology_of_complex`."""
     seen, real = [], at.homology_of_complex
 
-    def record(cc, valid_range=None):
-        seen.append((cc, valid_range))
-        return real(cc, valid_range)
+    def record(cc):
+        seen.append(cc)
+        return real(cc)
 
     monkeypatch.setattr(at, "homology_of_complex", record)
     run()
@@ -243,15 +241,15 @@ def complexes_handed_over(monkeypatch, run):
 
 
 def assert_boundary_side_agrees(complexes):
-    for cc, vr in complexes:
-        assert repr(at.homology_of_complex(cc, vr)) == repr(reference_homology(cc, vr))
+    for cc in complexes:
+        assert repr(at.homology_of_complex(cc)) == repr(reference_homology(cc))
 
 
 @pytest.mark.parametrize("label", ["RP2", "RP2xD1", "RP2xRP2"])
 def test_homology_matches_boundary_side_on_torsion_bases(label):
     base = torsion_bases()[label]
     for x in (base, sp.nerve_of_category(ht.int_simpset(base, TRUNC)[0], TRUNC)):
-        assert_boundary_side_agrees([(at.chain_complex(x), None)])
+        assert_boundary_side_agrees([at.chain_complex(x)])
 
 
 def test_homology_hands_the_stored_rows_to_snf(monkeypatch):
@@ -321,7 +319,7 @@ def test_cone_rows_are_the_transposed_reference_cone(monkeypatch):
                                   lambda: verdicts.extend(at.quasi_iso(f) for f in maps))
     assert not verdicts[-1]
     assert len(cones) == len(maps)
-    for f, (cc, _) in zip(maps, cones):
+    for f, cc in zip(maps, cones):
         ranks, boundaries = reference_cone(f)
         assert cc.ranks == ranks
         assert cc.rows == transposed(ranks, boundaries)
@@ -338,7 +336,7 @@ def test_cone_rows_are_the_transposed_reference_cone(monkeypatch):
 def test_homology_matches_boundary_side_on_gadget_bases(label):
     base = gadget_bases()[label]
     for x in (base, sp.nerve_of_category(ht.int_simpset(base, TRUNC)[0], TRUNC)):
-        assert_boundary_side_agrees([(at.chain_complex(x), None)])
+        assert_boundary_side_agrees([at.chain_complex(x)])
 
 
 def test_homology_matches_boundary_side_on_nerve_rows_inputs():
@@ -347,7 +345,7 @@ def test_homology_matches_boundary_side_on_nerve_rows_inputs():
     cats += [(ht.int_simpset(rg.random_simpset(random.Random(seed), 2, 4), 2)[0], 3)
              for seed in range(3)]
     cats += [(cat, 4) for cat in categories_with_isomorphisms()]
-    assert_boundary_side_agrees([(at.chain_complex(sp.nerve_of_category(cat, trunc)), None)
+    assert_boundary_side_agrees([at.chain_complex(sp.nerve_of_category(cat, trunc))
                                  for cat, trunc in cats])
 
 
@@ -365,7 +363,7 @@ def criterion_03():
         while len(F.base.objects) != want:
             F = rg.random_dia_functor(rng, PS, want, 2)
         at.homology(dg.nerve(dg.grothendieck_construction(F)[0], 4).uset)
-        at.homology(ht.hocolim_bk(dg.nerve_diagram(F, 4), 4)[0].uset)
+        at.homology(ht.hocolim_bk(dg.nerve_diagram(F, 4), 4).uset)
 
 
 def criterion_06():
@@ -403,7 +401,7 @@ def test_homology_matches_boundary_side_on_random_simpsets(seed, trunc, size):
     x = rg.random_simpset(random.Random(seed), trunc, size)
     y = sp.simpset_product(x, rp2(trunc))[0]
     assert at.homology(y).torsion[1]
-    assert_boundary_side_agrees([(at.chain_complex(x), None), (at.chain_complex(y), None)])
+    assert_boundary_side_agrees([at.chain_complex(x), at.chain_complex(y)])
 
 
 def test_non_unit_pivots_clear_nothing():

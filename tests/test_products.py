@@ -1,12 +1,14 @@
-"""Levelwise products built on `external_product` + `diagonal` against the
-code they replaced.
+"""Levelwise products and the Bousfield-Kan diagonal against the code they
+replaced.
 
 `reference_simpset_product`, `reference_tensor` (with
 `reference_from_full_levels_split`), `reference_nerve_side` and
-`reference_diagonal` keep the earlier constructions, each with its own pair
-levels and face/degeneracy closures.  The rebuilt ones must give the same
-levels, faces, canonical values, ids, labels and parts, insertion order
-included, and the same names.
+`reference_hocolim_bk` keep the earlier constructions, each with its own
+pair levels and face/degeneracy closures; `reference_hocolim_bk` keeps the
+bisimplicial presentation the hocolim was once the diagonal of, as its
+horizontal and vertical structure maps and parts.  The rebuilt ones must
+give the same levels, faces, canonical values, ids, labels and parts,
+insertion order included, and the same names.
 """
 
 import random
@@ -129,25 +131,78 @@ def reference_nerve_side(site, d, f_parts, x, aug, trunc):
         cat, trunc, levels, face_fn, degen_fn, label_fn, part_fn, None, "NxX")
 
 
-def reference_diagonal(bi, name=None):
-    trunc = bi.trunc
-    levels = [list(bi.elems(n, n)) for n in range(trunc + 1)]
+def reference_hocolim_bk(xd, trunc):
+    """The hocolim as the diagonal of the bisimplicial object whose (n, m)
+    part is one copy of X(i_0)_m per length-n chain, with d_0 transporting
+    along the first arrow."""
+    cat = xd.shape
+    scat = xd.ob[cat.objects[0]].scat
+    ner = sp.nerve_of_category(cat, trunc)
+
+    def chain_start(cv):
+        epi, nd = cv
+        return ner.chain_of[nd][0]
+
+    def first_arrow(cv):
+        epi, nd = cv
+        x0, ms = ner.chain_of[nd]
+        return ms[0] if epi[1] else cat.id_of(x0)
+
+    def elems(n, m):
+        return [(cv, v) for cv in ner.full_level(n)
+                for v in xd.ob[chain_start(cv)].full_level(m)]
+
+    def hface(n, m, i, e):
+        cv, v = e
+        cv2 = ner.apply(sp.mt_delta(i, n), cv)
+        if i == 0:
+            return (cv2, xd.mo[first_arrow(cv)].map_value(v))
+        return (cv2, v)
+
+    def hdegen(n, m, j, e):
+        cv, v = e
+        return (ner.apply(sp.mt_sigma(j, n), cv), v)
+
+    def vface(n, m, j, e):
+        cv, v = e
+        return (cv, xd.ob[chain_start(cv)].apply(sp.mt_delta(j, m), v))
+
+    def vdegen(n, m, j, e):
+        cv, v = e
+        return (cv, xd.ob[chain_start(cv)].apply(sp.mt_sigma(j, m), v))
+
+    def label(e):
+        cv, v = e
+        return xd.ob[chain_start(cv)].label[v[1]]
+
+    def hpart(n, m, i, e):
+        cv, v = e
+        if i == 0:
+            return xd.mo[first_arrow(cv)].map_value_part(v)[1]
+        return scat.id_of(label(e))
+
+    def vpart(n, m, j, e):
+        cv, v = e
+        return xd.ob[chain_start(cv)].apply_with_part(sp.mt_delta(j, m), v)[1]
+
+    # the diagonal: level n is the bidegree (n, n) part
+    levels = [elems(n, n) for n in range(trunc + 1)]
 
     def face_fn(n, i, e):
-        return bi.vface(n - 1, n, i, bi.hface(n, n, i, e))
+        return vface(n - 1, n, i, hface(n, n, i, e))
 
     def degen_fn(n, j, e):
-        return bi.vdegen(n + 1, n, j, bi.hdegen(n, n, j, e))
+        return vdegen(n + 1, n, j, hdegen(n, n, j, e))
 
     def part_fn(n, i, e):
-        p1 = bi.hpart(n, n, i, e)
-        e1 = bi.hface(n, n, i, e)
-        p2 = bi.vpart(n - 1, n, i, e1)
-        return bi.scat.comp(p2, p1)
+        p1 = hpart(n, n, i, e)
+        e1 = hface(n, n, i, e)
+        p2 = vpart(n - 1, n, i, e1)
+        return scat.comp(p2, p1)
 
     return reference_from_full_levels_split(
-        bi.scat, trunc, levels, face_fn, degen_fn, bi.label, part_fn, None,
-        name or ("diag(%s)" % bi.name))
+        scat, trunc, levels, face_fn, degen_fn, label, part_fn, None,
+        "hocolim(%s)" % xd.name)
 
 
 def simpset_fields(x):
@@ -233,14 +288,26 @@ def test_base_change_nerve_side_matches_reference():
     assert count == 10
 
 
+def assert_same_hocolim(xd, trunc):
+    diag, ref = ht.hocolim_bk(xd, trunc), reference_hocolim_bk(xd, trunc)
+    assert split_fields(diag) == split_fields(ref[0])
+    assert list(diag.nd_elem.items()) == list(ref[3].items())
+    assert list(diag.elem_canon.items()) == list(ref[1].items())
+    diag.validate()
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_labelled_diagonal_matches_reference(seed):
     """hocolim_bk of nerve diagrams, whose transport and face parts are
     both non-identities, against the earlier labelled diagonal."""
     rng = random.Random(seed)
     xd = dg.nerve_diagram(rg.random_dia_functor(rng, PS, max_base=2, max_shape=2), 2)
-    diag, bi = ht.hocolim_bk(xd, 2)
-    ref = reference_diagonal(bi, "hocolim(%s)" % xd.name)
-    assert split_fields(diag) == split_fields(ref[0])
-    assert list(diag.nd_elem.items()) == list(ref[3].items())
-    assert list(diag.elem_canon.items()) == list(ref[1].items())
+    assert_same_hocolim(xd, 2)
+
+
+def test_constant_hocolims_match_reference():
+    """Constant diagrams of a random split object, whose transports are
+    identities, over the interval and the cone poset."""
+    x = rg.random_split_over(random.Random(10), PS, 2)
+    for shape in (fc.chain_category(1), fx.cone_poset()):
+        assert_same_hocolim(ht.constant_split_diagram(shape, x), 2)
