@@ -14,8 +14,8 @@ The builders here (products, categories of elements, commas, fibers,
 twisted arrows, posets, the terminal category) return categories correct
 by construction and do not re-check their axioms.  :func:`keyed_category`
 fills the identities and composition table of every one of them whose
-morphisms are keyed by their ends and data; :func:`elements` lists the
-objects and arrows of a category of elements and hands them to it.  A
+morphisms are keyed by their ends and data.  A category of elements
+(:func:`elements`) stores no table: it composes through its base.  A
 pullback is the two-leg :func:`wide_pullback`.  :func:`validate_category`
 checks raw input, and :meth:`FinCat.validate` checks any category assembled
 by hand.
@@ -24,6 +24,7 @@ by hand.
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
 from .errors import (
@@ -50,7 +51,8 @@ class Mor:
 class FinCat:
     """A finite category with a total composition table.
 
-    `compose[(g, f)] = g o f` for every composable pair (cod f == dom g).
+    `compose[(g, f)] = g o f` for every composable pair (cod f == dom g):
+    a dict, or any read-only mapping such as :class:`ElementComposition`.
     The constructor only stores and indexes; :meth:`validate` checks the
     axioms.
     """
@@ -60,7 +62,7 @@ class FinCat:
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         self.identity = dict(identity)
-        self.compose_table = dict(compose)
+        self.compose_table = compose
         self._mor_by_id = {m.id: m for m in self.morphisms}
         self._hom, self._out, self._in = {}, {}, {}
         for m in self.morphisms:
@@ -251,23 +253,74 @@ def elements(name, fibers, out, act, comp, identity, ofmt, mfmt):
     (f, cod f) out of c, `act(f, x)` is F(f)(x), `comp[(g, f)]` is g o f
     for every composable pair and `identity[c]` is the identity of c.  An
     object (c, x) gets the id `ofmt(c, x)`; a morphism
-    (c, x, f) : (c, x) -> (cod f, F(f)(x)) gets `mfmt(c, f, src id, tgt id)`,
-    and (g, F(f)(x)) o (f, x) = (g o f, x).  Ids are inserted in the order
-    of `fibers` and `out`; :func:`keyed_category` fills the identities and
-    the composition table.  Returns (category, okey[(c, x)], mkey[(c, x, f)]).
+    (c, x, f) : (c, x) -> (cod f, F(f)(x)) gets `mfmt(c, f, src id, tgt id)`.
+    Ids are inserted in the order of `fibers` and `out`.  No composition
+    table is stored: the category composes through its base, by an
+    :class:`ElementComposition`.  Returns (category, okey[(c, x)],
+    mkey[(c, x, f)]).
     """
     okey = {(c, x): ofmt(c, x) for c, xs in fibers for x in xs}
-    base_of = {oid: c for (c, _), oid in okey.items()}
-    arrows, mkey = [], {}
+    mors, mkey, over, out_of = [], {}, {}, {}
     for (c, x), oid in okey.items():
+        mids = out_of[oid] = []
         for f, c2 in out[c]:
             oid2 = okey[(c2, act(f, x))]
-            mid = mkey[(c, x, f)] = mfmt(c, f, oid, oid2)
-            arrows.append((oid, oid2, (f,), mid))
-    cat = keyed_category(name, list(okey.values()), arrows,
-                         lambda g, f: (comp[(g[0], f[0])],),
-                         lambda oid: (identity[base_of[oid]],))[0]
-    return cat, okey, mkey
+            key = (c, x, f)
+            mid = mkey[key] = mfmt(c, f, oid, oid2)
+            over[mid] = (key, oid, oid2)
+            mids.append(mid)
+            mors.append(Mor(mid, oid, oid2))
+    ident = {oid: mkey[(c, x, identity[c])] for (c, x), oid in okey.items()}
+    table = ElementComposition(out, comp, identity, mkey, over, out_of)
+    return FinCat(name, okey.values(), mors, ident, table), okey, mkey
+
+
+class ElementComposition(Mapping):
+    """The composition table of a category of elements, answered from its
+    base: (g, F(f)x) o (f, x) = (g o f, x), a discrete opfibration.
+
+    `out`, `comp` and `identity` are the base tables :func:`elements` read,
+    `mkey[(c, x, f)]` the morphism over the base arrow f out of (c, x),
+    `over[mid]` its ((c, x, f), src id, tgt id) and `out_of[oid]` the
+    morphisms out of an object.  A pair (g, f) is a key when the two
+    elements meet, cod f == dom g; base arrows that compose are not
+    enough.  Keys run per f in morphism order, then per g out of cod f,
+    so `len` is the sum over f of |out(cod f)|.
+    """
+
+    def __init__(self, out, comp, identity, mkey, over, out_of):
+        self.out, self.comp, self.identity = out, comp, identity
+        self.mkey, self.over, self.out_of = mkey, over, out_of
+
+    def __getitem__(self, pair):
+        g, f = pair
+        (_, _, psi), src, _ = self.over[g]
+        (c, x, phi), _, tgt = self.over[f]
+        if src != tgt:
+            raise KeyError(pair)
+        return self.mkey[(c, x, self.comp[(psi, phi)])]
+
+    def __iter__(self):
+        out_of = self.out_of
+        for f, (_, _, tgt) in self.over.items():
+            for g in out_of[tgt]:
+                yield g, f
+
+    def __len__(self):
+        out_of = self.out_of
+        return sum(len(out_of[tgt]) for _, _, tgt in self.over.values())
+
+    def items(self):
+        return _ElementItems(self)
+
+
+class _ElementItems(ItemsView):
+    def __iter__(self):
+        t = self._mapping
+        mkey, comp, over, out_of = t.mkey, t.comp, t.over, t.out_of
+        for f, ((c, x, phi), _, tgt) in over.items():
+            for g in out_of[tgt]:
+                yield (g, f), mkey[(c, x, comp[(over[g][0][2], phi)])]
 
 
 def keyed_category(name, objects, arrows, compose, identity):

@@ -11,7 +11,9 @@ refuse infeasible computations instead of attempting them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import diagram as dg
 from . import fincat as fc
@@ -24,17 +26,20 @@ from .site import Site
 # the truncated simplex-opposite shape
 
 
+@functools.cache
 def _delta_op_tables(trunc: int):
     """The truncated simplex-opposite shape as tables over levels 0..trunc:
     out[n] lists the operators g : [m] -> [n] as arrows (g, m) out of [n],
     comp[(h, g)] is the operator g o h, ident[n] the identity operator, and
-    text[g] the printed operator."""
+    text[g] the printed operator.  Computed once per truncation and shared
+    by every caller and by the element categories that compose through
+    them, so they are read-only."""
     levels = range(trunc + 1)
-    out = {n: [(g, m) for m in levels for g in sp.all_monotone(m, n)] for n in levels}
+    out = {n: tuple((g, m) for m in levels for g in sp.all_monotone(m, n)) for n in levels}
     comp = {(h, g): sp.mt_comp(g, h) for n in levels for g, m in out[n] for h, _ in out[m]}
     ident = {n: sp.mt_id(n) for n in levels}
     text = {g: ",".join(map(str, g)) for n in levels for g, _ in out[n]}
-    return out, comp, ident, text
+    return tuple(map(MappingProxyType, (out, comp, ident, text)))
 
 
 def t_delta_op(trunc: int) -> fc.FinCat:

@@ -927,6 +927,19 @@ class Nerve(SimpSet):
         return chain_of
 
 
+def _ranked_out(sources, identities, steps):
+    """Number each arrow by its place in `sources`, the list of the
+    objects they leave.  Append each arrow not in `identities` to
+    steps[its source], in order, and return rank[arrow], its place there.
+    A nerve extends a chain along the steps of its last object, in order."""
+    rank = {}
+    for f, x in enumerate(sources):
+        if f not in identities:
+            rank[f] = len(steps[x])
+            steps[x].append(f)
+    return rank
+
+
 def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> Nerve:
     """The nerve of a finite category, truncated.  Nondegenerate
     k-simplices are the chains of k composable non-identity morphisms,
@@ -938,23 +951,40 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> Nerve:
     i < k-1, d_i is d_i(ch) extended by m (a degenerate face stays
     degenerate, one level lower); d_{k-1} extends ch[:-1] by m o m_{k-1},
     or is degenerate onto ch[:-1] when that composite is an identity; d_k
-    is ch.  A chain's string id extends its parent's by one arrow."""
+    is ch.  A chain's string id extends its parent's by one arrow.
+
+    The ranks of those composites come from the composition table, one
+    pair at a time, except in a category of elements: there the element
+    over phi : b -> b' out of (b, x) has the rank of phi among b's
+    out-arrows, so every element over phi shares the ranks read once off
+    the base."""
     onum = {x: n for n, x in enumerate(c.objects)}
     mids = [m.id for m in c.morphisms]
     num = {mid: n for n, mid in enumerate(mids)}
     cod = [onum[m.cod] for m in c.morphisms]
-    ident = {num[i] for i in c.identity.values()}
     steps = [[] for _ in c.objects]
-    rank = {}
-    for n, m in enumerate(c.morphisms):
-        if n not in ident:
-            rank[n] = len(steps[onum[m.dom]])
-            steps[onum[m.dom]].append(n)
+    rank = _ranked_out([onum[m.dom] for m in c.morphisms],
+                       {num[i] for i in c.identity.values()}, steps)
     table = c.compose_table
     # after[f][q]: the rank of steps[cod f][q] o f among the out-arrows of
     # dom f, or -1 when that composite is an identity
-    after = [[rank.get(num[table[(mids[g], mids[f])]], -1) for g in steps[cod[f]]]
-             if f in rank and trunc > 1 else [] for f in range(len(mids))]
+    if trunc < 2:
+        after = None
+    elif isinstance(table, fc.ElementComposition):
+        # the same ranks one level down, for the base arrows (b, phi, cod)
+        out, comp = table.out, table.comp
+        base = [(b, phi, y) for b, fs in out.items() for phi, y in fs]
+        bnum = {(b, phi): n for n, (b, phi, _) in enumerate(base)}
+        base_steps = {b: [] for b in out}
+        base_rank = _ranked_out([b for b, _, _ in base],
+                                {bnum[i] for i in table.identity.items()}, base_steps)
+        base_after = [[base_rank.get(bnum[(b, comp[(base[g][1], phi)])], -1)
+                       for g in base_steps[y]] for b, phi, y in base]
+        keys = [table.over[mid][0] for mid in mids]
+        after = [base_after[bnum[(b, phi)]] for b, _, phi in keys]
+    else:
+        after = [[rank.get(num[table[(mids[g], mids[f])]], -1) for g in steps[cod[f]]]
+                 if f in rank else [] for f in range(len(mids))]
     levels = [[chain_id((x, ())) for x in c.objects]]
     rows, arrows, first = [[]], [[]], []
     for k in range(1, trunc + 1):

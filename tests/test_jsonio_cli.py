@@ -202,6 +202,36 @@ def test_cli_nerve_and_homology_independent_of_hash_seed(tmp_path):
                                      csv.read_bytes() if csv.exists() else None))
             assert got == NERVE_HOMOLOGY_GOLDEN[name], (name, seed)
 
+
+# sha256 of (stdout, stderr, DOT) of `int-amalg` below, recorded while its
+# element category still stored every composable pair in a dict.
+INT_AMALG_GOLDEN = ("9d6716f6d548944f0e503374c9a644b4954849570a594c0685abfe750257d82e",
+                    EMPTY,
+                    "b41442a238eb05c40b3dc885a32e5cd643742727b617721c283aab268c12f5f4")
+
+
+def test_cli_int_amalg_independent_of_hash_seed(tmp_path):
+    """`int-amalg --dot` on the Cech object of the pseudocircle's cover at
+    truncation 2: the report, which encodes the element category's
+    composition table, and the DOT export are pinned byte for byte under
+    three string hash seeds."""
+    ps = fx.pseudocircle_site()
+    x = tmp_path / "x.json"
+    x.write_text(io.dumps(io.encode_split(sp.cech_cover(ps, ps.covers["{a,b,c,d}"][0], 2)[0])))
+    dot = tmp_path / "x.dot"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    for seed in (0, 1, 2):
+        dot.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diacats.cli", "int-amalg", "--ssimp", str(x),
+             "--site", "pseudocircle", "--trunc", "2", "--dot", str(dot)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src))
+        assert proc.returncode == 0
+        got = tuple(hashlib.sha256(data).hexdigest()
+                    for data in (proc.stdout, proc.stderr, dot.read_bytes()))
+        assert got == INT_AMALG_GOLDEN, seed
+
 def test_cli_cech_and_limits(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(["cech", "--site", "pseudocircle",
