@@ -177,9 +177,9 @@ class ChainComplex:
 def chain_complex(x: sp.SimpSet) -> ChainComplex:
     """Normalized complex on nondegenerate simplices, written from the face
     rows: degenerate faces contribute zero, signs alternate."""
-    rows = [[]]
+    rows, sizes = [[]], x.level_sizes()
     for k in range(1, x.trunc + 1):
-        level = [{} for _ in x.levels[k - 1]]
+        level = [{} for _ in range(sizes[k - 1])]
         for j, faces in enumerate(x.face_rows(k)):
             sign = 1
             for r in faces:
@@ -192,7 +192,7 @@ def chain_complex(x: sp.SimpSet) -> ChainComplex:
                         del row[j]
                 sign = -sign
         rows.append(level)
-    return ChainComplex(x.trunc, [len(l) for l in x.levels], rows)
+    return ChainComplex(x.trunc, sizes, rows)
 
 
 @dataclass

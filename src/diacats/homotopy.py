@@ -68,16 +68,7 @@ def int_simpset(k: sp.SimpSet, trunc=None, name=None):
     map); the projection to :func:`t_delta_op` is an opfibration.
     """
     trunc = k.trunc if trunc is None else min(trunc, k.trunc)
-    applied = {}
-
-    def act(g, v):
-        # g* (e, nd) = (e o g)* nd: apply once per distinct (e o g, nd)
-        key = (sp.mt_comp(v[0], g), v[1])
-        if key not in applied:
-            applied[key] = k.apply(g, v)
-        return applied[key]
-
-    return _int_elements(k, trunc, name or ("int(%s)" % k.name), act)
+    return _int_elements(k, trunc, name or ("int(%s)" % k.name), k.apply)
 
 
 def _int_elements(k: sp.SimpSet, trunc: int, name: str, act):

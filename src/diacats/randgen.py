@@ -58,9 +58,10 @@ def random_diaobj(rng, site: Site, max_objects=4, name=None):
     raise RuntimeError("could not sample a labeled diagram")
 
 
-def random_simpset(rng, trunc, max_nondeg=8, name="R"):
+def random_simpset(rng, trunc, max_nondeg=8, name="R", per_position=False):
     """A random truncated simplicial set grown by attaching simplices along
-    existing boundary-compatible face tuples."""
+    existing boundary-compatible face tuples.  `per_position` shuffles
+    the pool once per face position, which reaches torsion."""
     levels = [["v0"], [], []][:1] + [[] for _ in range(trunc)]
     faces = {}
     x = sp.SimpSet(trunc, levels, faces, name)
@@ -68,7 +69,7 @@ def random_simpset(rng, trunc, max_nondeg=8, name="R"):
     attempt = 0
     while count < max_nondeg and attempt < 200:
         attempt += 1
-        if rng.random() < 0.35 or x.size() == count == 1:
+        if rng.random() < 0.35 or sum(x.level_sizes()) == count == 1:
             sid = "v%d" % len(x.levels[0])
             levels = [list(l) for l in x.levels]
             levels[0].append(sid)
@@ -76,7 +77,8 @@ def random_simpset(rng, trunc, max_nondeg=8, name="R"):
             count += 1
             continue
         k = rng.randint(1, min(trunc, 2))
-        boundary = _sample_boundary(rng, x, k)
+        boundary = (_sample_boundary(rng, x, k, per_position=True) if per_position
+                    else _sample_boundary(rng, x, k))
         if boundary is None:
             continue
         sid = "s%d.%d" % (k, count)
@@ -90,20 +92,21 @@ def random_simpset(rng, trunc, max_nondeg=8, name="R"):
     return x.validate()
 
 
-def _sample_boundary(rng, x: sp.SimpSet, k):
+def _sample_boundary(rng, x: sp.SimpSet, k, per_position=False):
     """A tuple of k+1 values at level k-1 satisfying the simplicial
     identities: the first :func:`fc.backtrack` finds in a shuffled pool."""
     pool = x.full_level(k - 1)
     if not pool:
         return None
-    order = list(pool)
-    rng.shuffle(order)
+    orders = [list(pool) for _ in range(k + 1 if per_position else 1)]
+    for order in orders:
+        rng.shuffle(order)
 
     def compatible(j, vals):
         return all(x.apply(sp.mt_delta(i, k - 1), vals[j]) ==
                    x.apply(sp.mt_delta(j - 1, k - 1), vals[i]) for i in range(j))
 
-    vals = next(fc.backtrack(range(k + 1), lambda j, _: order,
+    vals = next(fc.backtrack(range(k + 1), lambda j, _: orders[j if per_position else 0],
                              compatible if k >= 2 else None), None)
     return None if vals is None else tuple(vals.values())
 

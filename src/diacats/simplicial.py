@@ -100,6 +100,22 @@ def all_monotone(k, n):
     return [t for t in itertools.combinations_with_replacement(range(n + 1), k + 1)]
 
 
+@functools.cache
+def _factored(op, e):
+    """e o op as (epi, mono), tabulated on first use; it refuses an op that
+    does not apply.  For epis op and e, e o op is its own epi part."""
+    if not op or op[0] < 0 or op[-1] >= len(e) or any(a > b for a, b in zip(op, op[1:])):
+        raise InvalidSimplicial("operator %r does not apply at level %d" % (op, len(e) - 1))
+    return epi_mono_factor(mt_comp(e, op))
+
+
+@functools.cache
+def _peeled(mono, m):
+    """(i, mono') with mono = delta_i o mono', i the largest vertex missed."""
+    missing = max(set(range(m + 1)).difference(mono))
+    return missing, tuple(x if x < missing else x - 1 for x in mono)
+
+
 # ---------------------------------------------------------------------------
 # plain truncated simplicial sets
 
@@ -109,19 +125,17 @@ class SimpSet:
 
     `levels[k]` lists nondegenerate simplex ids (globally unique strings);
     `faces[(s, i)]` is the value of d_i(s) as a pair (epi, nd);
-    `level_of[s]`, built on first read, is the level of s.
+    `level_of[s]`, built on first read, is the level of s;
+    `face_table[(mono, s)]`, filled per entry on first read, is the face
+    of s under a mono as (epi, nd, steps) (see :meth:`apply_steps`).
     """
 
     def __init__(self, trunc, levels, faces, name="X"):
-        self._index_levels(trunc, levels, name)
-        self.faces = dict(faces)
-
-    def _index_levels(self, trunc, levels, name):
-        self.trunc = trunc
+        self.trunc, self.name, self.face_table = trunc, name, {}
         self.levels = [tuple(l) for l in levels]
         while len(self.levels) < trunc + 1:
             self.levels.append(())
-        self.name = name
+        self.faces = dict(faces)
 
     @functools.cached_property
     def level_of(self):
@@ -145,23 +159,29 @@ class SimpSet:
 
     def apply_steps(self, op, value):
         """Apply op to value, returning (result, steps): `steps` lists the
-        stored faces (simplex, face index) walked through, in order."""
-        epi, nd = value
-        if len(op) == 0:
-            raise InvalidSimplicial("empty operator")
-        e, mono = epi_mono_factor(mt_comp(epi, op))
-        steps = []
-        m = self.level_of[nd]
-        while mono != mt_id(m):
-            # peel off the largest vertex the mono misses via its face
-            missing = max(j for j in range(m + 1) if j not in mono)
+        stored faces (simplex, face index) walked through, in order.  By
+        three table reads: e o op = mono o e1, the face table gives
+        mono* nd = (e2, nd2), and the result is (e2 o e1, nd2)."""
+        e, nd = value
+        e1, mono = _factored(op, e)
+        try:
+            e2, nd2, steps = self.face_table[(mono, nd)]
+        except KeyError:
+            e2, nd2, steps = self.face_table[(mono, nd)] = self._walk(mono, nd)
+        return (_factored(e1, e2)[0], nd2), steps
+
+    def _walk(self, mono, nd):
+        """The face table's entry at (mono, nd): peel off the largest missed
+        vertex through the stored face until the mono is an identity."""
+        m, steps, epi = self.level_of[nd], [], mt_id(len(mono) - 1)
+        while len(mono) <= m:
+            missing, mono = _peeled(mono, m)
             steps.append((nd, missing))
-            epi, nd = self.faces[(nd, missing)]
-            mono = tuple(x if x < missing else x - 1 for x in mono)
-            e2, mono = epi_mono_factor(mt_comp(epi, mono))
-            e = mt_comp(e2, e)
+            e, nd = self.faces[(nd, missing)]
+            e2, mono = _factored(mono, e)
+            epi = _factored(epi, e2)[0]
             m = self.level_of[nd]
-        return (e, nd), steps
+        return epi, nd, tuple(steps)
 
     def face_rows(self, k):
         """Per k-simplex, the index of each face d_i in level k-1, or a
@@ -183,8 +203,8 @@ class SimpSet:
                     out.append((e, nd))
         return out
 
-    def size(self):
-        return sum(len(l) for l in self.levels)
+    def level_sizes(self):
+        return [len(l) for l in self.levels]
 
     def validate(self):
         level_of = self.level_of
@@ -215,7 +235,7 @@ class SimpSet:
         return self
 
     def __repr__(self):
-        return "SimpSet(%s: %s)" % (self.name, [len(l) for l in self.levels])
+        return "SimpSet(%s: %s)" % (self.name, self.level_sizes())
 
 
 def simpset_equal(a: SimpSet, b: SimpSet) -> bool:
@@ -270,9 +290,6 @@ class SplitSimpObj:
     def full_level(self, n):
         return self.uset.full_level(n)
 
-    def size(self):
-        return self.uset.size()
-
     def validate(self):
         self.uset.validate()
         for k, ids in enumerate(self.levels):
@@ -303,7 +320,7 @@ class SplitSimpObj:
         return self
 
     def __repr__(self):
-        return "SplitSimpObj(%s: %s)" % (self.name, [len(l) for l in self.levels])
+        return "SplitSimpObj(%s: %s)" % (self.name, self.uset.level_sizes())
 
 
 def split_equal(a: SplitSimpObj, b: SplitSimpObj) -> bool:
@@ -893,15 +910,29 @@ class Nerve(SimpSet):
     of the face in level k-1, or ~r when the face is degenerate onto the
     r-th (k-2)-chain; its epi then repeats vertex i-1.  The last entry is
     the chain's parent, `arrows[k][j]` the number of its last arrow.  The
-    string-keyed `faces` and `chain_of` are written from the rows on first
+    string ids `levels` (each extends its parent's by one arrow), and so
+    `level_of`, `faces` and `chain_of`, are written from the rows on first
     read, in level order."""
 
-    def __init__(self, trunc, levels, rows, arrows, mids, objects, name):
-        self._index_levels(trunc, levels, name)
+    def __init__(self, trunc, rows, arrows, mids, objects, name):
+        self.trunc, self.name, self.face_table = trunc, name, {}
         self.rows, self.arrows, self.mids, self.objects = rows, arrows, mids, objects
 
     def face_rows(self, k):
         return self.rows[k]
+
+    def level_sizes(self):
+        return [len(self.objects)] + [len(r) for r in self.rows[1:]]
+
+    @functools.cached_property
+    def levels(self):
+        levels = [tuple(chain_id((x, ())) for x in self.objects)]
+        tails = [mid + ")" for mid in self.mids]
+        for k in range(1, self.trunc + 1):
+            stems = [sid[:-1] + "|" for sid in levels[-1]]
+            levels.append(tuple([stems[row[-1]] + tails[m]
+                                 for row, m in zip(self.rows[k], self.arrows[k])]))
+        return levels
 
     @functools.cached_property
     def faces(self):
@@ -951,7 +982,7 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> Nerve:
     i < k-1, d_i is d_i(ch) extended by m (a degenerate face stays
     degenerate, one level lower); d_{k-1} extends ch[:-1] by m o m_{k-1},
     or is degenerate onto ch[:-1] when that composite is an identity; d_k
-    is ch.  A chain's string id extends its parent's by one arrow.
+    is ch.
 
     The ranks of those composites come from the composition table, one
     pair at a time, except in a category of elements: there the element
@@ -985,12 +1016,11 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> Nerve:
     else:
         after = [[rank.get(num[table[(mids[g], mids[f])]], -1) for g in steps[cod[f]]]
                  if f in rank else [] for f in range(len(mids))]
-    levels = [[chain_id((x, ())) for x in c.objects]]
     rows, arrows, first = [[]], [[]], []
     for k in range(1, trunc + 1):
-        ids, lev, arr, starts = [], [], [], []
-        for p, sid in enumerate(levels[k - 1]):
-            starts.append(len(ids))
+        lev, arr, starts = [], [], []
+        for p in range(len(arrows[k - 1]) if k > 1 else len(c.objects)):
+            starts.append(len(arr))
             if k == 1:
                 kids = steps[p]
                 faces = [[cod[m] for m in kids]]
@@ -1001,16 +1031,12 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> Nerve:
                 faces = [range(b, b + n) if b >= 0 else range(b, b - n, -1) for b in bases]
                 last = first[k - 2][row[-1]]
                 faces.append([last + g if g >= 0 else ~row[-1] for g in after[a]])
-            stem = sid[:-1] + "|"
-            ids.extend([stem + mids[m] + ")" for m in kids])
             arr.extend(kids)
             lev.extend(zip(*faces, itertools.repeat(p, len(kids))))
         first.append(starts)
-        levels.append(ids)
         rows.append(lev)
         arrows.append(arr)
-    return Nerve(trunc, levels, rows, arrows, mids, list(c.objects),
-                 name or ("N(%s)" % c.name))
+    return Nerve(trunc, rows, arrows, mids, list(c.objects), name or ("N(%s)" % c.name))
 
 
 def nerve_labeled(c: fc.FinCat, labels: fc.FinFunctor, trunc: int,

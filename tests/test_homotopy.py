@@ -212,22 +212,6 @@ def test_int_amalg_applies_each_operator_once(monkeypatch, source):
             assert got.target.name == ref.target.name
 
 
-@pytest.mark.parametrize("n,m", [(0, 1), (1, 1), (1, 2)])
-def test_int_simpset_applies_once_per_composite(monkeypatch, n, m):
-    """g* (e, nd) = (e o g)* nd, so `int_simpset` applies each distinct
-    (e o g, nd) once: 316 calls for its 940 morphisms on Delta_1 x Delta_2."""
-    base = sp.simpset_product(sp.delta_simpset(n, 2), sp.delta_simpset(m, 2))[0]
-    calls = counting_apply_steps(monkeypatch)
-    cat, okey, mkey = ht.int_simpset(base, 2)
-    made = len(calls)
-    monkeypatch.undo()
-    keys = {(sp.mt_comp(v[0], g), v[1]) for (_, v, g) in mkey}
-    assert made == len(keys) < len(cat.morphisms)
-    if (n, m) == (1, 2):
-        assert (made, len(cat.morphisms)) == (316, 940)
-    for (k, v, g), mid in mkey.items():
-        assert cat.mor(mid).cod == okey[(len(g) - 1, base.apply(g, v))]
-
 def test_comparison_budget_guard():
     x = sp.as_split(TS.cat, sp.delta_simpset(1, 4), "*")
     with pytest.raises(BudgetExceeded):

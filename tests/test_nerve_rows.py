@@ -1,10 +1,11 @@
 """A nerve's boundary matrices come from the face rows of its integer chains.
 
 `nerve_of_category` finds each chain's face rows from its parent's, and
-writes the string-keyed `faces` and `chain_of` only when they are read.
+writes the string ids `levels` and the string-keyed `faces` and
+`chain_of` only when they are read.
 The differential test compares the rows-built boundaries with those of a
 plain `SimpSet` built from the same nerve's materialized faces; the
-laziness pin checks that homology reads neither view nor `level_of`, and
+laziness pin checks that homology reads none of these views, and
 that a later first read still gives the earlier construction's values in
 its order.
 """
@@ -70,8 +71,9 @@ def test_homology_builds_neither_faces_nor_chain_of():
         nerve = sp.nerve_of_category(cat, trunc)
         assert at.homology(nerve).valid_range == trunc - 1
         assert "faces" not in vars(nerve) and "chain_of" not in vars(nerve)
-        assert "level_of" not in vars(nerve)
+        assert "levels" not in vars(nerve) and "level_of" not in vars(nerve)
         ref = reference_nerve(cat, trunc)
+        assert nerve.levels == ref.levels
         assert list(nerve.chain_of.items()) == list(ref.chain_of.items())
         assert "faces" not in vars(nerve)
         assert list(nerve.faces.items()) == list(ref.faces.items())

@@ -5,11 +5,11 @@ The `reference_*` functions keep the earlier hand-written builders: the
 element category with its own identity map and composition loop, the
 standard simplex and the Cech object written out face by face, the pullback
 over its own cospan diagram, and the tensor maps with their own pair loops.
-The single builders (`fincat.elements` over `fincat.keyed_category`,
-`simplicial.from_full_levels`, `fincat.wide_pullback`,
-`simplicial.tensor_map`) must give the same ids in the same order, the same
-faces, labels, parts, identities and composition tables, and the same key
-maps.
+The single builders (`fincat.elements`, which composes through its base
+by an `ElementComposition` and stores no table, `simplicial.from_full_levels`,
+`fincat.wide_pullback`, `simplicial.tensor_map`) must give the same ids in
+the same order, the same faces, labels, parts, identities and composition
+tables, and the same key maps.
 """
 
 import itertools
