@@ -5,6 +5,9 @@ construction, nerves, and Hom-diagrams.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from . import fincat as fc
 from . import simplicial as sp
 from .errors import (
@@ -434,6 +437,36 @@ def span_diafunctor(f: DiaMor, g: DiaMor, name="X"):
 
 # ---------------------------------------------------------------------------
 # nerves and hom diagrams
+
+
+class LabeledNerve(sp.SplitSimpObj):
+    """The nerve of (c, labels) as a split object: a chain is carried by the
+    label of its first object, d_0's part is the label of its first arrow.
+    `label` and `part` are written on first read, each chain taking both
+    from its parent (the last entry of its row); `chain_of` is the nerve's."""
+
+    def __init__(self, labels: fc.FinFunctor, uset: sp.Nerve, name):
+        self.scat, self.labels, self.uset, self.name = labels.target, labels, uset, name
+
+    chain_of = property(lambda self: self.uset.chain_of)
+
+    @functools.cached_property
+    def label(self):
+        carried = [[self.labels.ob(x) for x in self.uset.objects]]
+        for k in range(1, self.trunc + 1):
+            carried.append([carried[-1][row[-1]] for row in self.uset.rows[k]])
+        return dict(zip(itertools.chain(*self.levels), itertools.chain(*carried)))
+
+    @functools.cached_property
+    def part(self):
+        nerve, label, part, moved = self.uset, self.label, {}, []
+        for k in range(1, self.trunc + 1):
+            moved = ([self.labels.mo(nerve.mids[a]) for a in nerve.arrows[1]] if k == 1
+                     else [moved[row[-1]] for row in nerve.rows[k]])
+            for sid, p in zip(self.levels[k], moved):
+                part[(sid, 0)] = p
+                part.update(((sid, i), self.scat.id_of(label[sid])) for i in range(1, k + 1))
+        return part
 
 
 def nerve(d: DiaObj, trunc: int) -> sp.SplitSimpObj:

@@ -53,8 +53,8 @@ class FinCat:
 
     `compose[(g, f)] = g o f` for every composable pair (cod f == dom g):
     a dict, or any read-only mapping such as :class:`ElementComposition`.
-    The constructor only stores and indexes; :meth:`validate` checks the
-    axioms.
+    The constructor only stores and indexes by id; the hom, out and in
+    indexes are built on first query.  :meth:`validate` checks the axioms.
     """
 
     def __init__(self, name, objects, morphisms, identity, compose):
@@ -64,14 +64,19 @@ class FinCat:
         self.identity = dict(identity)
         self.compose_table = compose
         self._mor_by_id = {m.id: m for m in self.morphisms}
-        self._hom, self._out, self._in = {}, {}, {}
+        self._hom = self._out = self._in = None
+
+    def _indexed(self):
+        """Build the hom, out and in indexes, None until a query reads one."""
+        self._hom, self._out, self._in = hom, out, into = {}, {}, {}
         for m in self.morphisms:
-            self._hom.setdefault((m.dom, m.cod), []).append(m.id)
-            self._out.setdefault(m.dom, []).append(m.id)
-            self._in.setdefault(m.cod, []).append(m.id)
-        for index in (self._hom, self._out, self._in):
+            hom.setdefault((m.dom, m.cod), []).append(m.id)
+            out.setdefault(m.dom, []).append(m.id)
+            into.setdefault(m.cod, []).append(m.id)
+        for index in (hom, out, into):
             for k, ids in index.items():
                 index[k] = tuple(ids)
+        return self
 
     # -- basic queries ----------------------------------------------------
 
@@ -85,13 +90,13 @@ class FinCat:
         return self._mor_by_id[mid].cod
 
     def hom(self, x: str, y: str) -> tuple:
-        return self._hom.get((x, y), ())
+        return (self._hom or self._indexed()._hom).get((x, y), ())
 
     def out(self, x: str) -> tuple:
-        return self._out.get(x, ())
+        return (self._out or self._indexed()._out).get(x, ())
 
     def into(self, x: str) -> tuple:
-        return self._in.get(x, ())
+        return (self._in or self._indexed()._in).get(x, ())
 
     def id_of(self, x: str) -> str:
         return self.identity[x]

@@ -12,6 +12,7 @@ refuse infeasible computations instead of attempting them.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -276,15 +277,15 @@ def comparison_to_simp(x: sp.SplitSimpObj, nerve_trunc: int, int_trunc=None,
     last-vertex map, matching the orientation of the element category as
     an opfibration over the truncated simplex-opposite shape.
 
-    Each chain extends its parent by one arrow, so its composite and phi
-    extend the parent's by one step; only the previous level's walks are
-    kept.  Pulling back along phi runs once per distinct (phi, simplex)
-    pair, however many chains share it.
+    The walk follows the nerve's integer rows: a chain takes xi from its
+    parent (the last entry of its row) and extends the parent's composite
+    and phi by one read of the shape's composition table.  Pulling back
+    along phi runs once per distinct (phi, xi), however many chains share it.
 
+    `int_trunc` is clamped to x's truncation, as in :func:`int_amalg`.
     `budget` bounds the total nondegenerate chain count; the exact
-    forecast is consulted first and BudgetExceeded raised when the nerve
-    would not fit."""
-    int_trunc = x.trunc if int_trunc is None else int_trunc
+    forecast is consulted first, raising BudgetExceeded on overflow."""
+    int_trunc = x.trunc if int_trunc is None else min(int_trunc, x.trunc)
     if nerve_trunc > x.trunc:
         raise TruncationExceeded("nerve truncation exceeds the object's")
     counts = forecast_int_nerve(x, int_trunc, nerve_trunc)
@@ -294,23 +295,21 @@ def comparison_to_simp(x: sp.SplitSimpObj, nerve_trunc: int, int_trunc=None,
             "(budget %d)" % (counts, budget))
     ia = int_amalg(x, int_trunc)
     nerve_ia = dg.nerve(ia.dia, nerve_trunc)
-    mor_op = {mid: g for (n, v, g), mid in ia.mkey.items()}
-    val, part, applied, walk = {}, {}, {}, {}
-    for ids in nerve_ia.levels:
-        parent, walk = walk, {}
-        for sid in ids:
-            chain = start_oid, ms = nerve_ia.chain_of[sid]
-            n0, v0 = ia.index[start_oid]
-            if ms:
-                comp, phi = parent[(start_oid, ms[:-1])]
-                comp = sp.mt_comp(comp, mor_op[ms[-1]])
-                phi += (comp[0],)
-            else:
-                comp, phi = sp.mt_id(n0), (0,)
-            walk[chain] = comp, phi
-            if (phi, v0) not in applied:
-                applied[(phi, v0)] = x.apply_with_part(phi, v0)
-            val[sid], part[sid] = applied[(phi, v0)]
+    ner, table = nerve_ia.uset, _delta_op_tables(int_trunc)[1]
+    ops = list(map({mid: g for (n, v, g), mid in ia.mkey.items()}.get, ner.mids))
+    start = [ia.index[oid] for oid in ner.objects]
+    comps, xis = [sp.mt_id(n0) for n0, _ in start], [v0 for _, v0 in start]
+    phis, keys = [(0,)] * len(comps), []
+    for k in range(nerve_trunc + 1):
+        if k:
+            parents = [row[-1] for row in ner.rows[k]]
+            xis = [xis[p] for p in parents]
+            comps = [table[(ops[a], comps[p])] for p, a in zip(parents, ner.arrows[k])]
+            phis = [phis[p] + (g[0],) for p, g in zip(parents, comps)]
+        keys += zip(phis, xis)
+    got = list(itertools.starmap(functools.cache(x.apply_with_part), keys))
+    val = dict(zip(itertools.chain(*ner.levels), [w for w, _ in got]))
+    part = dict(zip(itertools.chain(*ner.levels), [p for _, p in got]))
     return sp.SplitMor(nerve_ia, x, val, part, "firstvertex"), ia
 
 

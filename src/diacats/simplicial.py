@@ -1039,22 +1039,10 @@ def nerve_of_category(c: fc.FinCat, trunc: int, name=None) -> Nerve:
     return Nerve(trunc, rows, arrows, mids, list(c.objects), name or ("N(%s)" % c.name))
 
 
-def nerve_labeled(c: fc.FinCat, labels: fc.FinFunctor, trunc: int,
-                  name=None) -> SplitSimpObj:
-    """The nerve of (c, labels): each chain is carried by the label of its
-    first object; only d_0 moves the carrier."""
-    scat = labels.target
-    uset = nerve_of_category(c, trunc, name)
-    label, part = {}, {}
-    for lev, ids in enumerate(uset.levels):
-        for sid in ids:
-            x0, ms = uset.chain_of[sid]
-            label[sid] = labels.ob(x0)
-            for i in range(lev + 1 if lev else 0):
-                part[(sid, i)] = scat.id_of(label[sid]) if i else labels.mo(ms[0])
-    obj = SplitSimpObj(scat, uset, label, part, name or ("N(%s)" % c.name))
-    obj.chain_of = uset.chain_of
-    return obj
+def nerve_labeled(c: fc.FinCat, labels: fc.FinFunctor, trunc: int, name=None):
+    """The nerve of (c, labels), its labels and parts written on first read."""
+    from .diagram import LabeledNerve
+    return LabeledNerve(labels, nerve_of_category(c, trunc, name), name or ("N(%s)" % c.name))
 
 
 # ---------------------------------------------------------------------------
