@@ -334,18 +334,6 @@ class ContractCert:
     payload: object
     necessary_only: bool = False
 
-    def recheck(self, cat: fc.FinCat) -> bool:
-        if self.kind == "InitialObject":
-            return fc.detect_extremal(cat)["initial"] == self.payload
-        if self.kind == "FinalObject":
-            return fc.detect_extremal(cat)["final"] == self.payload
-        if self.kind == "AdjunctionChain":
-            return _verify_deletion_chain(cat, self.payload)
-        if self.kind == "HomologyPoint":
-            trunc = self.payload.valid_range + 1
-            return homology(sp.nerve_of_category(cat, trunc)).is_point()
-        return False
-
 
 def _deletable(cat: fc.FinCat, op: fc.FinCat, objs, x):
     """Can x be deleted from the full subcategory on objs by an adjunction?
@@ -366,18 +354,6 @@ def _deletable(cat: fc.FinCat, op: fc.FinCat, objs, x):
                        for d2 in rest for h in c.hom(d2, x)):
                     return (kind, d, eps)
     return None
-
-
-def _verify_deletion_chain(cat: fc.FinCat, chain) -> bool:
-    objs = list(cat.objects)
-    op = cat.opposite()
-    for (x, witness) in chain:
-        if x not in objs:
-            return False
-        if _deletable(cat, op, objs, x) is None:
-            return False
-        objs.remove(x)
-    return len(objs) == 1
 
 
 def contractibility_certificate(cat: fc.FinCat, trunc: int = 4):

@@ -92,12 +92,6 @@ class DiaMor:
         scat = self.src.scat
         return all(scat.is_identity(p) for p in self.label_transf.values())
 
-    def is_fixed_shape(self):
-        a = self.shape_map
-        return (self.src.shape is self.tgt.shape or
-                (a.object_map == {x: x for x in self.src.shape.objects}
-                 and a.morphism_map == {m.id: m.id for m in self.src.shape.morphisms}))
-
     def key(self):
         return (self.src.key(), self.tgt.key(),
                 tuple(sorted(self.shape_map.object_map.items())),
@@ -136,23 +130,6 @@ def composite(f: DiaMor, g: DiaMor, omap, mmap, lt) -> DiaMor:
     return DiaMor(f.src, g.tgt,
                   fc.FinFunctor("%s;%s" % (a.name, b.name), a.source, b.target, omap, mmap),
                   lt, "%s;%s" % (f.name, g.name))
-
-
-def factor_mor(m: DiaMor):
-    """(alpha, f) = (diagram type) o (fixed shape):
-    (I,S) --(id,f)--> (I, alpha^* T) --(alpha, id)--> (J, T)."""
-    a, T = m.shape_map, m.tgt.labels
-    mid_labels = fc.FinFunctor("a*T", m.src.shape, m.src.scat,
-                               {i: T.ob(a.ob(i)) for i in m.src.shape.objects},
-                               {x.id: T.mo(a.mo(x.id)) for x in m.src.shape.morphisms})
-    mid = DiaObj(m.src.shape, mid_labels, "a*" + m.tgt.name)
-    fixed = DiaMor(m.src, mid, fc.FinFunctor.identity(m.src.shape),
-                   dict(m.label_transf), "fixed")
-    scat = m.src.scat
-    diag = DiaMor(mid, m.tgt, a,
-                  {i: scat.id_of(mid_labels.ob(i)) for i in m.src.shape.objects},
-                  "diagramtype")
-    return fixed, diag
 
 
 class Dia2Mor:
@@ -208,20 +185,6 @@ def two_morphisms(f: DiaMor, g: DiaMor):
 
     return [Dia2Mor(f, g, fc.NatTransf(a, b, dict(mu))) for mu in fc.backtrack(
         a.source.objects, lambda i, _: J.hom(a.ob(i), b.ob(i)), fits)]
-
-
-def homotopy_related(a: DiaMor, b: DiaMor) -> bool:
-    """Zig-zag connectivity of a and b through 2-morphisms among all
-    parallel morphisms."""
-    if a.src is not b.src or a.tgt is not b.tgt:
-        raise EndpointMismatch("morphisms are not parallel")
-    pool = all_dia_mors(a.src, a.tgt)
-    keys = [m.key() for m in pool]
-    index = {k: i for i, k in enumerate(keys)}
-    ia, ib = index[a.key()], index[b.key()]
-    classes = fc.partition(range(len(pool)), lambda i, j: (
-        two_morphisms(pool[i], pool[j]) or two_morphisms(pool[j], pool[i])))
-    return any(ia in c and ib in c for c in classes.values())
 
 
 # ---------------------------------------------------------------------------

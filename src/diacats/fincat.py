@@ -117,14 +117,6 @@ class FinCat:
             acc = self.comp(nxt, acc)
         return acc
 
-    def is_iso(self, mid: str):
-        m = self._mor_by_id[mid]
-        for inv in self.hom(m.cod, m.dom):
-            if (self.comp(inv, mid) == self.identity[m.dom]
-                    and self.comp(mid, inv) == self.identity[m.cod]):
-                return inv
-        return None
-
     def is_mono(self, mid: str) -> bool:
         m = self._mor_by_id[mid]
         for x in self.objects:
@@ -829,21 +821,6 @@ def wide_pullback(C: FinCat, legs, x: str):
         return None
     apex, conelegs = res
     return apex, [conelegs[nm] for nm in names]
-
-
-def is_preorder(c: FinCat) -> bool:
-    return all(len(c.hom(x, y)) <= 1 for x in c.objects for y in c.objects)
-
-
-def preorder_diagnostic(c: FinCat):
-    """Binary products everywhere force hom-sets of size <= 1; report when a
-    category claims products but is not a preorder."""
-    if is_preorder(c):
-        return None
-    if all(product(c, a, a) is not None for a in c.objects):
-        return ("category %r has all self-products but is not a preorder; "
-                "finite completeness is impossible" % c.name)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ the fraction-calculus arguments.
 from __future__ import annotations
 
 from . import fincat as fc
-from .site import Site, trivial_site
+from .site import Site
 
 
 def terminal_site() -> Site:
-    return trivial_site(fc.terminal_category())
+    return Site(fc.terminal_category())
 
 
 def subset_lattice(name, sets) -> fc.FinCat:

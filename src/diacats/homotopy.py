@@ -185,28 +185,6 @@ def counit_to_diagram(d: dg.DiaObj, trunc: int):
     return dg.DiaMor(ia.dia, d, smap, lt, "counit"), ia
 
 
-def counit_naturality_check(m: dg.DiaMor, trunc: int) -> bool:
-    """Naturality of the counit in the diagram: for m : d -> d', the square
-    through the element categories of the nerves commutes on the nose."""
-    counit_src, ia_src = counit_to_diagram(m.src, trunc)
-    counit_tgt, ia_tgt = counit_to_diagram(m.tgt, trunc)
-    nm = dg.nerve_mor(m, trunc)
-    # int applied to N(m): an element (n, v) maps to (n, N(m)(v))
-    omap, mmap = {}, {}
-    for oid, (n, v) in ia_src.index.items():
-        omap[oid] = ia_tgt.okey[(n, nm.map_value(v))]
-    for (n, v, g), mid in ia_src.mkey.items():
-        mmap[mid] = ia_tgt.mkey[(n, nm.map_value(v), g)]
-    shape_map = fc.FinFunctor("intN(m)", ia_src.dia.shape, ia_tgt.dia.shape,
-                              omap, mmap).validate()
-    int_m = dg.DiaMor(ia_src.dia, ia_tgt.dia, shape_map,
-                      {oid: m.label_transf[counit_src.shape_map.ob(oid)]
-                       for oid in ia_src.dia.shape.objects}).validate()
-    lhs = int_m.then(counit_tgt)
-    rhs = counit_src.then(m)
-    return lhs.key() == rhs.key()
-
-
 def counit_fiber_check(d: dg.DiaObj, trunc: int):
     """For every i: the comma fiber of the counit at i is isomorphic to the
     element category of the nerve of the slice i x_{/I} I, and the slice
@@ -638,43 +616,6 @@ def _end_square(shape, ob, mo, slice_nerves, prods, slice_maps, fam, mid, k,
             if r1 != r2:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# the bisimplicial square gadget
-
-
-def _gadget_fiber(n, m, trunc):
-    """The fiber of int(diag B) -> int(B) under (Delta_n, Delta_m, top):
-    objects the pairs of operators (g : [k] -> [n], h : [k] -> [m]),
-    morphisms w acting by precomposition.  Returns (category,
-    okey[(k, (g, h))], mkey[(k, (g, h), w)])."""
-    out, comp, ident, text = _delta_op_tables(trunc)
-    pairs = [(k, [(g, h) for g in sp.all_monotone(k, n) for h in sp.all_monotone(k, m)])
-             for k in out]
-    return fc.elements(
-        "gadget(%d,%d)" % (n, m), pairs, out,
-        lambda w, gh: (sp.mt_comp(gh[0], w), sp.mt_comp(gh[1], w)), comp, ident,
-        lambda k, gh: "f(%s|%s)" % (text[gh[0]], text[gh[1]]),
-        lambda k, w, src, tgt: "w(%s):%s" % (text[w], src))
-
-
-def gadget_comma_iso(n, m, trunc):
-    """The comma fiber of the diagonal inclusion at a nondegenerate top
-    bisimplex against the element category of Delta_n x Delta_m: the
-    canonical comparison from :func:`_gadget_fiber` onto the element
-    category of the product must be an isomorphism.
-    """
-    dn, dm = sp.delta_simpset(n, trunc), sp.delta_simpset(m, trunc)
-    prod, canon, ids, elem_of = sp.simpset_product(dn, dm)
-    el, okey, mkey = int_simpset(prod, trunc)
-    top_n, top_m = dn.nd_value(dn.levels[n][0]), dm.nd_value(dm.levels[m][0])
-    fiber, okey2, mkey2 = _gadget_fiber(n, m, trunc)
-    val = {(k, (g, h)): canon[(k, (dn.apply(g, top_n), dm.apply(h, top_m)))]
-           for k, (g, h) in okey2}
-    omap = {oid: okey[(k, val[(k, gh)])] for (k, gh), oid in okey2.items()}
-    mmap = {mid: mkey[(k, val[(k, gh)], w)] for (k, gh, w), mid in mkey2.items()}
-    return fc.verify_isomorphism(fc.FinFunctor("cmp", fiber, el, omap, mmap))
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,6 @@ def encode_site(s: Site) -> dict:
         "schema": "site.v1",
         "fincat": encode_fincat(s.cat),
         "covers": {x: [list(f) for f in fams] for x, fams in s.covers.items()},
-        "trivial_topology": s.trivial_topology,
-        "extensive_topology": s.extensive_topology,
     }
 
 
@@ -88,9 +86,7 @@ def decode_site(data: dict, name="S") -> Site:
             raise SchemaError("expected site.v1, got %r" % data.get("schema"))
         cat = decode_fincat(data["fincat"], name)
         return Site(cat, {x: [list(f) for f in fams]
-                          for x, fams in data.get("covers", {}).items()},
-                    data.get("trivial_topology", False),
-                    data.get("extensive_topology", False))
+                          for x, fams in data.get("covers", {}).items()})
 
 
 # ---------------------------------------------------------------------------

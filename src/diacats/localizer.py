@@ -732,11 +732,18 @@ def universe_from(site: Site, objects, all_mors=False):
 
 def nerve_soundness_report(w: MorClass, u: DiagramUniverse, trunc: int = 4):
     """The homology necessary check: every member's nerve must be a
-    quasi-isomorphism in the valid range.  Returns the offending ids."""
-    bad = []
+    quasi-isomorphism in the valid range.  Returns the offending ids.
+    Each universe object's nerve is built once, on first use."""
+    bad, nerves = [], {}
+
+    def nerve(oid):
+        if oid not in nerves:
+            nerves[oid] = dg.nerve(u.objects[oid], trunc)
+        return nerves[oid]
+
     for mid in sorted(w.members):
-        m = u.morphisms[mid].mor
-        nm = dg.nerve_mor(m, trunc)
+        um = u.morphisms[mid]
+        nm = dg.nerve_mor(um.mor, trunc, nerve(um.src), nerve(um.tgt))
         if not at.quasi_iso(nm.underlying()).ok:
             bad.append(mid)
     return bad

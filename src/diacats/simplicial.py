@@ -58,7 +58,16 @@ def mt_sigma(j, n):
 
 
 def mt_is_epi(u):
-    return set(u) == set(range(max(u) + 1)) if u else False
+    """Is u an order-preserving surjection onto [max(u)]: it starts at 0
+    and every step goes up by 0 or 1."""
+    return bool(u) and u[0] == 0 and all(b - a in (0, 1) for a, b in zip(u, u[1:]))
+
+
+def _identity_ops(k):
+    """(j, i, delta_i, delta_{j-1}) at level k - 1 for each i < j <= k, in
+    the order the validators check d_i d_j = d_{j-1} d_i."""
+    return [(j, i, mt_delta(i, k - 1), mt_delta(j - 1, k - 1))
+            for j in range(1, k + 1) for i in range(j)]
 
 
 def epi_mono_factor(u):
@@ -224,14 +233,12 @@ class SimpSet:
                         raise InvalidSimplicial("missing face (%r,%d)" % (s, i))
         # d_i d_j = d_{j-1} d_i  (i < j)
         for k in range(2, self.trunc + 1):
+            ops = _identity_ops(k)
             for s in self.levels[k]:
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        a = self.apply(mt_delta(i, k - 1), self.faces[(s, j)])
-                        b = self.apply(mt_delta(j - 1, k - 1), self.faces[(s, i)])
-                        if a != b:
-                            raise InvalidSimplicial(
-                                "simplicial identity fails at %r (i=%d,j=%d)" % (s, i, j))
+                for j, i, di, dj in ops:
+                    if self.apply(di, self.faces[(s, j)]) != self.apply(dj, self.faces[(s, i)]):
+                        raise InvalidSimplicial(
+                            "simplicial identity fails at %r (i=%d,j=%d)" % (s, i, j))
         return self
 
     def __repr__(self):
@@ -304,19 +311,19 @@ class SplitSimpObj:
                     m = self.scat.mor(p)
                     if m.dom != self.label[s] or m.cod != tgt:
                         raise InvalidSimplicial("part endpoints wrong at (%r,%d)" % (s, i))
-        # identity d_i d_j = d_{j-1} d_i also on label parts
+        # identity d_i d_j = d_{j-1} d_i also on label parts (the values
+        # agree: the underlying set passed): each side composes a stored
+        # face part with the part of the walk from that face
+        faces, comp = self.uset.faces, self.scat.comp
         for k in range(2, self.trunc + 1):
+            ops = _identity_ops(k)
             for s in self.levels[k]:
-                v = self.nd_value(s)
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        op1 = mt_comp(mt_delta(j, k), mt_delta(i, k - 1))
-                        a, pa = self.apply_with_part(op1, v)
-                        op2 = mt_comp(mt_delta(i, k), mt_delta(j - 1, k - 1))
-                        b, pb = self.apply_with_part(op2, v)
-                        if a != b or pa != pb:
-                            raise InvalidSimplicial(
-                                "split identity fails at %r (i=%d,j=%d)" % (s, i, j))
+                for j, i, di, dj in ops:
+                    pa = self.apply_with_part(di, faces[(s, j)])[1]
+                    pb = self.apply_with_part(dj, faces[(s, i)])[1]
+                    if comp(pa, self.part[(s, j)]) != comp(pb, self.part[(s, i)]):
+                        raise InvalidSimplicial(
+                            "split identity fails at %r (i=%d,j=%d)" % (s, i, j))
         return self
 
     def __repr__(self):

@@ -28,6 +28,8 @@ from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats.errors import BudgetExceeded
 
+from test_fractions import is_iso
+
 TS = fx.terminal_site()
 PS = fx.pseudocircle_site()
 
@@ -202,7 +204,7 @@ def test_criterion_07_cech_fixtures():
     for n in range(7):
         lvl = u1.full_level(n)
         assert len(lvl) == 1
-        assert PS.cat.is_iso(aug1.map_value_part(lvl[0])[1])
+        assert is_iso(PS.cat, aug1.map_value_part(lvl[0])[1])
     u2, aug2 = sp.cech_cover(TS, ["id_*", "id_*"], 6)
     assert [len(u2.full_level(n)) for n in range(7)] == [2 ** (n + 1)
                                                          for n in range(7)]

@@ -30,6 +30,7 @@ from diacats import simplicial as sp
 
 from test_elements import hom_diagram_inputs, PS
 from test_homology_pipeline import rp2, torsion_bases
+from test_homotopy import gadget_fiber
 from test_nerve_engine import cyclic_group
 
 
@@ -138,7 +139,7 @@ def test_table_matches_keyed_category_on_bench_bases(trunc):
 def test_table_matches_keyed_category_on_gadget_fibers_and_int_amalg():
     with with_references() as built:
         for n, m in itertools.product(range(3), repeat=2):
-            ht._gadget_fiber(n, m, 2)
+            gadget_fiber(n, m, 2)
         ht.int_amalg(sp.cech_cover(PS, PS.covers["{a,b,c,d}"][0], 2)[0])
     assert len(built) == 11  # int_amalg also builds its shape, t_delta_op
     assert sum(assert_same_table(cat, ref) for cat, ref in built) > 0
@@ -174,7 +175,7 @@ def test_nerve_reads_ranks_off_the_base(trunc):
     for base in gadget_and_torsion_bases(2):
         assert_same_nerve(ht.int_simpset(base, 2)[0], trunc)
     for n, m in [(1, 1), (1, 2)]:
-        assert_same_nerve(ht._gadget_fiber(n, m, 2)[0], trunc)
+        assert_same_nerve(gadget_fiber(n, m, 2)[0], trunc)
     for x, d in list(hom_diagram_inputs())[::7]:
         assert_same_nerve(dg.hom_diagram(PS, x, d)[0], trunc)
 
@@ -194,7 +195,7 @@ def test_delta_op_tables_are_shared_and_unchanged():
         tables = ht._delta_op_tables(trunc)
         ht.t_delta_op(trunc)
         el = ht.int_simpset(rp2(3), trunc)[0]
-        ht._gadget_fiber(1, 2, trunc)
+        gadget_fiber(1, 2, trunc)
         ht.int_amalg(sp.cech_cover(PS, PS.covers["{a,b,c,d}"][0], 3)[0], trunc)
         sp.nerve_of_category(el, 2)
         assert ht._delta_op_tables(trunc) is tables

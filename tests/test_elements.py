@@ -21,6 +21,8 @@ from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats.site import CoprodObj
 
+from test_homotopy import gadget_fiber
+
 PS = fx.pseudocircle_site()
 
 
@@ -135,7 +137,7 @@ def test_t_delta_op_matches_reference(trunc):
 def test_gadget_fiber_matches_reference(trunc):
     for n in range(3):
         for m in range(3):
-            assert_same_category(ht._gadget_fiber(n, m, trunc)[0],
+            assert_same_category(gadget_fiber(n, m, trunc)[0],
                                  reference_gadget_fiber(n, m, trunc))
 
 
@@ -144,7 +146,7 @@ def hom_diagram_inputs():
         d = rg.random_diaobj(random.Random(seed), PS, 4)
         for x in PS.cat.objects:
             yield x, d
-    yield CoprodObj.of("{a}", "{a,b,c}"), rg.random_diaobj(random.Random(0), PS, 4)
+    yield CoprodObj(("{a}", "{a,b,c}")), rg.random_diaobj(random.Random(0), PS, 4)
 
 
 def test_hom_diagram_matches_reference():

@@ -303,24 +303,6 @@ def test_limit_unique_up_to_unique_iso():
         assert len(u) == 1
 
 
-def test_preorder_diagnostic():
-    # two parallel arrows: not a preorder, self-products exist (identity apex)
-    raw = {
-        "objects": ["x", "y"],
-        "morphisms": [{"id": "ix", "dom": "x", "cod": "x"},
-                      {"id": "iy", "dom": "y", "cod": "y"},
-                      {"id": "f", "dom": "x", "cod": "y"},
-                      {"id": "g", "dom": "x", "cod": "y"}],
-        "identities": {"x": "ix", "y": "iy"},
-        "compose": [["ix", "ix", "ix"], ["iy", "iy", "iy"],
-                    ["f", "ix", "f"], ["iy", "f", "f"],
-                    ["g", "ix", "g"], ["iy", "g", "g"]],
-    }
-    c = fc.validate_category(raw)
-    assert not fc.is_preorder(c)
-    assert fc.preorder_diagnostic(fence()) is None
-
-
 def test_nerve_counts():
     n = sp.nerve_of_category(fc.terminal_category(), 3)
     assert [len(l) for l in n.levels] == [1, 0, 0, 0]

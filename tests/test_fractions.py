@@ -59,6 +59,15 @@ def reference_check_left_fractions(c, w):
     return True, witnesses, None
 
 
+def is_iso(c, mid):
+    """The inverse of the morphism mid of c, or None."""
+    m = c.mor(mid)
+    for inv in c.hom(m.cod, m.dom):
+        if c.comp(inv, mid) == c.id_of(m.dom) and c.comp(mid, inv) == c.id_of(m.cod):
+            return inv
+    return None
+
+
 def walking_iso():
     return fc.FinCat(
         "wiso", ["x", "y"],
@@ -88,7 +97,7 @@ def walking_retract():
 
 def test_isos_always_pass_fractions():
     for c in (fc.chain_category(2), fx.fence_poset(), fx.span_shape()):
-        isos = {m.id for m in c.morphisms if c.is_iso(m.id)}
+        isos = {m.id for m in c.morphisms if is_iso(c, m.id)}
         ok, _, fail = fr.check_left_fractions(c, isos)
         assert ok, fail
 
@@ -164,7 +173,7 @@ def test_check_left_fractions_matches_reference():
     cases = [(fc.chain_category(1), {"0<=0", "1<=1", "0<=1"}),
              (fc.chain_category(3), {"0<=0", "1<=1", "2<=2", "3<=3", "0<=2", "1<=3"})]
     for c in (fc.chain_category(2), fx.fence_poset(), fx.span_shape()):
-        cases.append((c, {m.id for m in c.morphisms if c.is_iso(m.id)}))
+        cases.append((c, {m.id for m in c.morphisms if is_iso(c, m.id)}))
         cases.append((c, {c.id_of(x) for x in c.objects} | {"a<=b"} & set(c._mor_by_id)))
     for c in (walking_iso(), walking_retract()):
         ids = [m.id for m in c.morphisms]

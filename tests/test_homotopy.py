@@ -10,7 +10,7 @@ from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats.errors import BudgetExceeded, InvalidFunctor
-from diacats.site import trivial_site
+from diacats.site import Site
 
 PS = fx.pseudocircle_site()
 TS = fx.terminal_site()
@@ -38,6 +38,28 @@ def test_counit_is_pure_diagram_type_and_natural_on_collapse():
     assert set(counit.shape_map.object_map.values()) == {"*"}
 
 
+def counit_naturality_check(m: dg.DiaMor, trunc: int) -> bool:
+    """Naturality of the counit in the diagram: for m : d -> d', the square
+    through the element categories of the nerves commutes on the nose."""
+    counit_src, ia_src = ht.counit_to_diagram(m.src, trunc)
+    counit_tgt, ia_tgt = ht.counit_to_diagram(m.tgt, trunc)
+    nm = dg.nerve_mor(m, trunc)
+    # int applied to N(m): an element (n, v) maps to (n, N(m)(v))
+    omap, mmap = {}, {}
+    for oid, (n, v) in ia_src.index.items():
+        omap[oid] = ia_tgt.okey[(n, nm.map_value(v))]
+    for (n, v, g), mid in ia_src.mkey.items():
+        mmap[mid] = ia_tgt.mkey[(n, nm.map_value(v), g)]
+    shape_map = fc.FinFunctor("intN(m)", ia_src.dia.shape, ia_tgt.dia.shape,
+                              omap, mmap).validate()
+    int_m = dg.DiaMor(ia_src.dia, ia_tgt.dia, shape_map,
+                      {oid: m.label_transf[counit_src.shape_map.ob(oid)]
+                       for oid in ia_src.dia.shape.objects}).validate()
+    lhs = int_m.then(counit_tgt)
+    rhs = counit_src.then(m)
+    return lhs.key() == rhs.key()
+
+
 def test_counit_naturality_in_the_diagram():
     rng = random.Random(12)
     done = 0
@@ -47,7 +69,7 @@ def test_counit_naturality_in_the_diagram():
         m = rg.random_diamor(rng, d1, d2)
         if m is None:
             continue
-        assert ht.counit_naturality_check(m, 2)
+        assert counit_naturality_check(m, 2)
         done += 1
 
 
@@ -320,10 +342,43 @@ def test_holim_discrete_product():
     assert [len(l) for l in h.levels] == [len(l) for l in prod.levels]
 
 
+def gadget_fiber(n, m, trunc):
+    """The fiber of int(diag B) -> int(B) under (Delta_n, Delta_m, top):
+    objects the pairs of operators (g : [k] -> [n], h : [k] -> [m]),
+    morphisms w acting by precomposition.  Returns (category,
+    okey[(k, (g, h))], mkey[(k, (g, h), w)])."""
+    out, comp, ident, text = ht._delta_op_tables(trunc)
+    pairs = [(k, [(g, h) for g in sp.all_monotone(k, n) for h in sp.all_monotone(k, m)])
+             for k in out]
+    return fc.elements(
+        "gadget(%d,%d)" % (n, m), pairs, out,
+        lambda w, gh: (sp.mt_comp(gh[0], w), sp.mt_comp(gh[1], w)), comp, ident,
+        lambda k, gh: "f(%s|%s)" % (text[gh[0]], text[gh[1]]),
+        lambda k, w, src, tgt: "w(%s):%s" % (text[w], src))
+
+
+def gadget_comma_iso(n, m, trunc):
+    """The comma fiber of the diagonal inclusion at a nondegenerate top
+    bisimplex against the element category of Delta_n x Delta_m: the
+    canonical comparison from :func:`gadget_fiber` onto the element
+    category of the product must be an isomorphism.
+    """
+    dn, dm = sp.delta_simpset(n, trunc), sp.delta_simpset(m, trunc)
+    prod, canon, ids, elem_of = sp.simpset_product(dn, dm)
+    el, okey, mkey = ht.int_simpset(prod, trunc)
+    top_n, top_m = dn.nd_value(dn.levels[n][0]), dm.nd_value(dm.levels[m][0])
+    fiber, okey2, mkey2 = gadget_fiber(n, m, trunc)
+    val = {(k, (g, h)): canon[(k, (dn.apply(g, top_n), dm.apply(h, top_m)))]
+           for k, (g, h) in okey2}
+    omap = {oid: okey[(k, val[(k, gh)])] for (k, gh), oid in okey2.items()}
+    mmap = {mid: mkey[(k, val[(k, gh)], w)] for (k, gh, w), mid in mkey2.items()}
+    return fc.verify_isomorphism(fc.FinFunctor("cmp", fiber, el, omap, mmap))
+
+
 def test_gadget_comma_iso():
     for n in range(2):
         for m in range(2):
-            assert ht.gadget_comma_iso(n, m, 2)
+            assert gadget_comma_iso(n, m, 2)
 
 
 def test_pointwise_int_random():
@@ -370,7 +425,7 @@ def test_pointwise_nerve_random():
 def test_pointwise_checks_accept_bars_in_site_ids():
     """Site objects named `a|1 < b|2`: the checks must not parse simplex ids."""
     cat = fc.poset_category("bars", ["a|1", "b|2"], lambda a, b: a <= b)
-    site = trivial_site(cat)
+    site = Site(cat)
     c1 = fc.chain_category(1)
     d = dg.DiaObj(c1, fc.FinFunctor("S", c1, cat, {"0": "a|1", "1": "b|2"},
                                     {"0<=0": "a|1<=a|1", "1<=1": "b|2<=b|2",

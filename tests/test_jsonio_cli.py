@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from diacats import fractions as fr
 from diacats import jsonio as io
 from diacats import localizer as lc
 from diacats import simplicial as sp
-from diacats.errors import SchemaError
+from diacats.errors import InvalidSimplicial, SchemaError
 
 
 def roundtrip_fincat(c):
@@ -42,6 +43,17 @@ def test_site_and_diagram_roundtrip():
     assert d2.key() == d.key()
 
 
+def test_site_record_with_topology_flags_loads():
+    """`site.v1` records written before the topology flags were dropped
+    still load: the decoder ignores keys it does not read."""
+    ps = fx.pseudocircle_site()
+    rec = io.encode_site(ps)
+    assert set(rec) == {"schema", "fincat", "covers"}
+    rec.update(trivial_topology=True, extensive_topology=False)
+    s2 = io.decode_site(json.loads(io.dumps(rec)))
+    assert s2.covers == ps.covers and s2.cat.objects == ps.cat.objects
+
+
 def test_split_roundtrip():
     ps = fx.pseudocircle_site()
     u, aug = sp.cech_cover(ps, [ps.cat.id_of("{a,b,c,d}")], 3)
@@ -61,6 +73,20 @@ def test_schema_error_on_garbage():
         io.decode_fincat({"schema": "wrong.v9"})
     with pytest.raises(SchemaError):
         io.decode_simpset({"schema": "simp.v1"})
+
+
+# A 2-simplex whose face d_0 has the non-monotone epi (1, 0) onto an edge.
+NON_MONOTONE_EPI = {
+    "trunc": 2, "levels": [["v"], ["e"], ["t"]],
+    "faces": [["e", 0, [0], "v"], ["e", 1, [0], "v"], ["t", 0, [1, 0], "e"],
+              ["t", 1, [0, 0], "v"], ["t", 2, [0, 0], "v"]]}
+
+
+def test_non_monotone_face_epi_rejected():
+    assert not sp.mt_is_epi((1, 0)) and not sp.mt_is_epi((0, 2))
+    assert sp.mt_is_epi((0, 0, 1)) and not sp.mt_is_epi(())
+    with pytest.raises(InvalidSimplicial, match=re.escape("epi malformed at ('t',0)")):
+        io.decode_simpset(NON_MONOTONE_EPI)
 
 
 def run_cli(args):

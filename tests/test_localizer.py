@@ -14,6 +14,7 @@ from diacats import fixtures as fx
 from diacats import jsonio as io
 from diacats import localizer as lc
 from diacats import randgen as rg
+from diacats import simplicial as sp
 from diacats.errors import LimitAbsent, TargetMismatch
 from test_search import relabeled, transformation_monoid
 
@@ -1048,3 +1049,24 @@ def test_localizer_cli_independent_of_hash_seed(make, tmp_path):
             assert proc.returncode == (0 if command == "localizer-closure" else 1)
             outs.add((proc.stdout, proc.stderr))
         assert len(outs) == 1
+
+
+def reference_nerve_soundness_report(w, u, trunc):
+    """The former loop: both endpoint nerves rebuilt for every member."""
+    return [mid for mid in sorted(w.members)
+            if not at.quasi_iso(dg.nerve_mor(u.morphisms[mid].mor, trunc).underlying()).ok]
+
+
+@pytest.mark.parametrize("name", sorted(ADJ_UNIVERSES))
+def test_nerve_soundness_report_builds_each_nerve_once(name, monkeypatch):
+    """Over every morphism of the universe, the same offending ids as the
+    former loop, from one labelled nerve per universe object in use."""
+    u = ADJ_UNIVERSES[name]()
+    w = lc.MorClass(set(u.morphisms))
+    ref = reference_nerve_soundness_report(w, u, 3)
+    calls = []
+    real = sp.nerve_labeled
+    monkeypatch.setattr(sp, "nerve_labeled", lambda *a: calls.append(a) or real(*a))
+    assert lc.nerve_soundness_report(w, u, 3) == ref
+    used = {oid for um in u.morphisms.values() for oid in (um.src, um.tgt)}
+    assert len(calls) == len(used) <= len(u.objects)

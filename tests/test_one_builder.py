@@ -25,6 +25,8 @@ from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats.errors import DomCodMismatch, LimitAbsent, NonSplitMorphism
 
+from test_homotopy import gadget_fiber
+
 PS = fx.pseudocircle_site()
 TS = fx.terminal_site()
 
@@ -244,7 +246,7 @@ def elements_inputs():
         x = rg.random_split_over(random.Random(seed), PS, 2)
         yield lambda x=x: ht.int_amalg(x, 2)
     yield lambda: ht.t_delta_op(3)
-    yield lambda: ht._gadget_fiber(1, 2, 3)
+    yield lambda: gadget_fiber(1, 2, 3)
     for seed in range(5):
         d = rg.random_diaobj(random.Random(seed), PS, 4)
         x = PS.cat.objects[seed % len(PS.cat.objects)]

@@ -2,8 +2,8 @@
 
 The `reference_*` functions are frozen copies of the searches as they were
 before they went through `fincat.backtrack`: the recursive walks of
-`all_functors`, `find_isomorphism`, `split_isomorphic`, `coprod_iso`,
-`simp_maps` and `_sample_boundary`, and the enumerate-then-validate loops of
+`all_functors`, `find_isomorphism`, `split_isomorphic`, `simp_maps` and
+`_sample_boundary`, and the enumerate-then-validate loops of
 `all_nat_transfs`, `all_dia_mors`, `two_morphisms`, `_cones` and
 `holim_end`'s family product.  Each search must give the same values in the
 same order, the same first witness and the same None.  The inputs are seeded
@@ -30,7 +30,6 @@ from diacats import fixtures as fx
 from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
-from diacats import site as st
 from diacats.errors import BudgetExceeded, EndpointMismatch, InvalidFunctor, InvalidNatTransf
 
 PS = fx.pseudocircle_site()
@@ -247,33 +246,6 @@ def reference_two_morphisms(f, g):
             continue
         out.append(c)
     return out
-
-
-def reference_coprod_iso(cat, a, b):
-    if len(a) != len(b):
-        return None
-    used = [False] * len(b)
-    assign = [None] * len(a)
-
-    def bt(i):
-        if i == len(a):
-            return True
-        for j in range(len(b)):
-            if used[j]:
-                continue
-            for m in cat.hom(a.components[i], b.components[j]):
-                if cat.is_iso(m):
-                    assign[i] = (j, m)
-                    used[j] = True
-                    if bt(i + 1):
-                        return True
-                    used[j] = False
-        return False
-
-    if bt(0):
-        return st.CoprodMor(a, b, tuple(j for j, _ in assign),
-                            tuple(m for _, m in assign))
-    return None
 
 
 def reference_simp_maps(a, b):
@@ -777,24 +749,6 @@ def test_dia_mors_over_a_site_with_parallel_arrows_match_reference():
                 ref = reference_find_isomorphism(d1.shape, e.shape, labels=labels)
                 assert (got and functor_key(got)) == (ref and functor_key(ref))
     assert two > 500
-
-
-def coprod_objects(cat, rng):
-    return [st.CoprodObj(tuple(rng.choice(cat.objects) for _ in range(rng.randint(0, 3))))
-            for _ in range(8)]
-
-
-def test_coprod_iso_matches_reference():
-    rng = random.Random(4)
-    found = 0
-    for cat in (walking_iso(), cyclic_group(3), PS.cat, ht.t_delta_op(1)):
-        objs = coprod_objects(cat, rng)
-        for a in objs:
-            for b in objs + [st.CoprodObj(tuple(reversed(a.components)))]:
-                got, ref = st.coprod_iso(cat, a, b), reference_coprod_iso(cat, a, b)
-                assert got == ref
-                found += got is not None
-    assert found > 20
 
 
 def test_simp_maps_matches_reference():

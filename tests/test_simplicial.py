@@ -1,13 +1,16 @@
 import math
 import random
+import re
 
 import pytest
 
 from diacats import fincat as fc
 from diacats import fixtures as fx
+from diacats import jsonio as io
 from diacats import randgen as rg
 from diacats import simplicial as sp
 from diacats.errors import InvalidSimplicial, NonSplitMorphism
+from diacats.site import Site
 
 
 TS = fx.terminal_site()
@@ -35,6 +38,43 @@ def test_duplicate_simplex_id_rejected_by_validate(levels, faces):
     first read, and validate reads it even when there are no faces."""
     with pytest.raises(InvalidSimplicial, match="duplicate simplex id 'v'"):
         sp.SimpSet(len(levels) - 1, levels, faces).validate()
+
+
+def parallel_pair():
+    """Two parallel arrows f, g : a -> b."""
+    return fc.FinCat(
+        "pair", ["a", "b"],
+        [fc.Mor("ia", "a", "a"), fc.Mor("ib", "b", "b"),
+         fc.Mor("f", "a", "b"), fc.Mor("g", "a", "b")],
+        {"a": "ia", "b": "ib"},
+        {("ia", "ia"): "ia", ("ib", "ib"): "ib", ("f", "ia"): "f", ("ib", "f"): "f",
+         ("g", "ia"): "g", ("ib", "g"): "g"}).validate()
+
+
+def delta2_over_pair(top_parts):
+    """Delta_2 with its top simplex over a and every other simplex over b;
+    the top simplex has the parts `top_parts` on d_0, d_1, d_2 and every
+    edge identity parts."""
+    d2 = sp.delta_simpset(2, 2)
+    top = "(0,1,2)"
+    label = {s: "a" if s == top else "b" for l in d2.levels for s in l}
+    part = {(s, i): top_parts[i] if s == top else "ib"
+            for s in d2.levels[1] + d2.levels[2] for i in range(d2.level_of[s] + 1)}
+    return sp.SplitSimpObj(parallel_pair(), d2, label, part)
+
+
+def test_split_identity_checks_the_parts_of_both_face_walks():
+    """d_0 d_1 = d_0 d_0 on the top simplex composes f on one side and g
+    on the other: validate rejects it, directly and through the decoder."""
+    bad = delta2_over_pair(["g", "f", "f"])
+    msg = "split identity fails at '(0,1,2)' (i=0,j=1)"
+    with pytest.raises(InvalidSimplicial, match=re.escape(msg)):
+        bad.validate()
+    with pytest.raises(InvalidSimplicial, match=re.escape(msg)):
+        io.decode_split(io.encode_split(bad), Site(bad.scat))
+    good = delta2_over_pair(["f", "f", "f"])
+    assert good.validate() is good
+    assert sp.split_equal(io.decode_split(io.encode_split(good), Site(good.scat)), good)
 
 
 def test_full_level_counts():
@@ -167,7 +207,6 @@ def test_cech_rejects_non_mono_leg():
          ("p", "iy"): "p", ("iz", "p"): "p",
          ("p", "f"): "pf", ("p", "g"): "pf",
          ("pf", "ix"): "pf", ("iz", "pf"): "pf"}).validate()
-    from diacats.site import Site
     with pytest.raises(NonSplitMorphism):
         sp.cech_cover(Site(c), ["p"], 2)
 

@@ -21,6 +21,8 @@ from diacats import localizer as lc
 from diacats import randgen as rg
 from diacats import simplicial as sp
 
+from test_homotopy import gadget_comma_iso
+
 TS = fx.terminal_site()
 PS = fx.pseudocircle_site()
 TOP = "{a,b,c,d}"
@@ -120,7 +122,7 @@ def case_elements_of_hom_functor(rng):
 
 
 def case_gadget_fiber(rng):
-    ok, cats = built(fc.FinCat, ht.gadget_comma_iso, 0, rng.randint(0, 1), 2)
+    ok, cats = built(fc.FinCat, gadget_comma_iso, 0, rng.randint(0, 1), 2)
     assert ok
     fibers = [c for c in cats if c.name.startswith("gadget(")]
     assert len(fibers) == 1
@@ -239,9 +241,8 @@ def case_induced_comma_map(rng):
     return [induced, induced.src, induced.tgt]
 
 
-def case_factor_mor_and_point(rng):
-    fixed, diag = dg.factor_mor(random_mor(rng, PS))
-    return [fixed.tgt, fixed, diag, dg.point_dia(PS.cat, rng.choice(PS.cat.objects))]
+def case_point_dia(rng):
+    return [dg.point_dia(PS.cat, rng.choice(PS.cat.objects))]
 
 
 def case_grothendieck_construction(rng):
