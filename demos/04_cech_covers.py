@@ -34,7 +34,7 @@ u2, _ = sp.cech_cover(ts, ["id_*", "id_*"], 6)
 h2 = sp.hom_into(ts, "*", u2)
 print("\npair groupoid H:", at.homology(h2))
 
-# prism horns and pushout products drive the generating trivial cofibrations
+# a prism horn inclusion tensored with the point: a levelwise split map
 incl = sp.prism_inclusion(1, 0, ts.cat, "*", 3)
 print("\nprism horn L0(D1xD1) (x) *:", incl.src, "->", incl.tgt)
 print("levelwise split:", incl.is_levelwise_split())

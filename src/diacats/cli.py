@@ -328,6 +328,13 @@ def cmd_compare(args):
 # ---------------------------------------------------------------------------
 
 
+def _natural(text):
+    """argparse type of a non-negative int."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def _flag(*names, **kwargs):
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*names, **kwargs)
@@ -336,7 +343,7 @@ def _flag(*names, **kwargs):
 
 def build_parser():
     out = _flag("--out", default=None)
-    trunc = _flag("--trunc", type=int, default=6,
+    trunc = _flag("--trunc", type=_natural, default=6,
                   help="truncation dimension (default 6)")
     seed = _flag("--seed", type=int, default=0)
     refine = _flag("--refine-bound", dest="refine_bound", type=int, default=2)

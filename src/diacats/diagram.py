@@ -15,9 +15,10 @@ from .errors import (
     InvalidFunctor,
     InvalidNatTransf,
     LimitAbsent,
+    ObjectNotInTarget,
     TargetMismatch,
 )
-from .site import Site, CoprodObj
+from .site import Site
 
 
 class DiaObj:
@@ -462,34 +463,19 @@ def nerve_diagram(F: DiaFunctor, trunc: int):
     return SplitDiagram(F.base, nerves, mors, "N(%s)" % F.name)
 
 
-def hom_diagram(site_or_cat, x, d: DiaObj):
+def hom_diagram(site: Site, x, d: DiaObj):
     """The category of elements of i -> Hom(x, S(i)) with its projection
-    to the shape of d (a discrete-fiber opfibration).
-
-    `x` is a site object or a CoprodObj; elements are tagged accordingly.
-    The category carries the key maps `hom_okey[(i, tag)]` and
-    `hom_mkey[(i, tag, phi)]` of :func:`fincat.elements`.
+    to the shape of d (a discrete-fiber opfibration), for an object x of
+    the site.  The category carries the key maps `hom_okey[(i, h)]` and
+    `hom_mkey[(i, h, phi)]` of :func:`fincat.elements`.
     """
-    scat = d.scat
-    cat = site_or_cat.cat if isinstance(site_or_cat, Site) else site_or_cat
+    scat, cat = d.scat, site.cat
+    if x not in cat.objects:
+        raise ObjectNotInTarget("object %r not in %r" % (x, cat.name))
+    fibers = [(i, cat.hom(x, d.labels.ob(i))) for i in d.shape.objects]
 
-    def tag(comp, h):
-        return h if comp is None else "%d:%s" % (comp, h)
-
-    def homs(s):
-        if isinstance(x, CoprodObj):
-            return [(i, m) for i, c in enumerate(x.components) for m in cat.hom(c, s)]
-        return [(None, m) for m in cat.hom(x, s)]
-
-    fibers, part = [], {}
-    for i in d.shape.objects:
-        hs = homs(d.labels.ob(i))
-        part.update((tag(comp, h), (comp, h)) for comp, h in hs)
-        fibers.append((i, [tag(comp, h) for comp, h in hs]))
-
-    def act(phi, t):
-        comp, h = part[t]
-        return tag(comp, scat.comp(d.labels.mo(phi), h))
+    def act(phi, h):
+        return scat.comp(d.labels.mo(phi), h)
 
     cat_el, okey, mkey = fc.elements(
         "Hom(%s,%s)" % (x, d.name), fibers,

@@ -221,9 +221,9 @@ def validate_category(raw: dict, name: str = "C") -> FinCat:
 # standard builders
 
 
-def terminal_category(obj: str = "*") -> FinCat:
-    i = "id_" + obj
-    return FinCat("1", [obj], [Mor(i, obj, obj)], {obj: i}, {(i, i): i})
+def terminal_category() -> FinCat:
+    return FinCat("1", ["*"], [Mor("id_*", "*", "*")], {"*": "id_*"},
+                  {("id_*", "id_*"): "id_*"})
 
 
 def poset_category(name, elements, leq) -> FinCat:

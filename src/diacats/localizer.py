@@ -400,13 +400,12 @@ class L3Triangles:
         return instances, skipped
 
 
-def l3_instances(u: DiagramUniverse, refine_bound: int = 2,
-                 translator: ShapeTranslator = None):
+def l3_instances(u: DiagramUniverse):
     """The resolver of `L3Triangles` run to completion: (instances,
     skipped) as in `L3Triangles.complete`.  The closure does not call it;
     it resolves each triangle on demand, only while its conclusion is not
     yet a member."""
-    return L3Triangles(u, refine_bound, translator).complete()
+    return L3Triangles(u).complete()
 
 
 def _translated_comma(u, translator, p, k, member):

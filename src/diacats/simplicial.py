@@ -16,8 +16,7 @@ A construction given by its full levels and elementary face and
 degeneracy maps (standard simplices, products, Cech objects, Hom into a
 split object, and the Bousfield-Kan diagonal in :mod:`homotopy`) goes
 through :func:`from_full_levels`, and :func:`with_labels` attaches
-carriers and face parts.  Maps between tensors go through
-:func:`tensor_map`.
+carriers and face parts.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .errors import (
     InvalidSimplicial,
     LimitAbsent,
     NonSplitMorphism,
+    ObjectNotInTarget,
     TruncationExceeded,
 )
 from . import fincat as fc
@@ -216,6 +216,9 @@ class SimpSet:
         return [len(l) for l in self.levels]
 
     def validate(self):
+        if self.trunc < 0 or len(self.levels) > self.trunc + 1:
+            raise InvalidSimplicial("%d levels do not fit truncation %d"
+                                    % (len(self.levels), self.trunc))
         level_of = self.level_of
         for (s, i), v in self.faces.items():
             k = level_of[s]
@@ -670,120 +673,14 @@ def tensor_value(kx: SplitSimpObj, u, w):
     return kx.elem_canon[(n, (u, w))]
 
 
-def tensor_map(g: SimpMap, f: SplitMor, ga: SplitSimpObj, gb: SplitSimpObj,
-               name) -> SplitMor:
-    """g tensor f : K tensor A -> L tensor B for g : K -> L and f : A -> B,
-    between the tensors `ga` and `gb` built by :func:`tensor`.  The pair
-    (u, v) goes to (g u, f v) with the part of f."""
-    val, part = {}, {}
-    for ids in ga.levels:
-        for sid in ids:
-            u, v = ga.nd_elem[sid][1]
-            w, p = f.map_value_part(v)
-            val[sid] = tensor_value(gb, g.map_value(u), w)
-            part[sid] = p
-    return SplitMor(ga, gb, val, part, name)
-
-
-def tensor_mor(k: SimpSet, f: SplitMor, ka=None, kb=None, name=None) -> SplitMor:
-    """K tensor f : K tensor A -> K tensor B."""
-    return tensor_map(SimpMap.identity(k), f, ka or tensor(k, f.src),
-                      kb or tensor(k, f.tgt), name or ("K(x)%s" % f.name))
-
-
-# ---------------------------------------------------------------------------
-# pushouts along split maps and the pushout product
-
-
-def pushout_along_split(f: SplitMor, g: SplitMor, name=None):
-    """Pushout of C <-g- A -f-> B where f is levelwise split.
-
-    Returns (P, in_b : B -> P, in_c : C -> P).
-    """
-    if f.src is not g.src and not split_equal(f.src, g.src):
-        raise NonSplitMorphism("pushout legs must share their source")
-    if not f.is_levelwise_split():
-        raise NonSplitMorphism("first leg is not levelwise split")
-    a, b, c = f.src, f.tgt, g.tgt
-    scat = a.scat
-    fimg = {}
-    for l in a.levels:
-        for s in l:
-            w = f.val[s]
-            if w[0] != mt_id(len(w[0]) - 1):
-                raise NonSplitMorphism("split leg maps %r to a degenerate value" % s)
-            fimg[w[1]] = s
-    trunc = a.trunc
-    levels = [[] for _ in range(trunc + 1)]
-    faces, label, part = {}, {}, {}
-    cpre, bpre = "C:", "B:"
-    for k, ids in enumerate(c.levels):
-        for s in ids:
-            levels[k].append(cpre + s)
-            label[cpre + s] = c.label[s]
-    for (s, i), (e, nd) in c.uset.faces.items():
-        faces[(cpre + s, i)] = (e, cpre + nd)
-        part[(cpre + s, i)] = c.part[(s, i)]
-
-    def route_b_value(v, p):
-        """Value (and accumulated part) of a B-value inside the pushout."""
-        e, nd = v
-        if nd in fimg:
-            aa = fimg[nd]
-            w, q = g.map_value_part(a.nd_value(aa))
-            # f has identity parts, so label_a(aa) == label_b(nd)
-            return (mt_comp(w[0], e), cpre + w[1]), scat.comp(q, p)
-        return (e, bpre + nd), p
-
-    for k, ids in enumerate(b.levels):
-        for s in ids:
-            if s in fimg:
-                continue
-            levels[k].append(bpre + s)
-            label[bpre + s] = b.label[s]
-            for i in range(k + 1 if k else 0):
-                (v, p) = b.uset.faces[(s, i)], b.part[(s, i)]
-                faces[(bpre + s, i)], part[(bpre + s, i)] = route_b_value(v, p)
-    sset = SimpSet(trunc, levels, faces, name or "P")
-    p_obj = SplitSimpObj(scat, sset, label, part, name or "P")
-    in_c = SplitMor(c, p_obj, {s: (mt_id(c.uset.level_of[s]), cpre + s)
-                               for l in c.levels for s in l},
-                    {s: scat.id_of(c.label[s]) for l in c.levels for s in l},
-                    "in_C")
-    routed = {s: route_b_value(b.nd_value(s), scat.id_of(b.label[s]))
-              for l in b.levels for s in l}
-    in_b = SplitMor(b, p_obj, {s: v for s, (v, _) in routed.items()},
-                    {s: p for s, (_, p) in routed.items()}, "in_B")
-    return p_obj, in_b, in_c
-
-
-def pushout_product(l: SimpSet, k: SimpSet, f: SplitMor, name=None):
-    """(L -> K) pushout-product f for a subcomplex inclusion L of K.
-
-    Returns (domain object P, comparison SplitMor P -> K tensor B).
-    """
-    la = tensor(l, f.src)
-    ka = tensor(k, f.src)
-    lb = tensor(l, f.tgt)
-    kb = tensor(k, f.tgt)
-    incl = inclusion_map(l, k)
-    p_obj, _, _ = pushout_along_split(
-        tensor_map(incl, SplitMor.identity(f.src), la, ka, "L(x)A->K(x)A"),
-        tensor_mor(l, f, la, lb), name or "pp")
-    # P's simplices are "C:" + an id of L tensor B or "B:" + one of K tensor A
-    legs = {"C:": tensor_map(incl, SplitMor.identity(f.tgt), lb, kb, "L(x)B->K(x)B"),
-            "B:": tensor_mor(k, f, ka, kb)}
-    sids = [sid for ids in p_obj.levels for sid in ids]
-    return p_obj, SplitMor(p_obj, kb, {s: legs[s[:2]].val[s[2:]] for s in sids},
-                           {s: legs[s[:2]].part[s[2:]] for s in sids}, "pp-cmp")
-
-
 def prism_inclusion(n, e, scat, s, trunc):
-    """Lambda_e(Delta_n x Delta_1) tensor s -> (Delta_n x Delta_1) tensor s."""
+    """Lambda_e(Delta_n x Delta_1) tensor s -> (Delta_n x Delta_1) tensor s:
+    each pair goes to itself, with identity parts."""
     horn, prod, _ = prism_horn(n, e, trunc)
     xs = constant_split(scat, s, trunc)
-    return tensor_map(inclusion_map(horn, prod), SplitMor.identity(xs), tensor(horn, xs),
-                      tensor(prod, xs), "prism%d,%d" % (n, e))
+    hx, px = tensor(horn, xs), tensor(prod, xs)
+    val = {sid: tensor_value(px, *hx.nd_elem[sid][1]) for ids in hx.levels for sid in ids}
+    return SplitMor(hx, px, val, {sid: scat.id_of(s) for sid in val}, "prism%d,%d" % (n, e))
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +736,6 @@ def cech_cover(site, family, trunc, name=None):
         lambda n, t: "U(%s)" % ",".join(map(str, t)), name or "Cech")
     u, _, _, elem_of = with_labels(cat, built, lambda t: apex_of(t)[0],
                                    lambda n, i, t: proj(t, t[:i] + t[i + 1:]))
-    u.tuple_of = {sid: t for sid, (_, t) in elem_of.items()}
     target = constant_split(cat, x, trunc, "c(%s)" % x)
     vtx = target.levels[0][0]
     aug_val, aug_part = {}, {}
@@ -855,8 +751,11 @@ def cech_cover(site, family, trunc, name=None):
 
 
 def hom_into(site, x, y: SplitSimpObj, name=None) -> SimpSet:
-    """Levelwise Hom(x, y_n), with the induced simplicial structure."""
-    cat = site.cat if hasattr(site, "cat") else site
+    """Levelwise Hom(x, y_n), with the induced simplicial structure, for an
+    object x of the site."""
+    cat = site.cat
+    if x not in cat.objects:
+        raise ObjectNotInTarget("object %r not in %r" % (x, cat.name))
     trunc = y.trunc
     levels = []
     for n in range(trunc + 1):

@@ -1,10 +1,8 @@
-"""Sites (finite category + pretopology) and the objects of the free
-coproduct completion.
+"""Sites: a finite category with a pretopology.
 
 A site with no declared covers carries the trivial topology: every object
-is covered by its identity only.  A CoprodObj is an ordered list of
-carrier objects; equality is strict list equality.  Covering families are
-stored unrefined; refinement checks use exhaustive factorization search.
+is covered by its identity only.  Covering families are stored unrefined;
+refinement checks use exhaustive factorization search.
 """
 
 from __future__ import annotations
@@ -99,13 +97,3 @@ def _refined_by_some_cover(site: Site, y: str, family):
     return any(all(any(cat.comp(m, h) == w for d, m in family for h in cat.hom(cat.dom(w), d))
                    for w in cov) for cov in site.families_of(y))
 
-
-# ---------------------------------------------------------------------------
-# free coproduct completion
-
-
-@dataclass(frozen=True)
-class CoprodObj:
-    """An object of the free coproduct completion: an ordered component list."""
-
-    components: tuple

@@ -1,8 +1,12 @@
+import pytest
+
 from diacats import algtop as at
 from diacats import diagram as dg
 from diacats import fincat as fc
 from diacats import fixtures as fx
 from diacats import localizer as lc
+from diacats import simplicial as sp
+from diacats.errors import ObjectNotInTarget
 from diacats.site import Site
 
 PS = fx.pseudocircle_site()
@@ -190,6 +194,16 @@ def test_hom_diagram_examples():
     for i in ("a", "U"):
         fib, _ = fc.fiber(proj3, i)
         assert all(fib.is_identity(m.id) for m in fib.morphisms)
+
+
+def test_hom_refuses_an_x_not_in_the_site():
+    """An empty Hom answer means no arrows, not a bad input: an x that is
+    not an object of the site is refused."""
+    d = labeled_fence()
+    with pytest.raises(ObjectNotInTarget, match="'bogus'"):
+        dg.hom_diagram(PS, "bogus", d)
+    with pytest.raises(ObjectNotInTarget, match="'bogus'"):
+        sp.hom_into(PS, "bogus", dg.nerve(d, 2))
 
 
 def test_dia2mor_compatibility_enforced():

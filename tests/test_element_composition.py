@@ -147,8 +147,8 @@ def test_table_matches_keyed_category_on_gadget_fibers_and_int_amalg():
 
 def test_table_matches_keyed_category_on_hom_diagrams():
     with with_references() as built:
-        for x, d in hom_diagram_inputs():
-            dg.hom_diagram(PS, x, d)
+        for site, x, d in hom_diagram_inputs():
+            dg.hom_diagram(site, x, d)
     assert sum(assert_same_table(cat, ref) for cat, ref in built) > 0
 
 
@@ -176,8 +176,8 @@ def test_nerve_reads_ranks_off_the_base(trunc):
         assert_same_nerve(ht.int_simpset(base, 2)[0], trunc)
     for n, m in [(1, 1), (1, 2)]:
         assert_same_nerve(gadget_fiber(n, m, 2)[0], trunc)
-    for x, d in list(hom_diagram_inputs())[::7]:
-        assert_same_nerve(dg.hom_diagram(PS, x, d)[0], trunc)
+    for site, x, d in list(hom_diagram_inputs())[::7]:
+        assert_same_nerve(dg.hom_diagram(site, x, d)[0], trunc)
 
 
 def test_nerve_reads_identity_composites_off_the_base():

@@ -19,11 +19,13 @@ from diacats import fixtures as fx
 from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
-from diacats.site import CoprodObj
+from diacats.site import Site
 
 from test_homotopy import gadget_fiber
+from test_nerve_engine import cyclic_group
 
 PS = fx.pseudocircle_site()
+Z3 = Site(cyclic_group(3))
 
 
 def reference_t_delta_op(trunc):
@@ -80,9 +82,6 @@ def reference_hom_diagram(cat, x, d):
     scat = d.scat
 
     def homs(s):
-        if isinstance(x, CoprodObj):
-            return [("%d:%s" % (i, m), i, m)
-                    for i, c in enumerate(x.components) for m in cat.hom(c, s)]
         return [(m, None, m) for m in cat.hom(x, s)]
 
     objs, okey = [], {}
@@ -142,17 +141,26 @@ def test_gadget_fiber_matches_reference(trunc):
 
 
 def hom_diagram_inputs():
+    """(site, x, d): each object of the pseudocircle, a poset whose Hom sets
+    hold one arrow at most, against random diagrams, then diagrams over
+    Z/3, whose Hom fibers hold three arrows each."""
     for seed in range(20):
         d = rg.random_diaobj(random.Random(seed), PS, 4)
         for x in PS.cat.objects:
-            yield x, d
-    yield CoprodObj(("{a}", "{a,b,c}")), rg.random_diaobj(random.Random(0), PS, 4)
+            yield PS, x, d
+    c1 = fc.chain_category(1)
+    shift = fc.FinFunctor("S", c1, Z3.cat, {i: "*" for i in c1.objects},
+                          {m.id: "g0" if c1.is_identity(m.id) else "g1"
+                           for m in c1.morphisms})
+    yield Z3, "*", dg.DiaObj(c1, shift, "shift")
+    for seed in range(3):
+        yield Z3, "*", rg.random_diaobj(random.Random(seed), Z3, 4)
 
 
 def test_hom_diagram_matches_reference():
-    for x, d in hom_diagram_inputs():
-        el, proj = dg.hom_diagram(PS, x, d)
-        ref, rproj, rokey, rmkey = reference_hom_diagram(PS.cat, x, d)
+    for site, x, d in hom_diagram_inputs():
+        el, proj = dg.hom_diagram(site, x, d)
+        ref, rproj, rokey, rmkey = reference_hom_diagram(site.cat, x, d)
         assert_same_category(el, ref)
         assert proj.object_map == rproj.object_map
         assert proj.morphism_map == rproj.morphism_map

@@ -135,6 +135,37 @@ def test_cli_malformed_json_exits_2(tmp_path):
     assert run_cli(["validate", "--cat", str(bad)]) == 2
 
 
+def test_cli_negative_trunc_exits_2(tmp_path, capsys):
+    """`--trunc` is a non-negative int: argparse exits 2 on a negative one
+    instead of the command writing a record with it."""
+    dia = tmp_path / "d.json"
+    dia.write_text(io.dumps(io.encode_diagram(dg.point_dia(fx.pseudocircle_site().cat, "{a}"))))
+    out = str(tmp_path / "r.json")
+    for argv in (["nerve", "--dia", str(dia), "--site", "pseudocircle"],
+                 ["cech", "--site", "pseudocircle", "--family", "{a,b,c}<={a,b,c,d}"]):
+        assert run_cli(argv + ["--trunc", "0", "--out", out]) == 0
+        for bad in ("-1", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + ["--trunc", bad, "--out", out])
+            assert exc.value.code == 2
+            assert "--trunc: expected a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", [
+    {"schema": "simp.v1", "trunc": -2, "levels": [["v"]], "faces": []},
+    {"schema": "simp.v1", "trunc": 0, "levels": [["v"], ["e"]], "faces": []},
+], ids=["negative-trunc", "level-past-trunc"])
+def test_simp_record_levels_must_fit_trunc(tmp_path, capsys, record):
+    """A simp.v1 record with a negative truncation, or with a level past it
+    (here a 1-simplex with no faces at truncation 0), is refused."""
+    with pytest.raises(InvalidSimplicial, match="levels do not fit truncation"):
+        io.decode_simpset(record)
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(record))
+    assert run_cli(["homology", "--simp", str(sfile)]) == 2
+    assert "input error: " in capsys.readouterr().err
+
+
 def test_cli_determinism(tmp_path):
     cat_file = tmp_path / "c.json"
     cat_file.write_text(io.dumps(io.encode_fincat(fx.pseudocircle_site().cat)))

@@ -575,7 +575,7 @@ def test_closure_matches_reference_l3(make, monkeypatch):
         seeds += [lc.MorClass({mid}, {mid: ("SEED",)}) for mid in u.morphisms]
     got = [lc.closure_fixpoint(seed, u) for seed in seeds]
     table = reference_l3_instances(u)
-    monkeypatch.setattr(lc, "l3_instances", lambda u, refine_bound, translator: table)
+    monkeypatch.setattr(lc, "l3_instances", lambda u: table)
     for seed, w in zip(seeds, got):
         ref = reference_closure_fixpoint(seed, u)
         assert list(w.provenance.items()) == list(ref.provenance.items())
@@ -863,14 +863,14 @@ def test_l3_builds_no_functor_per_induced_map(monkeypatch):
 # frozen copies of the closure and the checks as each wrote its own rules
 
 
-def reference_closure_fixpoint(seed, u, trunc=3, refine_bound=2):
+def reference_closure_fixpoint(seed, u, trunc=3):
     """The earlier `lc.closure_fixpoint`: WS1, L4, L2 and ADJ admitted
     once, then WS2, WS3, L3 and HTP until no change."""
     w = seed.copy()
     translator = lc.ShapeTranslator(u)
     ws1, ws2, ws3 = lc.ws_instances(u)
     l2s = lc.l2_instances(u, translator)
-    l3s, l3_skipped = lc.l3_instances(u, refine_bound, translator)
+    l3s, l3_skipped = lc.l3_instances(u)
     l4s = lc.l4_instances(u, trunc)
     classes = lc.homotopy_classes(u)
     adjs = lc.adjunction_instances(u)
@@ -957,8 +957,8 @@ def reference_check_L2(w, u):
     return violations, missing
 
 
-def reference_check_L3(w, u, refine_bound=2):
-    instances, skipped = lc.l3_instances(u, refine_bound)
+def reference_check_L3(w, u):
+    instances, skipped = lc.l3_instances(u)
     violations = []
     for (wid, p2id, per_k) in instances:
         if wid in w.members:
@@ -1007,10 +1007,10 @@ def test_derivations_match_reference(name, monkeypatch):
     for table in ("l3_instances", "l4_instances"):
         real, memo = getattr(lc, table), {}
 
-        def once(u, bound, translator=None, real=real, memo=memo):
-            if bound not in memo:
-                memo[bound] = real(u, bound)
-            return memo[bound]
+        def once(u, *args, real=real, memo=memo):
+            if args not in memo:
+                memo[args] = real(u, *args)
+            return memo[args]
 
         monkeypatch.setattr(lc, table, once)
     w, ref = lc.closure_fixpoint(lc.MorClass(), u), reference_closure_fixpoint(lc.MorClass(), u)

@@ -1,15 +1,17 @@
 """No unreferenced functions and no unused parameters in the library.
 
 An AST scan over `src/diacats`: every def, nested defs and methods
-included, must be referenced by name (a bare name or an attribute) somewhere
-in `src/`, `bench/` or `demos/` outside its own body; a def that only
-`tests/` reach must be listed in `TEST_ONLY` with the reason it stays in the
-library.  Dunder methods are called by the language and are exempt.  A
-second scan requires every parameter with a default to be passed by some
-call in `src/`, `tests/`, `bench/` or `demos/`.
-A third requires every local a library def assigns to be read somewhere in
-that def.  A fourth requires every attribute the library stores on an
-object other than `self` to be read somewhere in that corpus.  A fifth
+included, must be reached by name (a bare name or an attribute) from
+`src/`, `bench/` or `demos/` outside its own body, where a reference made
+inside a library def counts only once that def is itself reached; a def
+that only `tests/` reach must be listed in `TEST_ONLY` with the reason it
+stays in the library.  Dunder methods are called by the language and are
+exempt.  A second scan requires every parameter with a default to be
+passed by some call in `src/`, `bench/` or `demos/`, or to be listed in
+`KEPT_DEFAULTS` with its reason.  A third requires every local a library
+def assigns to be read somewhere in that def.  A fourth requires every
+attribute the library stores on an object other than `self` to be read
+somewhere in `src/`, `bench/` or `demos/`.  A fifth
 rejects a nested def that calls itself: exhaustive searches go through
 `fincat.backtrack`.  A sixth requires every name a library module imports
 to be read in that module.
@@ -20,8 +22,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "diacats"
-CORPUS = [ROOT / d for d in ("src", "tests", "bench", "demos")]
-# The code a def must be reached from: a reference from a test is no use.
+# The code the library must serve: a reference, call or read from a test
+# is no use.
 USERS = [ROOT / d for d in ("src", "bench", "demos")]
 
 
@@ -56,41 +58,61 @@ TEST_ONLY = {
     "degree": "`HomologySummary.degree` refuses a degree past `valid_range`; "
               "the tests read homology through it",
     "encode_universe": "writes the `universe.v1` files the CLI tests load",
+    "encode_site": "writes the `site.v1` records of `encode_universe` and "
+                   "of the site round-trip tests",
     "l3_instances": "`bench/spans.py` resolves it by name with getattr for "
                     "`--trace 1`",
     "induced_comma_map": "`bench/spans.py` resolves it by name with getattr "
                          "for `--trace 1`",
-    "pushout_product": "kept for now with `pushout_along_split` and "
-                       "`tensor_mor`: deleting them retires 39 test ids, "
-                       "more than one change should drop at once (ROADMAP)",
 }
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_library_def_is_referenced():
-    """A def that no code in `src/`, `bench/` or `demos/` references is
-    dead, unless `TEST_ONLY` says why the tests need it in the library; a
-    `TEST_ONLY` entry that is referenced or gone is stale."""
+    """A def that no code in `src/`, `bench/` or `demos/` reaches is dead,
+    unless `TEST_ONLY` says why the tests need it in the library; a
+    `TEST_ONLY` entry that is reached or gone is stale.  A reference from
+    inside library defs counts once every one of them is reached, so a def
+    that only unreached defs call is unreached too."""
     defs = {}
     for path in sorted(LIBRARY.glob("*.py")):
         for node in ast.walk(parse(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                    and not is_dunder(node.name):
                 defs.setdefault(node.name, "%s:%d" % (path.relative_to(ROOT), node.lineno))
-    used = set()
+    # (name, the library defs the reference sits in); bench and demo code
+    # is reached as a whole
+    refs = set()
     for root in USERS:
         for path in root.rglob("*.py"):
-            used.update(name for name, enclosing in references(parse(path))
+            in_library = path.parent == LIBRARY
+            refs.update((name, frozenset(e for e in enclosing if not is_dunder(e))
+                         if in_library else frozenset())
+                        for name, enclosing in references(parse(path))
                         if name not in enclosing)
+    used, grown = set(), True
+    while grown:
+        reached = {name for name, enclosing in refs if enclosing <= used}
+        grown = not reached <= used
+        used |= reached
     unused = {name: where for name, where in defs.items() if name not in used}
     dead = sorted("%s (%s)" % (name, where) for name, where in unused.items()
                   if name not in TEST_ONLY)
-    assert not dead, "defs no code outside tests/ references: " + ", ".join(dead)
+    assert not dead, "defs no code outside tests/ reaches: " + ", ".join(dead)
     stale = sorted(name for name in TEST_ONLY if name not in unused)
-    assert not stale, "TEST_ONLY entries now referenced or gone: %s" % stale
+    assert not stale, "TEST_ONLY entries now reached or gone: %s" % stale
 
 
 # Defaulted parameters that no call site passes but that stay, with why.
-KEPT_DEFAULTS = {}
+KEPT_DEFAULTS = {
+    ("find_isomorphism", "max_nodes"): "a safety budget on the search; "
+                                       "`test_max_nodes_bounds_the_search` sets it",
+    ("random_simpset", "per_position"): "the only route to torsion draws, while "
+                                        "`bench/golden.json` pins the default draws",
+}
 
 
 def defaulted_params():
@@ -132,7 +154,7 @@ def defaulted_params():
 def call_sites():
     """Per called name: (positional count, starred?, keywords, **kwargs?)."""
     sites = {}
-    for root in CORPUS:
+    for root in USERS:
         for path in root.rglob("*.py"):
             for node in ast.walk(parse(path)):
                 if not isinstance(node, ast.Call):
@@ -146,8 +168,8 @@ def call_sites():
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    """A default that no call site in src/, tests/, bench/ or demos/
-    overrides is a constant: remove the parameter, or list it in
+    """A default that no call site in src/, bench/ or demos/ overrides is
+    a constant: remove the parameter, or list it in
     KEPT_DEFAULTS with the reason it stays.  Calls are matched by name, a
     method call binding `self`; `name` parameters are exempt."""
     sites = call_sites()
@@ -225,9 +247,10 @@ def stored_attributes(tree):
 
 
 def test_every_stored_attribute_is_read():
-    """An attribute set on another object that nothing reads is dead data."""
+    """An attribute set on another object that no code in src/, bench/ or
+    demos/ reads is dead data."""
     read = set()
-    for root in CORPUS:
+    for root in USERS:
         for path in root.rglob("*.py"):
             read.update(n.attr for n in ast.walk(parse(path))
                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))

@@ -4,12 +4,12 @@ replaced.
 The `reference_*` functions keep the earlier hand-written builders: the
 element category with its own identity map and composition loop, the
 standard simplex and the Cech object written out face by face, the pullback
-over its own cospan diagram, and the tensor maps with their own pair loops.
+over its own cospan diagram, and the prism inclusion with its own pair loop.
 The single builders (`fincat.elements`, which composes through its base
 by an `ElementComposition` and stores no table, `simplicial.from_full_levels`,
-`fincat.wide_pullback`, `simplicial.tensor_map`) must give the same ids in
-the same order, the same faces, labels, parts, identities and composition
-tables, and the same key maps.
+`fincat.wide_pullback`) and `simplicial.prism_inclusion` must give the same
+ids in the same order, the same faces, labels, parts, identities and
+composition tables, and the same key maps.
 """
 
 import itertools
@@ -156,48 +156,6 @@ def reference_pullback(C, f, g):
     return apex, legs["l"], legs["r"]
 
 
-def reference_tensor_mor(k, f, ka=None, kb=None, name=None):
-    ka = ka or sp.tensor(k, f.src)
-    kb = kb or sp.tensor(k, f.tgt)
-    val, part = {}, {}
-    for ids in ka.levels:
-        for sid in ids:
-            u, v = ka.nd_elem[sid][1]
-            w, p = f.map_value_part(v)
-            val[sid] = sp.tensor_value(kb, u, w)
-            part[sid] = p
-    return sp.SplitMor(ka, kb, val, part, name or ("K(x)%s" % f.name))
-
-
-def reference_pushout_product(l, k, f, name=None):
-    la = sp.tensor(l, f.src)
-    ka = sp.tensor(k, f.src)
-    lb = sp.tensor(l, f.tgt)
-    lb_mor = reference_tensor_mor(l, f, la, lb)
-    val, part = {}, {}
-    for ids in la.levels:
-        for sid in ids:
-            u, v = la.nd_elem[sid][1]
-            val[sid] = sp.tensor_value(ka, u, v)
-            part[sid] = la.scat.id_of(la.label[sid])
-    incl = sp.SplitMor(la, ka, val, part, "L(x)A->K(x)A")
-    p_obj, in_ka, in_lb = sp.pushout_along_split(incl, lb_mor, name or "pp")
-    kb = sp.tensor(k, f.tgt)
-    cval, cpart = {}, {}
-    for ids in p_obj.levels:
-        for sid in ids:
-            if sid.startswith("C:"):
-                u, v = lb.nd_elem[sid[2:]][1]
-                cval[sid] = sp.tensor_value(kb, u, v)
-                cpart[sid] = p_obj.scat.id_of(p_obj.label[sid])
-            else:
-                u, v = ka.nd_elem[sid[2:]][1]
-                w, p = f.map_value_part(v)
-                cval[sid] = sp.tensor_value(kb, u, w)
-                cpart[sid] = p
-    return p_obj, sp.SplitMor(p_obj, kb, cval, cpart, "pp-cmp")
-
-
 def reference_prism_inclusion(n, e, scat, s, trunc):
     horn, prod, _ = sp.prism_horn(n, e, trunc)
     xs = sp.constant_split(scat, s, trunc)
@@ -293,13 +251,19 @@ CECH_FAMILIES = [
 ]
 
 
+def index_tuple(sid):
+    """The index tuple of a Cech simplex from its id "U(i_0,...,i_n)"."""
+    return tuple(int(i) for i in sid[2:-1].split(","))
+
+
 @pytest.mark.parametrize("family", CECH_FAMILIES, ids=lambda f: "|".join(f))
 def test_cech_cover_matches_reference(family):
     for t in range(5):
         u, aug = sp.cech_cover(PS, family, t)
         ru, raug = reference_cech_cover(PS, family, t)
         assert split_fields(u) == split_fields(ru)
-        assert list(u.tuple_of.items()) == list(ru.tuple_of.items())
+        assert [(sid, index_tuple(sid)) for ids in u.levels for sid in ids] == \
+            list(ru.tuple_of.items())
         assert mor_fields(aug) == mor_fields(raug)
         u.validate()
         aug.validate()
@@ -351,46 +315,9 @@ def test_pullback_matches_reference():
         fc.pullback(PS.cat, "{a}<={a,b}", "{a}<={a}")
 
 
-def summand(x, y):
-    """The levelwise split inclusion of x as the first summand of x u y."""
-    xy = sp.coproduct_split([x, y])
-    return sp.SplitMor(x, xy, {s: (sp.mt_id(k), "0:" + s)
-                               for k, l in enumerate(x.levels) for s in l},
-                       {s: x.scat.id_of(x.label[s]) for l in x.levels for s in l})
-
-
-def random_nerve_mor(rng):
-    while True:
-        m = rg.random_diamor(rng, rg.random_diaobj(rng, PS, 3), rg.random_diaobj(rng, PS, 3))
-        if m is not None:
-            return dg.nerve_mor(m, 2)
-
-
-@pytest.mark.parametrize("seed", range(14))
-def test_tensor_mor_matches_reference(seed):
-    rng = random.Random(seed)
-    f = random_nerve_mor(rng)
-    k = rg.random_simpset(rng, 2, 4)
-    assert mor_fields(sp.tensor_mor(k, f)) == mor_fields(reference_tensor_mor(k, f))
-
-
 @pytest.mark.parametrize("scat,s", [(TS.cat, "*"), (PS.cat, X)])
 def test_prism_inclusion_matches_reference(scat, s):
     for n in range(3):
         for e in range(2):
             assert mor_fields(sp.prism_inclusion(n, e, scat, s, 3)) == \
                 mor_fields(reference_prism_inclusion(n, e, scat, s, 3))
-
-
-@pytest.mark.parametrize("seed", range(14))
-def test_pushout_product_matches_reference(seed):
-    rng = random.Random(seed)
-    x = rg.random_split_over(rng, PS, 2)
-    f = summand(x, rg.random_split_over(rng, PS, 2)) if seed % 2 else \
-        sp.SplitMor.identity(x)
-    n = 1 + seed % 3 // 2
-    lk = (sp.boundary_delta(n, 2), sp.delta_simpset(n, 2))
-    p, cmp_mor = sp.pushout_product(*lk, f)
-    rp, rcmp = reference_pushout_product(*lk, f)
-    assert split_fields(p) == split_fields(rp)
-    assert mor_fields(cmp_mor) == mor_fields(rcmp)

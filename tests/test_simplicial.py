@@ -176,7 +176,7 @@ def test_cech_pseudocircle_level_one_meets():
     by_tuple = {}
     for val in u.full_level(1):
         epi, nd = val
-        t = u.tuple_of[nd]
+        t = tuple(int(i) for i in nd[2:-1].split(","))
         full_t = tuple(t[epi[i]] for i in range(2))
         by_tuple[full_t] = u.label[nd]
     assert [by_tuple[t] for t in [(0, 0), (0, 1), (1, 0), (1, 1)]] == \
@@ -211,83 +211,6 @@ def test_cech_rejects_non_mono_leg():
         sp.cech_cover(Site(c), ["p"], 2)
 
 
-def test_pushout_identity_legs():
-    rng = random.Random(5)
-    a = rg.random_split_terminal(rng, 2, 4)
-    ida = sp.SplitMor.identity(a)
-    p, in_b, in_c = sp.pushout_along_split(ida, ida)
-    assert sp.split_isomorphic(p, a) is not None
-    for obj in [p, in_b, in_c]:
-        obj.validate()
-
-
-def test_pushout_wedge_of_edges():
-    c = sp.constant_split(TS.cat, "*", 2)
-    edge = sp.tensor(sp.delta_simpset(1, 2), c)
-    vertex = sp.tensor(sp.delta_simpset(0, 2), c)
-    # include the vertex as endpoint 1 of the edge, twice; glue
-    m01 = [sp.SplitMor(vertex, edge, {s: v}, {s: "id_*"})
-           for s in [vertex.levels[0][0]]
-           for v in [edge.nd_value(edge.levels[0][0]),
-                     edge.nd_value(edge.levels[0][1])]]
-    f, g = m01[0].validate(), m01[1].validate()
-    # two labeled edges glued along one endpoint each: a wedge
-    p, in_b, in_c = sp.pushout_along_split(f, g)
-    for obj in [edge, vertex, p, in_b, in_c]:
-        obj.validate()
-    assert nondeg_counts(p) == [3, 2, 0]
-    assert in_b.then(sp.SplitMor.identity(p)).val == in_b.val
-    # cocone commutes: in_b o f == in_c o g
-    lhs = f.then(in_b)
-    rhs = g.then(in_c)
-    assert lhs.val == rhs.val and lhs.part == rhs.part
-
-
-def test_pushout_requires_split_leg():
-    c = sp.constant_split(TS.cat, "*", 2)
-    edge = sp.tensor(sp.delta_simpset(1, 2), c)
-    vertex = sp.tensor(sp.delta_simpset(0, 2), c)
-    collapse = sp.SplitMor(edge, vertex,
-                           {s: vertex.full_level(edge.uset.level_of[s])[0]
-                            for l in edge.levels for s in l},
-                           {s: "id_*" for l in edge.levels for s in l}).validate()
-    assert not collapse.is_levelwise_split()
-    with pytest.raises(NonSplitMorphism):
-        sp.pushout_along_split(collapse, collapse)
-
-
-def test_pushout_product_trivial_cases():
-    rng = random.Random(11)
-    a = rg.random_split_terminal(rng, 2, 3)
-    ida = sp.SplitMor.identity(a)
-    d1 = sp.delta_simpset(1, 2)
-    bd1 = sp.boundary_delta(1, 2)
-    p, cmp_mor = sp.pushout_product(bd1, d1, ida)
-    bd1.validate()
-    cmp_mor.validate()
-    # f identity: comparison is an isomorphism onto K tensor A
-    assert sp.split_isomorphic(p, cmp_mor.tgt) is not None
-
-
-def test_pushout_product_split_inclusion_oracle():
-    # (dD1 -> D1) against (s -> s u t): domain components by direct count
-    c = sp.constant_split(TS.cat, "*", 2, "s")
-    st_ = sp.coproduct_split([sp.constant_split(TS.cat, "*", 2, "s"),
-                              sp.constant_split(TS.cat, "*", 2, "t")], "st")
-    f = sp.SplitMor(c, st_, {c.levels[0][0]: st_.nd_value(st_.levels[0][0])},
-                    {c.levels[0][0]: "id_*"}).validate()
-    assert f.is_levelwise_split()
-    d1 = sp.delta_simpset(1, 2)
-    bd1 = sp.boundary_delta(1, 2)
-    p, cmp_mor = sp.pushout_product(bd1, d1, f)
-    # oracle: P_n = (dD1 x B)_n u (D1 x A  -  dD1 x A)_n computed levelwise
-    for n in range(3):
-        expect = len(bd1.full_level(n)) * len(st_.full_level(n)) + \
-            (len(d1.full_level(n)) - len(bd1.full_level(n))) * len(c.full_level(n))
-        assert len(p.full_level(n)) == expect
-    cmp_mor.validate()
-
-
 def test_prism_inclusion_counts_and_split():
     for n, e in [(0, 0), (0, 1), (1, 0), (2, 1)]:
         m = sp.prism_inclusion(n, e, TS.cat, "*", 3).validate()
@@ -302,6 +225,15 @@ def test_prism_inclusion_counts_and_split():
     m0 = sp.prism_inclusion(0, 0, TS.cat, "*", 3)
     assert nondeg_counts(m0.src) == [1, 0, 0, 0]
     assert nondeg_counts(m0.tgt) == [2, 1, 0, 0]
+    # the collapse of an edge onto a vertex is not levelwise split
+    c = sp.constant_split(TS.cat, "*", 2)
+    edge = sp.tensor(sp.delta_simpset(1, 2), c)
+    vertex = sp.tensor(sp.delta_simpset(0, 2), c)
+    collapse = sp.SplitMor(edge, vertex,
+                           {s: vertex.full_level(edge.uset.level_of[s])[0]
+                            for l in edge.levels for s in l},
+                           {s: "id_*" for l in edge.levels for s in l}).validate()
+    assert not collapse.is_levelwise_split()
 
 
 def test_prism_horn_against_product_oracle():

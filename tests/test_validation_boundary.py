@@ -74,14 +74,6 @@ def probe(cat, member, tgt):
                      {"*": member})
 
 
-def summand(x, y):
-    """The levelwise split inclusion of x as the first summand of x u y."""
-    xy = sp.coproduct_split([x, y])
-    return sp.SplitMor(x, xy, {s: (sp.mt_id(k), "0:" + s)
-                               for k, l in enumerate(x.levels) for s in l},
-                       {s: x.scat.id_of(x.label[s]) for l in x.levels for s in l})
-
-
 # --- categories from the internal builders ----------------------------------
 
 
@@ -94,7 +86,7 @@ def case_product_comma_fiber(rng):
 
 
 def case_terminal_and_posets(rng):
-    return [fc.terminal_category(rng.choice(["*", "t"])),
+    return [fc.terminal_category(),
             fc.chain_category(rng.randint(0, 3)), fx.fence_poset(), PS.cat]
 
 
@@ -175,7 +167,7 @@ def case_product_and_hom_into(rng):
     return [prod, sp.hom_into(PS, "{a}", rg.random_split_over(rng, PS, 2))]
 
 
-# --- tensors, pushouts and Cech covers --------------------------------------
+# --- tensors, prisms and Cech covers ----------------------------------------
 
 
 def case_tensor_coproduct_as_split(rng):
@@ -184,26 +176,6 @@ def case_tensor_coproduct_as_split(rng):
     c = sp.constant_split(PS.cat, rng.choice(PS.cat.objects), 2)
     return [sp.tensor(k, x), sp.as_split(PS.cat, k, TOP),
             sp.coproduct_split([x, c])]
-
-
-def case_tensor_mor(rng):
-    nm = dg.nerve_mor(random_mor(rng, PS), 2)
-    return [sp.tensor_mor(rg.random_simpset(rng, 2, 3), nm)]
-
-
-def case_pushout_along_split(rng):
-    m = random_mor(rng, PS)
-    g = dg.nerve_mor(m, 2)
-    f = summand(g.src, rg.random_split_over(rng, PS, 2))
-    return list(sp.pushout_along_split(f, g))
-
-
-def case_pushout_product(rng):
-    x = rg.random_split_over(rng, PS, 2)
-    f = summand(x, rg.random_split_over(rng, PS, 2))
-    (p, cmp_mor), mors = built(sp.SplitMor, sp.pushout_product,
-                               sp.boundary_delta(1, 2), sp.delta_simpset(1, 2), f)
-    return [p, *mors]                   # cmp_mor and the inner inclusions
 
 
 def case_prism_inclusion(rng):
