@@ -41,7 +41,7 @@ d = dg.DiaObj(c1, lab).validate()
 xo = sp.constant_split(ps.cat, "{a,b,d}", 3)
 aug = {nd: "{a,b,d}<={a,b,c,d}" for l in xo.levels for nd in l}
 f_parts = {i: "%s<={a,b,c,d}" % lbls[i] for i in c1.objects}
-bij, lhs, rhs = ht.hocolim_nerve_check(ps, d, "{a,b,c,d}", f_parts, xo, aug, 3)
+bij, lhs, rhs = ht.hocolim_nerve_check(ps, d, f_parts, xo, aug, 3)
 print("\nbase-change comparison iso:", bij is not None)
 print("carriers on the left:", sorted(set(lhs.label.values())))
 

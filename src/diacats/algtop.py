@@ -330,9 +330,8 @@ def quasi_iso(f: sp.SimpMap) -> QuasiIsoVerdict:
 
 @dataclass
 class ContractCert:
-    kind: str          # InitialObject | FinalObject | AdjunctionChain | HomologyPoint
+    kind: str          # InitialObject | FinalObject | AdjunctionChain
     payload: object
-    necessary_only: bool = False
 
 
 def _deletable(cat: fc.FinCat, op: fc.FinCat, objs, x):
@@ -356,10 +355,10 @@ def _deletable(cat: fc.FinCat, op: fc.FinCat, objs, x):
     return None
 
 
-def contractibility_certificate(cat: fc.FinCat, trunc: int = 4):
-    """Try, in order: initial object, final object, a greedy chain of
-    extremal-object deletions realizing adjunctions down to the point, and
-    finally the homology-point necessary condition.
+def contractibility_certificate(cat: fc.FinCat):
+    """Try, in order: initial object, final object, and a greedy chain of
+    extremal-object deletions realizing adjunctions down to the point.
+    Each is sufficient for the nerve to be contractible.
 
     Returns a ContractCert or None (Unknown).
     """
@@ -386,9 +385,6 @@ def contractibility_certificate(cat: fc.FinCat, trunc: int = 4):
         objs.remove(step[0])
     if len(objs) == 1 and len(cat.hom(objs[0], objs[0])) == 1:
         return ContractCert("AdjunctionChain", chain)
-    h = homology(sp.nerve_of_category(cat, trunc))
-    if h.is_point():
-        return ContractCert("HomologyPoint", h, necessary_only=True)
     return None
 
 

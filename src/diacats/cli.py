@@ -175,7 +175,7 @@ def cmd_localizer_check(args):
     ws = lc.check_ws(w, u)
     l2, l2_missing = lc.check_L2(w, u)
     l3, l3_skipped = lc.check_L3(w, u, args.refine_bound)
-    l4 = lc.check_L4(w, u, args.trunc)
+    l4 = lc.check_L4(w, u)
     payload = {"command": "localizer-check",
                "ws": ws, "l2": l2, "l2_missing": l2_missing,
                "l3": l3, "l3_skipped": len(l3_skipped), "l4": l4}
@@ -188,7 +188,7 @@ def cmd_localizer_closure(args):
     seed = lc.MorClass(_member_ids(args.seed_file, u, "--seed-file"))
     for mid in seed.members:
         seed.provenance[mid] = ("SEED",)
-    w = lc.closure_fixpoint(seed, u, args.trunc, args.refine_bound)
+    w = lc.closure_fixpoint(seed, u, refine_bound=args.refine_bound)
     _emit(args, {"command": "localizer-closure",
                  "admissions": Counter(why[0] for why in w.provenance.values()),
                  "members": sorted(w.members),
@@ -267,8 +267,7 @@ def _compare_hocolimnerve(args, rng):
     f_parts = {i: "%s<={a,b,c,d}" % lbls[i] for i in c1.objects}
     x = sp.constant_split(cat, "{a,b,d}", min(args.trunc, 3))
     aug = {nd: "{a,b,d}<={a,b,c,d}" for l in x.levels for nd in l}
-    bij, lhs, rhs = ht.hocolim_nerve_check(site, d, "{a,b,c,d}", f_parts,
-                                           x, aug, min(args.trunc, 3))
+    bij, lhs, rhs = ht.hocolim_nerve_check(site, d, f_parts, x, aug, min(args.trunc, 3))
     return bij is not None, {"iso": bij is not None,
                              "levels": [len(l) for l in lhs.levels]}
 
@@ -335,6 +334,13 @@ def _natural(text):
     return int(text)
 
 
+def _positive(text):
+    """argparse type of an int >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return int(text)
+
+
 def _flag(*names, **kwargs):
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*names, **kwargs)
@@ -346,7 +352,7 @@ def build_parser():
     trunc = _flag("--trunc", type=_natural, default=6,
                   help="truncation dimension (default 6)")
     seed = _flag("--seed", type=int, default=0)
-    refine = _flag("--refine-bound", dest="refine_bound", type=int, default=2)
+    refine = _flag("--refine-bound", dest="refine_bound", type=_positive, default=2)
     dot = _flag("--dot", default=None)
     p = argparse.ArgumentParser(prog="diacats",
                                 description="finite-category homotopy toolkit")
@@ -402,12 +408,12 @@ def build_parser():
     sp_.add_argument("--map", required=True)
     sp_.set_defaults(fn=cmd_quasi_iso)
 
-    sp_ = add_parser("localizer-check", trunc, refine)
+    sp_ = add_parser("localizer-check", refine)
     sp_.add_argument("--universe", required=True)
     sp_.add_argument("--weq")
     sp_.set_defaults(fn=cmd_localizer_check)
 
-    sp_ = add_parser("localizer-closure", trunc, refine)
+    sp_ = add_parser("localizer-closure", refine)
     sp_.add_argument("--universe", required=True)
     sp_.add_argument("--seed-file", dest="seed_file", default=None)
     sp_.set_defaults(fn=cmd_localizer_closure)

@@ -415,14 +415,15 @@ def fiber_product_split(site: Site, f_leg: str, x: sp.SplitSimpObj, aug,
     return obj
 
 
-def hocolim_nerve_check(site: Site, d: dg.DiaObj, s: str, f_parts: dict,
+def hocolim_nerve_check(site: Site, d: dg.DiaObj, f_parts: dict,
                         x: sp.SplitSimpObj, aug: dict, trunc: int):
     """Both sides of the base-change formula: the homotopy colimit of
     i |-> F(i) x_s X against N(I, F) x_s X levelwise; decides split-object
     isomorphism.
 
     `f_parts[i]` is the structure morphism F(i) -> s; `aug[nd]` the
-    augmentation of x.  Returns (iso bijection or None, lhs, rhs).
+    augmentation of x into the same s.  Returns (iso bijection or None,
+    lhs, rhs).
     """
     cat = site.cat
     shape = d.shape
@@ -558,7 +559,7 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
         cands = {i: mapping_elements(i, k) for i in shape.objects}
 
         def fits(i, fam):
-            return all(_end_square(shape, ob, mo, slice_nerves, prods, slice_maps,
+            return all(_end_square(shape, mo, slice_nerves, prods, slice_maps,
                                    fam, m, k, trunc) for m in squares[i])
 
         good = [dict(f) for f in fc.backtrack(shape.objects, lambda i, _: cands[i], fits)]
@@ -596,8 +597,7 @@ def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
     return sset
 
 
-def _end_square(shape, ob, mo, slice_nerves, prods, slice_maps, fam, mid, k,
-                trunc):
+def _end_square(shape, mo, slice_nerves, prods, slice_maps, fam, mid, k, trunc):
     i, j = shape.dom(mid), shape.cod(mid)
     prod_i, canon_i, ids_i, elem_i = prods[(i, k)]
     prod_j, canon_j, ids_j, elem_j = prods[(j, k)]

@@ -18,7 +18,7 @@ from . import fincat as fc
 from . import homotopy as ht
 from . import simplicial as sp
 from .errors import SchemaError
-from .site import Site
+from .site import Site, malformed_covers
 
 
 def dumps(obj) -> str:
@@ -85,8 +85,12 @@ def decode_site(data: dict, name="S") -> Site:
         if data.get("schema", "site.v1") != "site.v1":
             raise SchemaError("expected site.v1, got %r" % data.get("schema"))
         cat = decode_fincat(data["fincat"], name)
-        return Site(cat, {x: [list(f) for f in fams]
+        site = Site(cat, {x: [list(f) for f in fams]
                           for x, fams in data.get("covers", {}).items()})
+        problems = malformed_covers(site)
+        if problems:
+            raise SchemaError("malformed site.v1: %s" % "; ".join(problems))
+        return site
 
 
 # ---------------------------------------------------------------------------

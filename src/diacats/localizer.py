@@ -279,10 +279,8 @@ def l2_instances(u: DiagramUniverse, translator: ShapeTranslator = None):
 def cover_families(site: Site, x: str, refine_bound: int = 2):
     """Declared families of x plus refinement chains up to the bound."""
     fams = [tuple(f) for f in site.families_of(x)]
-    depth = 1
     frontier = list(fams)
-    while depth < refine_bound:
-        depth += 1
+    for _ in range(1, refine_bound):
         nxt = []
         for fam in frontier:
             for i, m in enumerate(fam):
@@ -431,36 +429,32 @@ def _induced_mid(u, w, comma1, comma2):
     return parts and u._index.get((comma1[0], comma2[0]) + parts)
 
 
-def _certified(parts, trunc):
+def _certified(parts):
     """[(j, certificate kind)] when every (j, category) in `parts` carries a
-    sufficient contractibility certificate, else None."""
+    contractibility certificate, else None."""
     certs = []
     for j, cat in parts:
-        cert = at.contractibility_certificate(cat, trunc)
-        if cert is None or cert.necessary_only:
+        cert = at.contractibility_certificate(cat)
+        if cert is None:
             return None
         certs.append((j, cert.kind))
     return certs
 
 
-def l4_instances(u: DiagramUniverse, trunc: int = 3):
+def l4_instances(u: DiagramUniverse):
     """Pure-diagram-type morphisms whose slices (or fibers, for
-    fibrations) all carry a sufficient contractibility certificate.
-
-    `trunc` only sizes the nerve behind a `HomologyPoint` certificate, which
-    is necessary-only and so always rejected: the instances do not depend
-    on it."""
+    fibrations) all carry a contractibility certificate."""
     out = []
     for mid, um in u.morphisms.items():
         m = um.mor
         if not m.is_pure_diagram_type():
             continue
         alpha, js = m.shape_map, m.tgt.shape.objects
-        certs = _certified(((j, fc.slice_under(j, alpha)[0]) for j in js), trunc)
+        certs = _certified((j, fc.slice_under(j, alpha)[0]) for j in js)
         if certs is not None:
             out.append((mid, "slices", certs))
         elif fc.is_fibration(alpha)[0]:
-            certs = _certified(((j, fc.fiber(alpha, j)[0]) for j in js), trunc)
+            certs = _certified((j, fc.fiber(alpha, j)[0]) for j in js)
             if certs is not None:
                 out.append((mid, "fibers", certs))
     return out
@@ -503,11 +497,11 @@ def adjunction_instances(u: DiagramUniverse):
 # rule derivations: the closure admits them, the checks report them
 
 
-def _rule_tables(u: DiagramUniverse, trunc: int, refine_bound: int):
+def _rule_tables(u: DiagramUniverse, refine_bound: int):
     """The instance table of each rule family; L3's is its resolver."""
     translator = ShapeTranslator(u)
     ws1, ws2, ws3 = ws_instances(u)
-    return {"WS1": ws1, "L4": l4_instances(u, trunc), "L2": l2_instances(u, translator),
+    return {"WS1": ws1, "L4": l4_instances(u), "L2": l2_instances(u, translator),
             "HTP": homotopy_classes(u), "ADJ": adjunction_instances(u),
             "WS2": ws2, "WS3": ws3, "L3": L3Triangles(u, refine_bound, translator)}
 
@@ -516,6 +510,8 @@ def _derive(w: MorClass, rules: dict):
     """(member, provenance record, instance) for every instance in `rules`
     whose premises are members of w and whose conclusion is not, family by
     family in the closure's order: WS1, L4, L2, ADJ, WS2, WS3, L3, HTP.
+    ADJ admits only partners: each slice under a right adjoint s has an
+    initial object (Mac Lane, CWM Thm IV.1.2), so L4 admits (s, id) first.
 
     `rules` may hold only some families.  Membership is read live: a caller
     that admits each derivation as it comes sees it in the ones after.  An
@@ -533,8 +529,6 @@ def _derive(w: MorClass, rules: dict):
         if mid is not None and mid not in m:
             yield mid, ("L2", oid), (oid, mid)
     for mid, pid, pname in rules.get("ADJ", ()):
-        if mid not in m:
-            yield mid, ("ADJ", pname), (mid, pid, pname)
         if pid is not None and pid not in m and mid in m:
             yield pid, ("ADJ-partner", mid), (mid, pid, pname)
     for f, g, h in rules.get("WS2", ()):
@@ -587,8 +581,8 @@ def check_L3(w: MorClass, u: DiagramUniverse, refine_bound: int = 2):
     return [("L3",) + inst[:2] for _, _, inst in _derive(w, {"L3": l3})], l3.complete()[1]
 
 
-def check_L4(w: MorClass, u: DiagramUniverse, trunc: int = 3):
-    return [("L4",) + inst for _, _, inst in _derive(w, {"L4": l4_instances(u, trunc)})]
+def check_L4(w: MorClass, u: DiagramUniverse):
+    return [("L4",) + inst for _, _, inst in _derive(w, {"L4": l4_instances(u)})]
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +597,11 @@ def closure_fixpoint(seed: MorClass, u: DiagramUniverse, trunc: int = 3,
     is a sound under-approximation of the smallest localizer restricted to
     the universe, with one provenance entry per member.  It carries the
     instance tables it was derived from; `skipped_l3` finishes the L3
-    resolution from their caches when first read.  `trunc` reaches only
-    :func:`l4_instances`, whose instances do not depend on it."""
+    resolution from their caches when first read.  `trunc` is unread:
+    `bench/workloads.py` passes it, and it goes with the next change to
+    the benchmark."""
     w = seed.copy()
-    w.rules = _rule_tables(u, trunc, refine_bound)
+    w.rules = _rule_tables(u, refine_bound)
     admitted = True
     while admitted:
         admitted = [mid for mid, why, _ in _derive(w, w.rules) if w.admit(mid, why)]
@@ -627,7 +622,6 @@ def replay_provenance(w: MorClass, u: DiagramUniverse):
     m = w.members - w.provenance.keys()
     ident, l2, ws3 = (set(rules[r]) for r in ("WS1", "L2", "WS3"))
     l4 = {(mid, how, tuple(certs)) for mid, how, certs in rules["L4"]}
-    adj = {(mid, pname) for mid, _, pname in rules["ADJ"]}
     partner = {(pid, mid) for mid, pid, _ in rules["ADJ"]}
     l3 = rules["L3"]
     root = {x: r for r, mids in rules["HTP"].items() for x in mids}
@@ -653,7 +647,6 @@ def replay_provenance(w: MorClass, u: DiagramUniverse):
         "L3": l3_holds,
         "L4": lambda mid, how, certs: (mid, how, certs) in l4,
         "HTP": lambda mid, rep: rep in m and root[rep] == root[mid],
-        "ADJ": lambda mid, pname: (mid, pname) in adj,
         "ADJ-partner": lambda mid, src: (mid, src) in partner and src in m,
     }
 

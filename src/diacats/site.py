@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fincat as fc
-from .errors import LimitAbsent
 
 
 @dataclass
@@ -20,26 +19,12 @@ class Site:
 
     def families_of(self, x: str):
         """Declared covering families of x, always including the identity."""
-        fams = [[self.cat.id_of(x)]]
-        for fam in self.covers.get(x, []):
-            fams.append(list(fam))
-        return fams
-
-    def validate(self):
-        rep = validate_pretopology(self)
-        if rep:
-            raise LimitAbsent("pretopology violations: %s" % "; ".join(rep))
-        return self
+        return [[self.cat.id_of(x)]] + [list(fam) for fam in self.covers.get(x, [])]
 
 
-def validate_pretopology(site: Site):
-    """Report pretopology violations with witnesses.
-
-    Checks that (a) singleton isomorphism families cover, (b) every
-    declared family can be base-changed: pullbacks exist and the
-    pulled-back family is refined by a declared cover of the base,
-    (c) composites of covers are refined by covers.
-    """
+def malformed_covers(site: Site):
+    """A cover declared on an object the category does not have, or with a
+    member that is not a morphism into its object, one line each."""
     cat = site.cat
     problems = []
     for x, fams in site.covers.items():
@@ -50,6 +35,19 @@ def validate_pretopology(site: Site):
             for m in fam:
                 if m not in cat._mor_by_id or cat.cod(m) != x:
                     problems.append("family member %r does not land in %r" % (m, x))
+    return problems
+
+
+def validate_pretopology(site: Site):
+    """Report pretopology violations with witnesses.
+
+    After :func:`malformed_covers`, checks that (a) singleton isomorphism
+    families cover, (b) every declared family can be base-changed:
+    pullbacks exist and the pulled-back family is refined by a declared
+    cover of the base, (c) composites of covers are refined by covers.
+    """
+    cat = site.cat
+    problems = malformed_covers(site)
     if problems:
         return problems
     for x in cat.objects:

@@ -171,7 +171,7 @@ def test_criterion_05_hocolim_nerve():
             xlab = rng.choice(list(cat.objects))
             x = sp.constant_split(cat, xlab, 3)
             aug = {nd: cat.hom(xlab, s)[0] for l in x.levels for nd in l}
-            bij, lhs, rhs = ht.hocolim_nerve_check(site, d, s, f_parts, x, aug, 3)
+            bij, lhs, rhs = ht.hocolim_nerve_check(site, d, f_parts, x, aug, 3)
             assert bij is not None, (site.cat.name, d.name)
             done += 1
     report(5, True, "10/10 exact split isomorphisms (%.1fs)" % (time.time() - t0))

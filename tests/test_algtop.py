@@ -341,14 +341,13 @@ def test_deletable_matches_reference():
     assert kinds == {None, "coreflection", "reflection"}
 
 
-def test_homology_point_cert_is_necessary_only():
-    # a category whose nerve has point homology in low range gets the
-    # necessary-only marker when extremal deletion gets stuck
-    cert = at.contractibility_certificate(fx.cone_poset())
-    assert cert.kind == "FinalObject" and not cert.necessary_only
+def test_point_homology_alone_gets_no_certificate():
+    """Every certificate is sufficient: point homology, which is only
+    necessary, earns none."""
+    assert at.contractibility_certificate(fx.cone_poset()).kind == "FinalObject"
     # the element category of Delta1 x Delta1 has no extremal object and no
-    # deletion chain, but its nerve has point homology through degree 1
+    # deletion chain, though its nerve has point homology through degree 1
     prod = sp.simpset_product(sp.delta_simpset(1, 2), sp.delta_simpset(1, 2))[0]
     cat, _, _ = ht.int_simpset(prod, 2)
-    cert = at.contractibility_certificate(cat, 2)
-    assert cert.kind == "HomologyPoint" and cert.necessary_only
+    assert at.homology(sp.nerve_of_category(cat, 2)).is_point()
+    assert at.contractibility_certificate(cat) is None

@@ -301,8 +301,7 @@ def test_hocolim_nerve_check_trivial_and_pseudocircle():
     # X = constant base object: both sides are the nerve
     xconst = sp.constant_split(cat, "{a,b,c,d}", 3)
     aug = {nd: cat.id_of("{a,b,c,d}") for l in xconst.levels for nd in l}
-    bij, lhs, rhs = ht.hocolim_nerve_check(PS, d, "{a,b,c,d}", f_parts,
-                                           xconst, aug, 3)
+    bij, lhs, rhs = ht.hocolim_nerve_check(PS, d, f_parts, xconst, aug, 3)
     assert bij is not None
     lhs.validate()
     rhs.validate()
@@ -311,7 +310,7 @@ def test_hocolim_nerve_check_trivial_and_pseudocircle():
     # X = a proper open
     x2 = sp.constant_split(cat, "{a,b,d}", 3)
     aug2 = {nd: "{a,b,d}<={a,b,c,d}" for l in x2.levels for nd in l}
-    bij2, _, _ = ht.hocolim_nerve_check(PS, d, "{a,b,c,d}", f_parts, x2, aug2, 3)
+    bij2, _, _ = ht.hocolim_nerve_check(PS, d, f_parts, x2, aug2, 3)
     assert bij2 is not None
 
 

@@ -108,8 +108,7 @@ def test_cli_validate_and_homology(tmp_path):
 
 
 CLI_FLAGS = {
-    "--trunc": {"nerve", "int-amalg", "hocolim", "holim", "cech",
-                "localizer-check", "localizer-closure", "compare"},
+    "--trunc": {"nerve", "int-amalg", "hocolim", "holim", "cech", "compare"},
     "--dot": {"validate", "groth", "int-amalg", "tw"},
     "--refine-bound": {"localizer-check", "localizer-closure"},
     "--seed": {"compare"},
@@ -351,6 +350,50 @@ def test_cli_localizer_closure(tmp_path):
     assert rep["admissions"] == {"ADJ-partner": 2, "L4": 4, "WS1": 4}
     assert run_cli(["localizer-check", "--universe", str(ufile),
                     "--weq", str(tmp_path / "none")]) in (0, 1, 2)
+
+
+def test_cli_refine_bound_at_least_1(tmp_path, capsys):
+    """`--refine-bound` counts cover families from 1: argparse exits 2 on 0
+    or a negative bound, which would read as 1."""
+    ufile = tmp_path / "u.json"
+    ufile.write_text(io.dumps(io.encode_universe(lc.poset_universe(fx.terminal_site(), 1))))
+    # the check exits 1: the empty class it checks violates the axioms
+    for cmd, code in (("localizer-closure", 0), ("localizer-check", 1)):
+        argv = [cmd, "--universe", str(ufile), "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv + ["--refine-bound", "1"]) == code
+        for bad in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + ["--refine-bound", bad])
+            assert exc.value.code == 2
+            assert "--refine-bound: expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_cli_malformed_cover_exits_2(tmp_path, capsys):
+    """A site.v1 cover on an unknown object, or with a member that is not a
+    morphism into its object, is an input error (exit 2) in a universe or a
+    site record; a well-formed cover that breaks the pretopology is a
+    violation (exit 1)."""
+    urec = io.encode_universe(lc.poset_universe(fx.pseudocircle_site(), 2))
+    top = "{a,b,c,d}"
+    for covers, why in (({top: [["{a,b,c}<={a,b,c}"]]}, "does not land in"),
+                        ({"zzz": [["{a}<={a}"]]}, "unknown object")):
+        urec["site"]["covers"] = covers
+        ufile, sfile = tmp_path / "u.json", tmp_path / "s.json"
+        ufile.write_text(io.dumps(urec))
+        sfile.write_text(io.dumps(urec["site"]))
+        for argv in (["localizer-closure", "--universe", str(ufile)],
+                     ["localizer-check", "--universe", str(ufile)],
+                     ["validate", "--site", str(sfile)]):
+            assert run_cli(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error:") and why in err and "Traceback" not in err
+        with pytest.raises(SchemaError, match=why):
+            io.decode_site(urec["site"])
+    urec["site"]["covers"] = {top: [["{}<=" + top]]}
+    sfile.write_text(io.dumps(urec["site"]))
+    out = tmp_path / "r.json"
+    assert run_cli(["validate", "--site", str(sfile), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["pretopology_violations"]
 
 
 def test_cli_compare_checks():

@@ -14,7 +14,9 @@ attribute the library stores on an object other than `self` to be read
 somewhere in `src/`, `bench/` or `demos/`.  A fifth
 rejects a nested def that calls itself: exhaustive searches go through
 `fincat.backtrack`.  A sixth requires every name a library module imports
-to be read in that module.
+to be read in that module.  A seventh requires every parameter of a
+module-level def or method to be read in its body, or to be listed in
+`UNREAD_PARAMS` with its reason.
 """
 
 import ast
@@ -187,6 +189,56 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not flagged, "defaulted parameters no call site passes: " + ", ".join(flagged)
     stale = sorted(k for k in KEPT_DEFAULTS if k not in unused)
     assert not stale, "KEPT_DEFAULTS entries now passed or gone: %s" % stale
+
+
+COMPARE_SIGNATURE = "`cli.cmd_compare` calls every `COMPARE` entry as fn(args, rng)"
+
+# Parameters that their def does not read but that stay, with why.
+UNREAD_PARAMS = {
+    ("closure_fixpoint", "trunc"): "`bench/workloads.py` passes it; it goes with the "
+                                   "next change to the benchmark",
+    ("_compare_theoremback", "args"): COMPARE_SIGNATURE,
+    ("_compare_hocolimnerve", "rng"): COMPARE_SIGNATURE,
+    ("_compare_pointwiseint", "args"): COMPARE_SIGNATURE,
+}
+
+
+def unread_params(tree):
+    """(function, parameter, line) for each parameter of a module-level def
+    or method that its body, nested defs included, never reads.  `self` and
+    `cls` are exempt, and so are nested defs and lambdas: they are callbacks
+    whose signature their caller fixes."""
+    out = []
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                read = {n.id for n in ast.walk(node)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.extend((node.name, p.arg, node.lineno) for p in params
+                           if p.arg not in read | {"self", "cls"})
+
+    visit(tree.body)
+    return out
+
+
+def test_every_parameter_is_read():
+    """A parameter that its def never reads is dead: callers pass a value
+    that changes nothing.  Remove it, or list it in `UNREAD_PARAMS` with
+    the reason it stays."""
+    unread = {(fn, param): "%s:%d" % (path.relative_to(ROOT), line)
+              for path in sorted(LIBRARY.glob("*.py"))
+              for fn, param, line in unread_params(parse(path))}
+    flagged = sorted("%s(%s) at %s" % (fn, param, where)
+                     for (fn, param), where in unread.items() if (fn, param) not in UNREAD_PARAMS)
+    assert not flagged, "parameters never read: " + ", ".join(flagged)
+    stale = sorted(k for k in UNREAD_PARAMS if k not in unread)
+    assert not stale, "UNREAD_PARAMS entries now read or gone: %s" % stale
 
 
 def dead_locals(tree):

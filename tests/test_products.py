@@ -279,8 +279,8 @@ def criterion_05_instances():
 
 def test_base_change_nerve_side_matches_reference():
     count = 0
-    for site, d, s, f_parts, x, aug in criterion_05_instances():
-        bij, lhs, rhs = ht.hocolim_nerve_check(site, d, s, f_parts, x, aug, 3)
+    for site, d, _, f_parts, x, aug in criterion_05_instances():
+        bij, lhs, rhs = ht.hocolim_nerve_check(site, d, f_parts, x, aug, 3)
         ref = reference_nerve_side(site, d, f_parts, x, aug, 3)
         assert split_fields(rhs) == split_fields(ref[0])
         assert bij is not None

@@ -396,7 +396,7 @@ def reference_holim_families(shape, ob, mo, trunc):
             fams = [dict(f, **{i: c}) for f in fams for c in cands[i]]
         good = []
         for fam in fams:
-            if all(ht._end_square(shape, ob, mo, slice_nerves, prods, slice_maps,
+            if all(ht._end_square(shape, mo, slice_nerves, prods, slice_maps,
                                   fam, m.id, k, trunc)
                    for m in shape.morphisms if not shape.is_identity(m.id)):
                 good.append(fam)

@@ -277,7 +277,7 @@ def case_hocolim_nerve_check(rng):
     aug = {nd: "{a,b,d}<=" + TOP for l in x.levels for nd in l}
     f_parts = {i: PS.cat.hom(d.labels.ob(i), TOP)[0] for i in d.shape.objects}
     (_, lhs, rhs), xds = built(ht.SplitDiagram, ht.hocolim_nerve_check,
-                               PS, d, TOP, f_parts, x, aug, 2)
+                               PS, d, f_parts, x, aug, 2)
     return [lhs, rhs, *xds]
 
 
