@@ -31,15 +31,17 @@ print("\ntw([1]):", tw, "objects:", tw.objects)
 twc, q1, q3, mu = fc.twisted_arrow(fc.chain_category(1), "twc")
 print("twc([1]):", twc, "with mu at each composable pair")
 
-# a Grothendieck construction and its opfibration certificate
+# a Grothendieck construction and its opfibration certificate: F is a
+# strict functor into diagrams, and validate checks that it sends
+# identities to identities and composites to composites on the nose
 ts = fx.terminal_site()
 pt = dg.point_dia(ts.cat, "*")
 c1 = fc.chain_category(1)
 d1 = dg.DiaObj(c1, fc.FinFunctor.constant(c1, ts.cat, "*"))
-F = dg.DiaFunctor(c1, {"0": pt, "1": d1},
-                  {c1.id_of("0"): dg.DiaMor.identity(pt),
-                   c1.id_of("1"): dg.DiaMor.identity(d1),
-                   "0<=1": dg.all_dia_mors(pt, d1)[0]}).validate()
+F = fc.StrictFunctor(c1, {"0": pt, "1": d1},
+                     {c1.id_of("0"): dg.DiaMor.identity(pt),
+                      c1.id_of("1"): dg.DiaMor.identity(d1),
+                      "0<=1": dg.all_dia_mors(pt, d1)[0]}, "F").validate()
 gro, proj, incl = dg.grothendieck_construction(F)
 print("\nint(F):", gro.shape.objects)
 print("projection is an opfibration:", fc.is_opfibration(proj)[0])

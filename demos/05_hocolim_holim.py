@@ -11,6 +11,7 @@ from diacats import fixtures as fx
 from diacats import homotopy as ht
 from diacats import randgen as rg
 from diacats import simplicial as sp
+from diacats.errors import InvalidFunctor
 
 ts = fx.terminal_site()
 ps = fx.pseudocircle_site()
@@ -45,11 +46,22 @@ bij, lhs, rhs = ht.hocolim_nerve_check(ps, d, f_parts, xo, aug, 3)
 print("\nbase-change comparison iso:", bij is not None)
 print("carriers on the left:", sorted(set(lhs.label.values())))
 
-# the end-formula homotopy limit
+# the end-formula homotopy limit of a strict functor into simplicial sets
 d1 = sp.delta_simpset(1, 2)
 d0 = sp.delta_simpset(0, 2)
 disc = fc.discrete_category("2", ["l", "r"])
-h = ht.holim_end(disc, {"l": d1, "r": d0},
-                 {disc.id_of("l"): sp.SimpMap.identity(d1),
-                  disc.id_of("r"): sp.SimpMap.identity(d0)}, 2)
+X = fc.StrictFunctor(disc, {"l": d1, "r": d0},
+                     {disc.id_of("l"): sp.SimpMap.identity(d1),
+                      disc.id_of("r"): sp.SimpMap.identity(d0)}, "X").validate()
+h = ht.holim_end(X, 2)
 print("\nholim over two points (a product):", h)
+
+# the self-map of Delta_1 onto vertex 0 is idempotent but no identity, so
+# sending id_* to it is not a functor: validate refuses it, as the CLI does
+pt = fc.terminal_category()
+onto0 = sp.SimpMap(d1, d1, {s: ((0,) * (k + 1), "(0)")
+                            for k, l in enumerate(d1.levels) for s in l})
+try:
+    fc.StrictFunctor(pt, {"*": d1}, {"id_*": onto0}, "X").validate()
+except InvalidFunctor as exc:
+    print("refused:", exc)

@@ -129,8 +129,7 @@ def cmd_hocolim(args):
 
 
 def cmd_holim(args):
-    shape, obs, mos = io.decode_simp_functor(_load_json(args.functor))
-    h = ht.holim_end(shape, obs, mos, args.trunc)
+    h = ht.holim_end(io.decode_simp_functor(_load_json(args.functor)), args.trunc)
     _emit(args, {"command": "holim", "levels": [len(l) for l in h.levels],
                  "object": io.encode_simpset(h)})
     return 0

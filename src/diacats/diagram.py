@@ -12,7 +12,6 @@ from . import fincat as fc
 from . import simplicial as sp
 from .errors import (
     EndpointMismatch,
-    InvalidFunctor,
     InvalidNatTransf,
     LimitAbsent,
     ObjectNotInTarget,
@@ -306,37 +305,11 @@ def induced_comma_map(w: DiaMor, comma1, comma2):
 # Grothendieck construction
 
 
-class DiaFunctor:
-    """A strict functor from a finite base category into diagrams: an
-    object assignment a -> DiaObj and a morphism assignment m -> DiaMor."""
-
-    def __init__(self, base: fc.FinCat, ob, mo, name="F"):
-        self.base = base
-        self.ob = dict(ob)
-        self.mo = dict(mo)
-        self.name = name
-
-    def validate(self):
-        for a in self.base.objects:
-            self.ob[a].validate()
-        for m in self.base.morphisms:
-            dm = self.mo[m.id]
-            dm.validate()
-            if dm.src.key() != self.ob[m.dom].key() or dm.tgt.key() != self.ob[m.cod].key():
-                raise InvalidFunctor("diagram functor endpoints wrong at %r" % m.id)
-        for a in self.base.objects:
-            if self.mo[self.base.id_of(a)].key() != DiaMor.identity(self.ob[a]).key():
-                raise InvalidFunctor("diagram functor not strict at id_%r" % a)
-        for (g, f), h in self.base.compose_table.items():
-            if self.mo[f].then(self.mo[g]).key() != self.mo[h].key():
-                raise InvalidFunctor("diagram functor not strict at (%r,%r)" % (g, f))
-        return self
-
-
-def grothendieck_construction(F: DiaFunctor):
-    """int F = (int I, S): objects (a, i), morphisms (m, g) with
-    g : alpha_m(i) -> i', labeled S_a(i).  Returns (DiaObj, projection
-    functor to the base, fiber inclusion DiaMors)."""
+def grothendieck_construction(F: fc.StrictFunctor):
+    """int F = (int I, S) of a strict functor F into diagrams: objects
+    (a, i), morphisms (m, g) with g : alpha_m(i) -> i', labeled S_a(i).
+    Returns (DiaObj, projection functor to the base, fiber inclusion
+    DiaMors)."""
     A = F.base
     shape_of = {a: F.ob[a].shape for a in A.objects}
     okey = {(a, i): "(%s|%s)" % (a, i) for a in A.objects for i in shape_of[a].objects}
@@ -396,7 +369,7 @@ def span_diafunctor(f: DiaMor, g: DiaMor, name="X"):
           sh.id_of("b"): DiaMor.identity(f.tgt),
           sh.id_of("c"): DiaMor.identity(g.tgt),
           "a<=b": f, "a<=c": g}
-    return DiaFunctor(sh, ob, mo, name)
+    return fc.StrictFunctor(sh, ob, mo, name)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +426,13 @@ def nerve_mor(m: DiaMor, trunc: int, na=None, nb=None) -> sp.SplitMor:
     return sp.SplitMor(na, nb, val, part, "N(%s)" % m.name)
 
 
-def nerve_diagram(F: DiaFunctor, trunc: int):
+def nerve_diagram(F: fc.StrictFunctor, trunc: int) -> fc.StrictFunctor:
     """Nerves of every value of a diagram functor, with the induced
     morphisms between the shared nerve objects."""
-    from .homotopy import SplitDiagram
     nerves = {a: nerve(F.ob[a], trunc) for a in F.base.objects}
     mors = {m.id: nerve_mor(F.mo[m.id], trunc, nerves[m.dom], nerves[m.cod])
             for m in F.base.morphisms}
-    return SplitDiagram(F.base, nerves, mors, "N(%s)" % F.name)
+    return fc.StrictFunctor(F.base, nerves, mors, "N(%s)" % F.name)
 
 
 def hom_diagram(site: Site, x, d: DiaObj):

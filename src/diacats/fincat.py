@@ -136,74 +136,53 @@ class FinCat:
             self.name, len(self.objects), len(self.morphisms))
 
     def validate(self) -> "FinCat":
-        """Check every axiom, associativity included; raise the first
-        violation :func:`validate_report` finds."""
-        report = validate_report(self)
-        if report:
-            exc, msg = report[0]
-            raise exc(msg)
-        return self
-
-
-def validate_report(cat: FinCat) -> list:
-    """Collect category-axiom violations as (exception class, message)."""
-    problems = []
-    ids = set()
-    for m in cat.morphisms:
-        if m.id in ids:
-            problems.append((DomCodMismatch, "duplicate morphism id %r" % m.id))
-        ids.add(m.id)
-        if m.dom not in cat.objects or m.cod not in cat.objects:
-            problems.append((DomCodMismatch, "morphism %r has unknown endpoint" % m.id))
-    for x in cat.objects:
-        if x not in cat.identity:
-            problems.append((MissingIdentity, "object %r has no identity" % x))
-            continue
-        i = cat.identity[x]
-        if i not in cat._mor_by_id:
-            problems.append((MissingIdentity, "identity of %r is not a morphism" % x))
-            continue
-        m = cat.mor(i)
-        if m.dom != x or m.cod != x:
-            problems.append((MissingIdentity, "identity of %r has wrong endpoints" % x))
-    if problems:
-        return problems
-    for m in cat.morphisms:
-        for f in cat.morphisms:
-            if f.cod == m.dom:
-                if (m.id, f.id) not in cat.compose_table:
-                    problems.append((PartialCompositionTable,
-                                     "missing composite (%r, %r)" % (m.id, f.id)))
-                else:
-                    h = cat.compose_table[(m.id, f.id)]
-                    if h not in cat._mor_by_id:
-                        problems.append((PartialCompositionTable,
-                                         "composite (%r,%r) -> unknown id" % (m.id, f.id)))
-                    else:
-                        hm = cat.mor(h)
-                        if hm.dom != f.dom or hm.cod != m.cod:
-                            problems.append((DomCodMismatch,
-                                             "composite (%r,%r) has wrong endpoints" % (m.id, f.id)))
-    if problems:
-        return problems
-    for m in cat.morphisms:
-        i, j = cat.identity[m.dom], cat.identity[m.cod]
-        if cat.compose_table[(m.id, i)] != m.id or cat.compose_table[(j, m.id)] != m.id:
-            problems.append((MissingIdentity, "identity law fails at %r" % m.id))
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if g.dom != f.cod:
-                continue
-            gf = cat.compose_table[(g.id, f.id)]
-            for h in cat.morphisms:
-                if h.dom != g.cod:
+        """Check every axiom, associativity included, and raise the first
+        violation: ids, endpoints and identities first, then the
+        composition table, then the identity laws and associativity."""
+        ids = set()
+        for m in self.morphisms:
+            if m.id in ids:
+                raise DomCodMismatch("duplicate morphism id %r" % m.id)
+            ids.add(m.id)
+            if m.dom not in self.objects or m.cod not in self.objects:
+                raise DomCodMismatch("morphism %r has unknown endpoint" % m.id)
+        for x in self.objects:
+            if x not in self.identity:
+                raise MissingIdentity("object %r has no identity" % x)
+            i = self.identity[x]
+            if i not in self._mor_by_id:
+                raise MissingIdentity("identity of %r is not a morphism" % x)
+            m = self.mor(i)
+            if m.dom != x or m.cod != x:
+                raise MissingIdentity("identity of %r has wrong endpoints" % x)
+        table = self.compose_table
+        for m in self.morphisms:
+            for f in self.morphisms:
+                if f.cod != m.dom:
                     continue
-                hg = cat.compose_table[(h.id, g.id)]
-                if cat.compose_table[(h.id, gf)] != cat.compose_table[(hg, f.id)]:
-                    problems.append((NonAssociative,
-                                     "associativity fails on (%r,%r,%r)" % (h.id, g.id, f.id)))
-                    return problems
-    return problems
+                if (m.id, f.id) not in table:
+                    raise PartialCompositionTable("missing composite (%r, %r)" % (m.id, f.id))
+                h = table[(m.id, f.id)]
+                if h not in self._mor_by_id:
+                    raise PartialCompositionTable(
+                        "composite (%r,%r) -> unknown id" % (m.id, f.id))
+                hm = self.mor(h)
+                if hm.dom != f.dom or hm.cod != m.cod:
+                    raise DomCodMismatch("composite (%r,%r) has wrong endpoints" % (m.id, f.id))
+        for m in self.morphisms:
+            i, j = self.identity[m.dom], self.identity[m.cod]
+            if table[(m.id, i)] != m.id or table[(j, m.id)] != m.id:
+                raise MissingIdentity("identity law fails at %r" % m.id)
+        for f in self.morphisms:
+            for g in self.morphisms:
+                if g.dom != f.cod:
+                    continue
+                gf = table[(g.id, f.id)]
+                for h in self.morphisms:
+                    if h.dom == g.cod and table[(h.id, gf)] != table[(table[(h.id, g.id)], f.id)]:
+                        raise NonAssociative(
+                            "associativity fails on (%r,%r,%r)" % (h.id, g.id, f.id))
+        return self
 
 
 def validate_category(raw: dict, name: str = "C") -> FinCat:
@@ -453,6 +432,41 @@ class FinFunctor:
         return FinFunctor("const_%s" % obj, source, target,
                           {x: obj for x in source.objects},
                           {m.id: target.id_of(obj) for m in source.morphisms})
+
+
+class StrictFunctor:
+    """A strict functor from a finite category into structures: diagrams,
+    split simplicial objects or simplicial sets.  `ob[a]` is the value at
+    each object and `mo[m]` the map at each morphism.  The values need
+    `validate` and `key`; the maps need `validate`, `key`, `src`, `tgt`
+    and `then`, and their class a static `identity` on a value."""
+
+    def __init__(self, base: FinCat, ob, mo, name):
+        self.base = base
+        self.ob = dict(ob)
+        self.mo = dict(mo)
+        self.name = name
+
+    def validate(self) -> "StrictFunctor":
+        """Every value and map validates, each map's ends have the keys of
+        the values at its morphism's ends, and identities and composites
+        are preserved on the nose; raise the first violation."""
+        base, ob, mo = self.base, self.ob, self.mo
+        for a in base.objects:
+            ob[a].validate()
+        key = {a: ob[a].key() for a in base.objects}
+        for m in base.morphisms:
+            f = mo[m.id].validate()
+            if f.src.key() != key[m.dom] or f.tgt.key() != key[m.cod]:
+                raise InvalidFunctor("%s: ends wrong at %r" % (self.name, m.id))
+        for a in base.objects:
+            f = mo[base.id_of(a)]
+            if f.key() != type(f).identity(ob[a]).key():
+                raise InvalidFunctor("%s: not strict at the identity of %r" % (self.name, a))
+        for (g, f), h in base.compose_table.items():
+            if mo[f].then(mo[g]).key() != mo[h].key():
+                raise InvalidFunctor("%s: not strict at (%r, %r)" % (self.name, g, f))
+        return self
 
 
 class NatTransf:

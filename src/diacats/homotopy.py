@@ -295,31 +295,6 @@ def comparison_to_simp(x: sp.SplitSimpObj, nerve_trunc: int, int_trunc=None,
 # Bousfield-Kan homotopy colimit
 
 
-class SplitDiagram:
-    """A strict functor from a finite shape to split simplicial objects."""
-
-    def __init__(self, shape: fc.FinCat, ob, mo, name="X"):
-        self.shape = shape
-        self.ob = dict(ob)
-        self.mo = dict(mo)
-        self.name = name
-
-    def validate(self):
-        for a in self.shape.objects:
-            self.ob[a].validate()
-        for m in self.shape.morphisms:
-            f = self.mo[m.id]
-            f.validate()
-            if not (sp.split_equal(f.src, self.ob[m.dom])
-                    and sp.split_equal(f.tgt, self.ob[m.cod])):
-                raise LimitAbsent("split diagram endpoints wrong at %r" % m.id)
-        for (g, f), h in self.shape.compose_table.items():
-            comp = self.mo[f].then(self.mo[g])
-            if comp.val != self.mo[h].val or comp.part != self.mo[h].part:
-                raise LimitAbsent("split diagram not strict at (%r,%r)" % (g, f))
-        return self
-
-
 def _first_arrow(nerve_set: sp.SimpSet, cat: fc.FinCat, value):
     """The first arrow of the chain a nerve value of level >= 1 stands for:
     the first stored arrow unless the degeneracy repeats the first object."""
@@ -328,17 +303,18 @@ def _first_arrow(nerve_set: sp.SimpSet, cat: fc.FinCat, value):
     return ms[0] if epi[1] else cat.id_of(x0)
 
 
-def hocolim_bk(xd: SplitDiagram, trunc: int) -> sp.SplitSimpObj:
-    """The Bousfield-Kan homotopy colimit, the diagonal of the bisimplicial
-    object whose (n, m) part is one copy of X(i_0)_m per length-n chain
-    i_0 -> ... -> i_n.  Level n pairs a chain value with an n-value of X
-    at the chain's first object; d_i applies the nerve's face and then X's,
-    d_0 transporting along the first arrow in between.  The part of d_i is
-    X's face part composed with the transport part.
+def hocolim_bk(xd: fc.StrictFunctor, trunc: int) -> sp.SplitSimpObj:
+    """The Bousfield-Kan homotopy colimit of a strict functor X into split
+    objects: the diagonal of the bisimplicial object whose (n, m) part is
+    one copy of X(i_0)_m per length-n chain i_0 -> ... -> i_n.  Level n
+    pairs a chain value with an n-value of X at the chain's first object;
+    d_i applies the nerve's face and then X's, d_0 transporting along the
+    first arrow in between.  The part of d_i is X's face part composed
+    with the transport part.
 
     The result carries `nd_elem` and `elem_canon` as :func:`sp.tensor` does.
     """
-    cat = xd.shape
+    cat = xd.base
     scat = xd.ob[cat.objects[0]].scat
     ner = sp.nerve_of_category(cat, trunc)
 
@@ -371,10 +347,10 @@ def hocolim_bk(xd: SplitDiagram, trunc: int) -> sp.SplitSimpObj:
     return diag
 
 
-def constant_split_diagram(shape: fc.FinCat, x: sp.SplitSimpObj) -> SplitDiagram:
+def constant_split_diagram(shape: fc.FinCat, x: sp.SplitSimpObj) -> fc.StrictFunctor:
     idm = sp.SplitMor.identity(x)
-    return SplitDiagram(shape, {a: x for a in shape.objects},
-                        {m.id: idm for m in shape.morphisms}, "const")
+    return fc.StrictFunctor(shape, {a: x for a in shape.objects},
+                            {m.id: idm for m in shape.morphisms}, "const")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +419,7 @@ def hocolim_nerve_check(site: Site, d: dg.DiaObj, f_parts: dict,
                 if part[nd] is None:
                     raise LimitAbsent("no unique transport %r along %r" % (nd, m.id))
         mos[m.id] = sp.SplitMor(obs[i], obs[j], val, part, m.id)
-    xd = SplitDiagram(shape, obs, mos, "FxX")
+    xd = fc.StrictFunctor(shape, obs, mos, "FxX")
     lhs = hocolim_bk(xd, trunc)
 
     # right-hand side: N(I, F) x_s X, levelwise jointly-nondegenerate pairs
@@ -512,15 +488,16 @@ def simp_maps(a: sp.SimpSet, b: sp.SimpSet):
     return [sp.SimpMap(a, b, dict(v)) for v in fc.backtrack(level, options, fits)]
 
 
-def holim_end(shape: fc.FinCat, ob: dict, mo: dict, trunc: int,
-              name="holim"):
-    """The end-formula homotopy limit of a diagram of simplicial sets:
+def holim_end(X: fc.StrictFunctor, trunc: int, name="holim"):
+    """The end-formula homotopy limit of a strict functor X from I into
+    simplicial sets:
 
         (holim X)_k = compatible families (phi_i) of simplicial maps
                       N(I x_{/I} i) x Delta_k -> X(i).
 
     Structural only: no fibrancy handling, no homotopy invariance claim.
     """
+    shape, ob, mo = X.base, X.ob, X.mo
     slices, slice_nerves, prods = {}, {}, {}
     for i in shape.objects:
         sl, proj, okey, mkey = fc.slice_over(fc.FinFunctor.identity(shape), i)

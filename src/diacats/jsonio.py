@@ -15,7 +15,6 @@ from contextlib import contextmanager
 
 from . import diagram as dg
 from . import fincat as fc
-from . import homotopy as ht
 from . import simplicial as sp
 from .errors import SchemaError
 from .site import Site, malformed_covers
@@ -107,20 +106,26 @@ def encode_diagram(d: dg.DiaObj) -> dict:
     }
 
 
+def _diagram(data: dict, site: Site, name) -> dg.DiaObj:
+    """The DiaObj of a diagram.v1 record, not yet validated."""
+    if data.get("schema", "diagram.v1") != "diagram.v1":
+        raise SchemaError("expected diagram.v1, got %r" % data.get("schema"))
+    shape = decode_fincat(data["shape"], name + ".shape")
+    labels = fc.FinFunctor("lbl", shape, site.cat,
+                           data["labels"]["obj"], data["labels"]["mor"])
+    return dg.DiaObj(shape, labels, name)
+
+
 def decode_diagram(data: dict, site: Site, name="D") -> dg.DiaObj:
     with _schema("diagram.v1"):
-        if data.get("schema", "diagram.v1") != "diagram.v1":
-            raise SchemaError("expected diagram.v1, got %r" % data.get("schema"))
-        shape = decode_fincat(data["shape"], name + ".shape")
-        labels = fc.FinFunctor("lbl", shape, site.cat,
-                               data["labels"]["obj"], data["labels"]["mor"])
-        return dg.DiaObj(shape, labels, name).validate()
+        return _diagram(data, site, name).validate()
 
 
 def _dia_mor(m, src: dg.DiaObj, tgt: dg.DiaObj) -> dg.DiaMor:
-    """The diagram morphism {alpha: {obj, mor}, f} from src to tgt."""
+    """The diagram morphism {alpha: {obj, mor}, f} from src to tgt, not yet
+    validated."""
     alpha = fc.FinFunctor("alpha", src.shape, tgt.shape, m["alpha"]["obj"], m["alpha"]["mor"])
-    return dg.DiaMor(src, tgt, alpha, m["f"]).validate()
+    return dg.DiaMor(src, tgt, alpha, m["f"])
 
 
 # ---------------------------------------------------------------------------
@@ -164,64 +169,66 @@ def encode_split(x: sp.SplitSimpObj) -> dict:
     }
 
 
+def _split(data: dict, site: Site, name) -> sp.SplitSimpObj:
+    """The SplitSimpObj of an ssimp.v1 record, not yet validated: its
+    `validate` validates the underlying SimpSet first."""
+    if data.get("schema", "ssimp.v1") != "ssimp.v1":
+        raise SchemaError("expected ssimp.v1, got %r" % data.get("schema"))
+    part = {(s, i): p for s, i, p in data.get("part", [])}
+    return sp.SplitSimpObj(site.cat, _simpset(data["simp"], name), data["label"], part, name)
+
+
 def decode_split(data: dict, site: Site, name="X") -> sp.SplitSimpObj:
     with _schema("ssimp.v1"):
-        if data.get("schema", "ssimp.v1") != "ssimp.v1":
-            raise SchemaError("expected ssimp.v1, got %r" % data.get("schema"))
-        # SplitSimpObj.validate validates the underlying SimpSet first
-        uset = _simpset(data["simp"], name)
-        part = {(s, i): p for s, i, p in data.get("part", [])}
-        return sp.SplitSimpObj(site.cat, uset, data["label"], part, name).validate()
+        return _split(data, site, name).validate()
 
 
 # ---------------------------------------------------------------------------
-# maps and functors as the CLI reads them
+# maps and functors as the CLI reads them (the `_` readers do not validate)
 
 
 def _simp_map(rec: dict, src, tgt) -> sp.SimpMap:
-    return sp.SimpMap(src, tgt, {s: _value(v) for s, v in rec["val"].items()}).validate()
+    return sp.SimpMap(src, tgt, {s: _value(v) for s, v in rec["val"].items()})
 
 
 def _split_mor(rec: dict, src, tgt) -> sp.SplitMor:
     val = {s: _value(v) for s, v in rec["val"].items()}
-    return sp.SplitMor(src, tgt, val, rec["part"]).validate()
+    return sp.SplitMor(src, tgt, val, rec["part"])
 
 
 def decode_simp_map(data: dict) -> sp.SimpMap:
     """A simplicial map with its ends: {src: simp.v1, tgt: simp.v1, val}."""
     with _schema("map"):
         return _simp_map(data, decode_simpset(data["src"], "src"),
-                         decode_simpset(data["tgt"], "tgt"))
+                         decode_simpset(data["tgt"], "tgt")).validate()
 
 
-def _functor(data: dict, shape_key, ob, mor):
-    """(shape, objects, maps) of {shape_key: fincat.v1, objects, morphisms}:
-    `ob(record, name)` decodes the value at each object of the shape and
-    `mor(record, src, tgt)` the map at each morphism."""
+def _functor(data: dict, shape_key, ob, mor, name) -> fc.StrictFunctor:
+    """The strict functor {shape_key: fincat.v1, objects, morphisms},
+    validated once: `ob(record, name)` reads the value at each object of
+    the shape and `mor(record, src, tgt)` the map at each morphism."""
     shape = decode_fincat(data[shape_key])
     obs = {a: ob(data["objects"][a], a) for a in shape.objects}
-    return shape, obs, {m.id: mor(data["morphisms"][m.id], obs[m.dom], obs[m.cod])
-                        for m in shape.morphisms}
+    mos = {m.id: mor(data["morphisms"][m.id], obs[m.dom], obs[m.cod]) for m in shape.morphisms}
+    return fc.StrictFunctor(shape, obs, mos, name).validate()
 
 
-def decode_simp_functor(data: dict):
-    """A diagram of simplicial sets, as (shape, objects, maps)."""
+def decode_simp_functor(data: dict) -> fc.StrictFunctor:
+    """A strict functor into simplicial sets ({val} per map)."""
     with _schema("simp functor"):
-        return _functor(data, "shape", decode_simpset, _simp_map)
+        return _functor(data, "shape", _simpset, _simp_map, "X")
 
 
-def decode_split_functor(data: dict, site: Site) -> ht.SplitDiagram:
-    """A strict diagram of split objects ({val, part} per map)."""
+def decode_split_functor(data: dict, site: Site) -> fc.StrictFunctor:
+    """A strict functor into split objects ({val, part} per map)."""
     with _schema("split functor"):
-        return ht.SplitDiagram(*_functor(data, "shape", lambda d, a: decode_split(d, site, a),
-                                         _split_mor)).validate()
+        return _functor(data, "shape", lambda d, a: _split(d, site, a), _split_mor, "X")
 
 
-def decode_dia_functor(data: dict, site: Site) -> dg.DiaFunctor:
+def decode_dia_functor(data: dict, site: Site) -> fc.StrictFunctor:
     """A strict functor into diagrams ({alpha, f} per map)."""
     with _schema("diagram functor"):
-        return dg.DiaFunctor(*_functor(data, "base", lambda d, a: decode_diagram(d, site, a),
-                                       _dia_mor)).validate()
+        return _functor(data, "base", lambda d, a: _diagram(d, site, a), _dia_mor, "F")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +268,7 @@ def decode_universe(data: dict):
         for d in dias:
             u.add_object(d)
         for m in data.get("morphisms", []):
-            u.add_morphism(_dia_mor(m, dias[m["src"]], dias[m["tgt"]]))
+            u.add_morphism(_dia_mor(m, dias[m["src"]], dias[m["tgt"]]).validate())
         u.close_composition()
         return u.validate()
 

@@ -472,8 +472,9 @@ def homotopy_classes(u: DiagramUniverse):
 
 
 def adjunction_instances(u: DiagramUniverse):
-    """Morphisms of the form (s, id) with s a right adjoint, together with
-    the partner (p, unit-induced) when present in the universe; p and its
+    """Pairs (mid, pid): mid a morphism of the form (s, id) with s a right
+    adjoint, pid its partner (p, unit-induced) in the universe, None when
+    the universe has none; p and its
     unit come from `fc.left_adjoint`.  Since the labels of such a morphism
     are those of its target pulled back along s, the partner is a diagram
     morphism by the unit's naturality."""
@@ -489,7 +490,7 @@ def adjunction_instances(u: DiagramUniverse):
         T = m.tgt.labels
         partner = dg.DiaMor(m.tgt, m.src, p,
                             {j: T.mo(unit.at(j)) for j in p.source.objects}, "padj")
-        out.append((mid, u.lookup(partner), p.name))
+        out.append((mid, u.lookup(partner)))
     return out
 
 
@@ -528,9 +529,9 @@ def _derive(w: MorClass, rules: dict):
     for oid, mid in rules.get("L2", ()):
         if mid is not None and mid not in m:
             yield mid, ("L2", oid), (oid, mid)
-    for mid, pid, pname in rules.get("ADJ", ()):
+    for mid, pid in rules.get("ADJ", ()):
         if pid is not None and pid not in m and mid in m:
-            yield pid, ("ADJ-partner", mid), (mid, pid, pname)
+            yield pid, ("ADJ-partner", mid), (mid, pid)
     for f, g, h in rules.get("WS2", ()):
         inw = (f in m, g in m, h in m)
         if inw == (True, True, False):
@@ -622,7 +623,7 @@ def replay_provenance(w: MorClass, u: DiagramUniverse):
     m = w.members - w.provenance.keys()
     ident, l2, ws3 = (set(rules[r]) for r in ("WS1", "L2", "WS3"))
     l4 = {(mid, how, tuple(certs)) for mid, how, certs in rules["L4"]}
-    partner = {(pid, mid) for mid, pid, _ in rules["ADJ"]}
+    partner = {(pid, mid) for mid, pid in rules["ADJ"]}
     l3 = rules["L3"]
     root = {x: r for r, mids in rules["HTP"].items() for x in mids}
 

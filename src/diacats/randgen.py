@@ -180,7 +180,7 @@ def random_dia_functor(rng, site: Site, max_base=3, max_shape=2, name="F"):
         if not ok or len(mos) != len(base.morphisms):
             continue
         try:
-            return dg.DiaFunctor(base, obs, mos, name).validate()
+            return fc.StrictFunctor(base, obs, mos, name).validate()
         except DiacatsError:
             continue
     raise RuntimeError("could not sample a strict diagram functor")

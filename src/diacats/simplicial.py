@@ -244,17 +244,14 @@ class SimpSet:
                             "simplicial identity fails at %r (i=%d,j=%d)" % (s, i, j))
         return self
 
+    def key(self):
+        """Equal for literally equal sets: the truncation, the ids of each
+        level and the faces."""
+        return (self.trunc, tuple(tuple(sorted(l)) for l in self.levels),
+                tuple(sorted(self.faces.items())))
+
     def __repr__(self):
         return "SimpSet(%s: %s)" % (self.name, self.level_sizes())
-
-
-def simpset_equal(a: SimpSet, b: SimpSet) -> bool:
-    """Literal equality: same truncation, same ids per level, same faces."""
-    if a.trunc != b.trunc:
-        return False
-    if any(sorted(x) != sorted(y) for x, y in zip(a.levels, b.levels)):
-        return False
-    return a.faces == b.faces
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +326,12 @@ class SplitSimpObj:
                             "split identity fails at %r (i=%d,j=%d)" % (s, i, j))
         return self
 
+    def key(self):
+        return (self.uset.key(), tuple(sorted(self.label.items())),
+                tuple(sorted(self.part.items())))
+
     def __repr__(self):
         return "SplitSimpObj(%s: %s)" % (self.name, self.uset.level_sizes())
-
-
-def split_equal(a: SplitSimpObj, b: SplitSimpObj) -> bool:
-    return (simpset_equal(a.uset, b.uset) and a.label == b.label
-            and a.part == b.part)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +365,17 @@ class SimpMap:
                         raise InvalidSimplicial("map not simplicial at (%r,%d)" % (s, i))
         return self
 
+    def key(self):
+        return self.src.key(), self.tgt.key(), tuple(sorted(self.val.items()))
+
     @staticmethod
     def identity(x: SimpSet):
         return SimpMap(x, x, {s: x.nd_value(s) for l in x.levels for s in l}, "id")
+
+    def then(self, other: "SimpMap") -> "SimpMap":
+        return SimpMap(self.src, other.tgt,
+                       {s: other.map_value(self.val[s]) for l in self.src.levels for s in l},
+                       "%s;%s" % (self.name, other.name))
 
 
 class SplitMor:
@@ -417,6 +421,10 @@ class SplitMor:
                     if a != b or pa_tot != pb_tot:
                         raise InvalidSimplicial("split map not simplicial at (%r,%d)" % (s, i))
         return self
+
+    def key(self):
+        return (self.src.key(), self.tgt.key(), tuple(sorted(self.val.items())),
+                tuple(sorted(self.part.items())))
 
     def is_levelwise_split(self):
         """True when every level map is a coproduct injection after

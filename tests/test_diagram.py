@@ -85,8 +85,8 @@ def test_comma_one_object_over_top_is_meet():
 def test_grothendieck_constant_functor():
     A = fx.fence_poset()
     pt = dg.point_dia(TS.cat, "*").validate()
-    F = dg.DiaFunctor(A, {a: pt for a in A.objects},
-                      {m.id: dg.DiaMor.identity(pt) for m in A.morphisms}).validate()
+    F = fc.StrictFunctor(A, {a: pt for a in A.objects},
+                         {m.id: dg.DiaMor.identity(pt) for m in A.morphisms}, "F").validate()
     gro, proj, incl = dg.grothendieck_construction(F)
     for obj in [gro, proj, *incl.values()]:
         obj.validate()
@@ -118,10 +118,10 @@ def test_grothendieck_fiber_example():
     c1 = fc.chain_category(1)
     d1 = dg.DiaObj(c1, fc.FinFunctor.constant(c1, TS.cat, "*"), "d1").validate()
     base = fc.chain_category(1)
-    F = dg.DiaFunctor(base, {"0": pt, "1": d1},
-                      {base.id_of("0"): dg.DiaMor.identity(pt),
-                       base.id_of("1"): dg.DiaMor.identity(d1),
-                       "0<=1": dg.all_dia_mors(pt, d1)[0]}).validate()
+    F = fc.StrictFunctor(base, {"0": pt, "1": d1},
+                         {base.id_of("0"): dg.DiaMor.identity(pt),
+                          base.id_of("1"): dg.DiaMor.identity(d1),
+                          "0<=1": dg.all_dia_mors(pt, d1)[0]}, "F").validate()
     gro, proj, _ = dg.grothendieck_construction(F)
     assert len(gro.shape.objects) == 3
     assert fc.is_opfibration(proj)[0]

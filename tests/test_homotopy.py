@@ -317,15 +317,17 @@ def test_hocolim_nerve_check_trivial_and_pseudocircle():
 def test_holim_point_shape_is_value():
     d1 = sp.delta_simpset(1, 2)
     pt = fc.terminal_category()
-    h = ht.holim_end(pt, {"*": d1}, {"id_*": sp.SimpMap.identity(d1)}, 2).validate()
+    X = fc.StrictFunctor(pt, {"*": d1}, {"id_*": sp.SimpMap.identity(d1)}, "X").validate()
+    h = ht.holim_end(X, 2).validate()
     assert [len(l) for l in h.levels] == [len(l) for l in d1.levels]
 
 
 def test_holim_constant_point():
     d0 = sp.delta_simpset(0, 2)
     c1 = fc.chain_category(1)
-    h = ht.holim_end(c1, {"0": d0, "1": d0},
-                     {m.id: sp.SimpMap.identity(d0) for m in c1.morphisms}, 2).validate()
+    X = fc.StrictFunctor(c1, {"0": d0, "1": d0},
+                         {m.id: sp.SimpMap.identity(d0) for m in c1.morphisms}, "X").validate()
+    h = ht.holim_end(X, 2).validate()
     # a single family per level, degenerate above 0
     assert [len(l) for l in h.levels] == [1, 0, 0]
 
@@ -334,9 +336,10 @@ def test_holim_discrete_product():
     d1 = sp.delta_simpset(1, 2)
     d0 = sp.delta_simpset(0, 2)
     disc = fc.discrete_category("2", ["l", "r"])
-    h = ht.holim_end(disc, {"l": d1, "r": d0},
-                     {disc.id_of("l"): sp.SimpMap.identity(d1),
-                      disc.id_of("r"): sp.SimpMap.identity(d0)}, 2)
+    X = fc.StrictFunctor(disc, {"l": d1, "r": d0},
+                         {disc.id_of("l"): sp.SimpMap.identity(d1),
+                          disc.id_of("r"): sp.SimpMap.identity(d0)}, "X").validate()
+    h = ht.holim_end(X, 2)
     prod, _, _, _ = sp.simpset_product(d1, d0)
     assert [len(l) for l in h.levels] == [len(l) for l in prod.levels]
 

@@ -58,7 +58,7 @@ def test_split_roundtrip():
     ps = fx.pseudocircle_site()
     u, aug = sp.cech_cover(ps, [ps.cat.id_of("{a,b,c,d}")], 3)
     u2 = io.decode_split(json.loads(io.dumps(io.encode_split(u))), ps)
-    assert sp.split_equal(u, u2)
+    assert u.key() == u2.key()
 
 
 def test_universe_roundtrip():
@@ -348,8 +348,14 @@ def test_cli_localizer_closure(tmp_path):
     rep = json.loads(out.read_text())
     assert len(rep["members"]) == 10
     assert rep["admissions"] == {"ADJ-partner": 2, "L4": 4, "WS1": 4}
-    assert run_cli(["localizer-check", "--universe", str(ufile),
-                    "--weq", str(tmp_path / "none")]) in (0, 1, 2)
+    members, empty = tmp_path / "members.json", tmp_path / "empty.json"
+    members.write_text(json.dumps(rep["members"]))
+    empty.write_text("[]")
+    # the closure passes the check, the empty class violates the axioms,
+    # and a --weq file that does not exist is an input error
+    for weq, code in ((members, 0), (empty, 1), (tmp_path / "none", 2)):
+        assert run_cli(["localizer-check", "--universe", str(ufile), "--weq", str(weq),
+                        "--out", str(tmp_path / "check.json")]) == code
 
 
 def test_cli_refine_bound_at_least_1(tmp_path, capsys):
@@ -449,6 +455,15 @@ def test_decode_split_validates_simpset_once(monkeypatch):
     monkeypatch.setattr(sp.SimpSet, "validate", counting)
     io.decode_split(data, ts)
     assert len(calls) == 1
+    # a functor record validates each value once, through the functor
+    c1 = fc.chain_category(1)
+    ident = {"val": {s: [list(sp.mt_id(k)), s] for k, l in enumerate(data["simp"]["levels"])
+                     for s in l},
+             "part": {s: "id_*" for l in data["simp"]["levels"] for s in l}}
+    io.decode_split_functor({"shape": io.encode_fincat(c1),
+                             "objects": {a: data for a in c1.objects},
+                             "morphisms": {m.id: ident for m in c1.morphisms}}, ts)
+    assert len(calls) == 3
 
 
 def test_cli_homology_malformed_split_exits_2(tmp_path, capsys):
@@ -467,6 +482,73 @@ def test_cli_homology_malformed_split_exits_2(tmp_path, capsys):
     sfile.write_text(io.dumps(good))
     assert run_cli(["homology", "--ssimp", str(sfile), "--site", "terminal"]) == 2
     assert "input error: malformed ssimp.v1" in capsys.readouterr().err
+
+
+# Functors (base, k of the value at each object, (m, u) at each morphism)
+# into Delta_0 and Delta_1, or into the constant diagrams on [0] and [1]:
+# u : [m] -> [n] is the monotone map the morphism goes to.  Neither is a
+# functor: the first sends id_* to the map of Delta_1 onto vertex 0, an
+# idempotent that is no identity; the second sends 0<=2 to vertex 1 while
+# 0<=1 then 1<=2 give vertex 0.
+NON_FUNCTORS = {
+    "identity-to-idempotent": (fc.terminal_category(), {"*": 1}, {"id_*": (1, (0, 0))}),
+    "wrong-composite": (fc.chain_category(2), {"0": 0, "1": 1, "2": 1},
+                        {"0<=0": (0, (0,)), "1<=1": (1, (0, 1)), "2<=2": (1, (0, 1)),
+                         "0<=1": (0, (0,)), "1<=2": (1, (0, 1)), "0<=2": (0, (1,))}),
+}
+
+
+def non_functor_records(base, ob, mo):
+    """The functor record `holim`, `hocolim` and `groth` each read for one
+    of `NON_FUNCTORS`, over the terminal site."""
+    ts = fx.terminal_site()
+    simp = [sp.delta_simpset(k, 2) for k in (0, 1)]
+    shapes = [fc.chain_category(k) for k in (0, 1)]
+
+    def val(m, u):
+        out = {}
+        for l in simp[m].levels:
+            for s in l:
+                epi, nd = sp.delta_value(u[t] for t in sp.delta_vertices(simp[m].nd_value(s)))
+                out[s] = [list(epi), nd]
+        return out
+
+    def alpha(m, u):
+        return {"obj": {str(t): str(u[t]) for t in range(m + 1)},
+                "mor": {"%d<=%d" % (a, b): "%d<=%d" % (u[a], u[b])
+                        for a in range(m + 1) for b in range(a, m + 1)}}
+
+    def record(key, values, mor):
+        return {key: io.encode_fincat(base), "objects": {a: values[k] for a, k in ob.items()},
+                "morphisms": {mid: mor(m, u) for mid, (m, u) in mo.items()}}
+
+    return {
+        "holim": record("shape", [io.encode_simpset(x) for x in simp],
+                        lambda m, u: {"val": val(m, u)}),
+        "hocolim": record("shape", [io.encode_split(sp.as_split(ts.cat, x, "*")) for x in simp],
+                          lambda m, u: {"val": val(m, u),
+                                        "part": dict.fromkeys(val(m, u), "id_*")}),
+        "groth": record("base", [io.encode_diagram(dg.DiaObj(c, fc.FinFunctor.constant(
+                            c, ts.cat, "*"))) for c in shapes],
+                        lambda m, u: {"alpha": alpha(m, u),
+                                      "f": {str(t): "id_*" for t in range(m + 1)}}),
+    }
+
+
+@pytest.mark.parametrize("command", ["holim", "hocolim", "groth"])
+@pytest.mark.parametrize("case", sorted(NON_FUNCTORS))
+def test_cli_refuses_non_functor(tmp_path, capsys, command, case):
+    """The functor laws are checked where the functor enters: each command
+    exits 2 with `input error:` on a record whose values and maps are all
+    valid but that is not a functor."""
+    functor = tmp_path / "f.json"
+    functor.write_text(io.dumps(non_functor_records(*NON_FUNCTORS[case])[command]))
+    flags = {"holim": ["--trunc", "2"], "hocolim": ["--trunc", "2", "--site", "terminal"],
+             "groth": ["--site", "terminal"]}[command]
+    assert run_cli([command, "--functor", str(functor)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: X: not strict" if command != "groth"
+                          else "input error: F: not strict")
 
 
 def test_console_entrypoint_runs():

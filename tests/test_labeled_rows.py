@@ -56,7 +56,7 @@ def assert_matches_reference(nv, d, trunc, validate=True):
     if validate:
         nv.validate()
     ref = sp.SplitSimpObj(d.labels.target, reference_nerve(d.shape, trunc), label, part)
-    assert sp.split_equal(nv, ref)
+    assert nv.key() == ref.key()
     assert list(nv.chain_of.items()) == list(ref.uset.chain_of.items())
     return part
 

@@ -718,7 +718,7 @@ def reference_adjunction_instances(u):
                     except Exception:
                         continue
                     pid = u.lookup(partner)
-                    out.append((mid, pid, p.name))
+                    out.append((mid, pid))
                     break
                 else:
                     continue
@@ -748,7 +748,7 @@ def test_adjunction_instances_match_reference(name):
     u = ADJ_UNIVERSES[name]()
     got = lc.adjunction_instances(u)
     assert got and got == reference_adjunction_instances(u)
-    for mid, pid, _ in got:
+    for mid, pid in got:
         m = u.morphisms[mid].mor
         s = m.shape_map
         p, unit = fc.left_adjoint(s)
@@ -770,7 +770,7 @@ def test_right_adjoints_are_l4_slice_instances(name):
     w = lc.closure_fixpoint(lc.MorClass(), ADJ_UNIVERSES[name]())
     assert "ADJ" not in {why[0] for why in w.provenance.values()}
     l4 = {mid: (how, certs) for mid, how, certs in w.rules["L4"]}
-    for mid, _, _ in w.rules["ADJ"]:
+    for mid, _ in w.rules["ADJ"]:
         how, certs = l4[mid]
         assert how == "slices" and all(kind == "InitialObject" for _, kind in certs), mid
 
@@ -899,8 +899,8 @@ def reference_closure_fixpoint(seed, u):
     for (oid, mid) in l2s:
         if mid is not None:
             w.admit(mid, ("L2", oid))
-    for (mid, pid, pname) in adjs:
-        w.admit(mid, ("ADJ", pname))
+    for (mid, pid) in adjs:
+        w.admit(mid, ("ADJ",))
         if pid is not None:
             w.admit(pid, ("ADJ-partner", mid))
 

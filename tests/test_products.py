@@ -135,7 +135,7 @@ def reference_hocolim_bk(xd, trunc):
     """The hocolim as the diagonal of the bisimplicial object whose (n, m)
     part is one copy of X(i_0)_m per length-n chain, with d_0 transporting
     along the first arrow."""
-    cat = xd.shape
+    cat = xd.base
     scat = xd.ob[cat.objects[0]].scat
     ner = sp.nerve_of_category(cat, trunc)
 

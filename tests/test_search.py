@@ -878,7 +878,7 @@ def test_holim_end_families_match_reference(case, monkeypatch):
         return real(trunc, levels, *args)
 
     monkeypatch.setattr(sp, "from_full_levels", capture)
-    ht.holim_end(shape, ob, mo, 2).validate()
+    ht.holim_end(fc.StrictFunctor(shape, ob, mo, "X").validate(), 2).validate()
     assert seen[-1] == reference_holim_families(shape, ob, mo, 2)
     assert any(len(level) > 1 for level in seen[-1])
 
