@@ -24,6 +24,7 @@ by hand.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
@@ -54,7 +55,8 @@ class FinCat:
     `compose[(g, f)] = g o f` for every composable pair (cod f == dom g):
     a dict, or any read-only mapping such as :class:`ElementComposition`.
     The constructor only stores and indexes by id; the hom, out and in
-    indexes are built on first query.  :meth:`validate` checks the axioms.
+    indexes and the colours of the isomorphism search are built on first
+    query.  :meth:`validate` checks the axioms.
     """
 
     def __init__(self, name, objects, morphisms, identity, compose):
@@ -64,7 +66,7 @@ class FinCat:
         self.identity = dict(identity)
         self.compose_table = compose
         self._mor_by_id = {m.id: m for m in self.morphisms}
-        self._hom = self._out = self._in = None
+        self._hom = self._out = self._in = self._colors = None
 
     def _indexed(self):
         """Build the hom, out and in indexes, None until a query reads one."""
@@ -97,6 +99,13 @@ class FinCat:
 
     def into(self, x: str) -> tuple:
         return (self._in or self._indexed()._in).get(x, ())
+
+    def wl_colors(self) -> dict:
+        """The colour of each object under :func:`_wl_colors`, computed on
+        the first query."""
+        if self._colors is None:
+            self._colors = _wl_colors(self)
+        return self._colors
 
     def id_of(self, x: str) -> str:
         return self.identity[x]
@@ -586,31 +595,48 @@ def check_adjunction(w: AdjunctionWitness):
     return True, None
 
 
+def slice_extremal(j: str, alpha: FinFunctor):
+    """The first initial object of the slice j x_{/J} I of alpha : I -> J
+    as ("InitialObject", (i, phi)), else its first final object as
+    ("FinalObject", (i, phi)), else None; "first" in the order
+    :func:`slice_under` lists the objects.
+
+    The slice is read from the hom-sets, not built: its objects are the
+    pairs (i, phi : j -> alpha i), and its arrows (i0, phi0) -> (i, phi) the
+    u : i0 -> i with alpha(u) o phi0 = phi.  One pass over the arrows out
+    of each i0 counts the slice arrows out of (i0, phi0) by their target.
+    """
+    I, J = alpha.source, alpha.target
+    under = [(i, phi) for i in I.objects for phi in J.hom(j, alpha.ob(i))]
+    rows = []
+    for i0, phi0 in under:
+        row = Counter((I.cod(u), J.comp(alpha.mo(u), phi0)) for u in I.out(i0))
+        if len(row) == len(under) and all(n == 1 for n in row.values()):
+            return "InitialObject", (i0, phi0)
+        rows.append(row)
+    final = next((x for x in under if all(row[x] == 1 for row in rows)), None)
+    return None if final is None else ("FinalObject", final)
+
+
 def left_adjoint(s: FinFunctor):
     """A left adjoint p of s : I -> J with its unit id_J => s o p, or None.
 
     Mac Lane's criterion (CWM, Thm IV.1.2): s has a left adjoint iff every
-    slice j x_{/J} I has an initial object.  The objects (i, phi : j -> s i)
-    of that slice are read from J's hom-sets in the order
-    :func:`slice_under` lists them; (p(j), unit_j) is the first with exactly
-    one slice arrow u (s(u) o unit_j = phi) to each, and p(g) for
-    g : j -> j' is the one slice arrow to (p(j'), unit_j' o g).
+    slice j x_{/J} I has an initial object.  (p(j), unit_j) is the first
+    initial object :func:`slice_extremal` reads from the hom-sets, and p(g)
+    for g : j -> j' is the one slice arrow u : p(j) -> p(j') with
+    s(u) o unit_j = unit_j' o g.
     """
     I, J = s.source, s.target
-
-    def slice_arrows(i0, phi0, i, phi):
-        return [u for u in I.hom(i0, i) if J.comp(s.mo(u), phi0) == phi]
-
     omap, unit = {}, {}
     for j in J.objects:
-        under = [(i, phi) for i in I.objects for phi in J.hom(j, s.ob(i))]
-        init = next((o for o in under
-                     if all(len(slice_arrows(*o, *x)) == 1 for x in under)), None)
-        if init is None:
+        ext = slice_extremal(j, s)
+        if ext is None or ext[0] != "InitialObject":
             return None
-        omap[j], unit[j] = init
-    mmap = {g.id: slice_arrows(omap[g.dom], unit[g.dom], omap[g.cod],
-                               J.comp(unit[g.cod], g.id))[0] for g in J.morphisms}
+        omap[j], unit[j] = ext[1]
+    mmap = {g.id: next(u for u in I.hom(omap[g.dom], omap[g.cod])
+                       if J.comp(s.mo(u), unit[g.dom]) == J.comp(unit[g.cod], g.id))
+            for g in J.morphisms}
     p = FinFunctor("F", J, I, omap, mmap)
     return p, NatTransf(FinFunctor.identity(J), p.then(s), unit)
 
@@ -933,7 +959,7 @@ def find_isomorphism(c: FinCat, d: FinCat, max_nodes: int = 2_000_000,
     """
     if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
         return None
-    cc, dc = _wl_colors(c), _wl_colors(d)
+    cc, dc = c.wl_colors(), d.wl_colors()
     if labels is not None:
         F, G = labels
         cc = {x: (col, F.ob(x)) for x, col in cc.items()}

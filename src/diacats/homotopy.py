@@ -496,8 +496,13 @@ def holim_end(X: fc.StrictFunctor, trunc: int, name="holim"):
                       N(I x_{/I} i) x Delta_k -> X(i).
 
     Structural only: no fibrancy handling, no homotopy invariance claim.
+    Raises TruncationExceeded when `trunc` exceeds a value's truncation.
     """
     shape, ob, mo = X.base, X.ob, X.mo
+    for i in shape.objects:
+        if ob[i].trunc < trunc:
+            raise TruncationExceeded("level %d beyond truncation %d of %s(%s)"
+                                     % (trunc, ob[i].trunc, X.name, i))
     slices, slice_nerves, prods = {}, {}, {}
     for i in shape.objects:
         sl, proj, okey, mkey = fc.slice_over(fc.FinFunctor.identity(shape), i)

@@ -18,6 +18,12 @@ Comma fibers are resolved up to isomorphism: the auxiliary comma diagram is
 translated onto a universe object by label-respecting isomorphism search;
 membership of the translated morphism is what the rules consult
 (membership of a localizer is isomorphism-invariant by weak saturation).
+The search tries only the universe objects with the comma's object and
+morphism counts and sorted labels, which the universe indexes on entry.
+
+(L4) reads each slice's initial or final object from the hom-sets
+(`fc.slice_extremal`); a slice is built only when it has neither, to look
+for an `AdjunctionChain` certificate.
 """
 
 from __future__ import annotations
@@ -39,6 +45,13 @@ class UMor:
     src: str
     tgt: str
     mor: dg.DiaMor
+
+
+def _shape_key(d: dg.DiaObj):
+    """A diagram's object and morphism counts and sorted object labels,
+    which every label-respecting isomorphism preserves."""
+    return (len(d.shape.objects), len(d.shape.morphisms),
+            tuple(sorted(d.labels.object_map.values())))
 
 
 def _parts(omap, mmap, lt):
@@ -65,6 +78,7 @@ class DiagramUniverse:
         self.comp = {}
         self.identity = {}
         self._okey = {}
+        self.by_shape = {}
         self._index = {}
         self._next = [0, 0]
 
@@ -76,6 +90,7 @@ class DiagramUniverse:
         self._next[0] += 1
         self.objects[oid] = d
         self._okey[k] = oid
+        self.by_shape.setdefault(_shape_key(d), []).append(oid)
         return oid
 
     def _insert(self, key, m: dg.DiaMor) -> str:
@@ -185,7 +200,12 @@ class MorClass:
 
 class ShapeTranslator:
     """Translate an arbitrary diagram onto a universe object via
-    label-respecting isomorphism search, caching results by structural key."""
+    label-respecting isomorphism search, caching results by structural key.
+
+    The search runs only on the universe objects filed under the diagram's
+    `_shape_key`, in insertion order: a diagram with another key has no
+    label-respecting isomorphism onto it.  Each universe shape's colours
+    for the search are computed once (`FinCat.wl_colors`)."""
 
     def __init__(self, universe: DiagramUniverse):
         self.u = universe
@@ -206,12 +226,8 @@ class ShapeTranslator:
         return self.cache[k]
 
     def _find_copy(self, d: dg.DiaObj):
-        for oid, cand in self.u.objects.items():
-            if len(cand.shape.objects) != len(d.shape.objects):
-                continue
-            if sorted(cand.labels.object_map.values()) != \
-                    sorted(d.labels.object_map.values()):
-                continue
+        for oid in self.u.by_shape.get(_shape_key(d), ()):
+            cand = self.u.objects[oid]
             iso = fc.find_isomorphism(d.shape, cand.shape,
                                       labels=(d.labels, cand.labels))
             if iso is not None:
@@ -429,32 +445,50 @@ def _induced_mid(u, w, comma1, comma2):
     return parts and u._index.get((comma1[0], comma2[0]) + parts)
 
 
-def _certified(parts):
-    """[(j, certificate kind)] when every (j, category) in `parts` carries a
-    contractibility certificate, else None."""
+def _kind(cat):
+    """The kind of `cat`'s contractibility certificate, or None."""
+    cert = at.contractibility_certificate(cat)
+    return cert and cert.kind
+
+
+def _slice_kind(j, alpha):
+    """The kind of the slice j x_{/J} I's contractibility certificate, or
+    None, tried in `at.contractibility_certificate`'s order: an initial or
+    a final object read from the hom-sets (`fc.slice_extremal`), else the
+    built slice's certificate, which can only be an `AdjunctionChain`."""
+    ext = fc.slice_extremal(j, alpha)
+    return ext[0] if ext else _kind(fc.slice_under(j, alpha)[0])
+
+
+def _certified(kinds):
+    """[(j, certificate kind)] when every (j, kind) in `kinds` names a
+    kind, else None; `kinds` is not read past the first None."""
     certs = []
-    for j, cat in parts:
-        cert = at.contractibility_certificate(cat)
-        if cert is None:
+    for j, kind in kinds:
+        if kind is None:
             return None
-        certs.append((j, cert.kind))
+        certs.append((j, kind))
     return certs
 
 
 def l4_instances(u: DiagramUniverse):
-    """Pure-diagram-type morphisms whose slices (or fibers, for
-    fibrations) all carry a contractibility certificate."""
+    """(mid, "slices" or "fibers", [(j, certificate kind)]) for each
+    pure-diagram-type morphism whose slices j x_{/J} I all carry a
+    contractibility certificate, or else, for a fibration, whose fibers do.
+
+    A slice's initial or final object is read from J's hom-sets; a slice is
+    built only when it has neither, to look for an `AdjunctionChain`."""
     out = []
     for mid, um in u.morphisms.items():
         m = um.mor
         if not m.is_pure_diagram_type():
             continue
         alpha, js = m.shape_map, m.tgt.shape.objects
-        certs = _certified((j, fc.slice_under(j, alpha)[0]) for j in js)
+        certs = _certified((j, _slice_kind(j, alpha)) for j in js)
         if certs is not None:
             out.append((mid, "slices", certs))
         elif fc.is_fibration(alpha)[0]:
-            certs = _certified((j, fc.fiber(alpha, j)[0]) for j in js)
+            certs = _certified((j, _kind(fc.fiber(alpha, j)[0])) for j in js)
             if certs is not None:
                 out.append((mid, "fibers", certs))
     return out

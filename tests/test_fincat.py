@@ -256,6 +256,22 @@ def test_left_adjoint_builds_no_comma_category(monkeypatch):
     assert calls == []
 
 
+def test_slice_extremal_matches_the_built_slice():
+    """Over every functor among the small categories and every j: the first
+    initial object of the built slice j / s, else its first final object,
+    as `fc.detect_extremal` finds them."""
+    for I in SMALL_CATS:
+        for J in SMALL_CATS:
+            for s in fc.all_functors(I, J):
+                for j in J.objects:
+                    cat, _, okey, _ = fc.slice_under(j, s)
+                    ext = fc.detect_extremal(cat)
+                    want = ("InitialObject", ext["initial"]) if ext["initial"] else \
+                        ("FinalObject", ext["final"]) if ext["final"] else None
+                    got = fc.slice_extremal(j, s)
+                    assert (got and (got[0], okey[("*",) + got[1]])) == want
+
+
 def test_adjunction_identity_and_broken():
     c = fc.chain_category(1)
     idf = fc.FinFunctor.identity(c)

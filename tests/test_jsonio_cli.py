@@ -551,6 +551,26 @@ def test_cli_refuses_non_functor(tmp_path, capsys, command, case):
                           else "input error: F: not strict")
 
 
+@pytest.mark.parametrize("flags,code,err", [
+    ([], 1, "error: level 6 beyond truncation 2 of X(*)\n"),
+    (["--trunc", "3"], 1, "error: level 3 beyond truncation 2 of X(*)\n"),
+    (["--trunc", "2"], 0, ""),
+], ids=["default", "3", "2"])
+def test_cli_holim_refuses_a_truncation_past_a_value(tmp_path, capsys, flags, code, err):
+    """On the terminal shape with value Delta_1 truncated at 2, `holim`
+    exits 1 with the truncation error, as `hocolim` does, at the default
+    `--trunc` 6 and at 3, not with a raw IndexError; at 2 it runs."""
+    x = sp.delta_simpset(1, 2)
+    vals = {s: [list(sp.mt_id(k)), s] for k, l in enumerate(x.levels) for s in l}
+    functor = tmp_path / "f.json"
+    functor.write_text(io.dumps({"shape": io.encode_fincat(fc.terminal_category()),
+                                 "objects": {"*": io.encode_simpset(x)},
+                                 "morphisms": {"id_*": {"val": vals}}}))
+    argv = ["holim", "--functor", str(functor), "--out", str(tmp_path / "r.json")]
+    assert run_cli(argv + flags) == code
+    assert capsys.readouterr().err == err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "diacats.cli", "compare", "hocolimnerve",

@@ -3,10 +3,11 @@
 An AST scan over `src/diacats`: every def, nested defs and methods
 included, must be reached by name (a bare name or an attribute) from
 `src/`, `bench/` or `demos/` outside its own body, where a reference made
-inside a library def counts only once that def is itself reached; a def
-that only `tests/` reach must be listed in `TEST_ONLY` with the reason it
-stays in the library.  Dunder methods are called by the language and are
-exempt.  A second scan requires every parameter with a default to be
+inside a library def or class counts only once that def or class is
+itself reached, and a method counts as reached only once its class is;
+a def that only `tests/` reach must be listed in `TEST_ONLY` with the
+reason it stays in the library.  Annotations reach nothing.  Dunder
+methods are called by the language and are exempt.  A second scan requires every parameter with a default to be
 passed by some call in `src/`, `bench/` or `demos/`, or to be listed in
 `KEPT_DEFAULTS` with its reason.  A third requires every local a library
 def assigns to be read somewhere in that def.  A fourth requires every
@@ -34,21 +35,47 @@ def parse(path):
 
 
 def references(tree):
-    """(name, names of the enclosing defs) for every name and attribute."""
+    """(name, names of the enclosing defs and classes) for every name and
+    attribute outside an annotation."""
     out = []
 
     def walk(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
         elif isinstance(node, ast.Name):
             out.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute):
             out.append((node.attr, enclosing))
-        for child in ast.iter_child_nodes(node):
-            walk(child, enclosing)
+        for field, child in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                for c in child if isinstance(child, list) else [child]:
+                    if isinstance(c, ast.AST):
+                        walk(c, enclosing)
 
     walk(tree, frozenset())
     return out
+
+
+def library_defs():
+    """(defining class or None, name) -> where, for every def of the
+    library but the dunders; a nested def has no class."""
+    defs = {}
+
+    def visit(node, cls, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not is_dunder(child.name):
+                    defs.setdefault((cls, child.name),
+                                    "%s:%d" % (path.relative_to(ROOT), child.lineno))
+                visit(child, None, path)
+            else:
+                visit(child, cls, path)
+
+    for path in sorted(LIBRARY.glob("*.py")):
+        visit(parse(path), None, path)
+    return defs
 
 
 # Library defs that only tests reach but that stay, with why.
@@ -77,16 +104,13 @@ def test_every_library_def_is_referenced():
     """A def that no code in `src/`, `bench/` or `demos/` reaches is dead,
     unless `TEST_ONLY` says why the tests need it in the library; a
     `TEST_ONLY` entry that is reached or gone is stale.  A reference from
-    inside library defs counts once every one of them is reached, so a def
-    that only unreached defs call is unreached too."""
-    defs = {}
-    for path in sorted(LIBRARY.glob("*.py")):
-        for node in ast.walk(parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and not is_dunder(node.name):
-                defs.setdefault(node.name, "%s:%d" % (path.relative_to(ROOT), node.lineno))
-    # (name, the library defs the reference sits in); bench and demo code
-    # is reached as a whole
+    inside library defs and classes counts once every one of them is
+    reached, so a def that only unreached defs call is unreached too.  A
+    method is matched by its bare name, so it is reached only once its
+    class is: a method of a class that only tests name is dead."""
+    defs = library_defs()
+    # (name, the library defs and classes the reference sits in); bench and
+    # demo code is reached as a whole
     refs = set()
     for root in USERS:
         for path in root.rglob("*.py"):
@@ -100,11 +124,12 @@ def test_every_library_def_is_referenced():
         reached = {name for name, enclosing in refs if enclosing <= used}
         grown = not reached <= used
         used |= reached
-    unused = {name: where for name, where in defs.items() if name not in used}
-    dead = sorted("%s (%s)" % (name, where) for name, where in unused.items()
-                  if name not in TEST_ONLY)
+    unused = {(cls, name): where for (cls, name), where in defs.items()
+              if name not in used or (cls is not None and cls not in used)}
+    dead = sorted("%s (%s)" % (name if cls is None else cls + "." + name, where)
+                  for (cls, name), where in unused.items() if name not in TEST_ONLY)
     assert not dead, "defs no code outside tests/ reaches: " + ", ".join(dead)
-    stale = sorted(name for name in TEST_ONLY if name not in unused)
+    stale = sorted(set(TEST_ONLY) - {name for _, name in unused})
     assert not stale, "TEST_ONLY entries now reached or gone: %s" % stale
 
 
